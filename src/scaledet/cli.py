@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,29 +37,28 @@ EXIT_INTERNAL = 3
 _ENV_OUTPUT_DIR = "SCALEDET_OUTPUT_DIR"
 
 
+def _parse_float(value, flag: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{flag}: {value!r} is not a number") from None
+
+
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(math.inf if part in ("inf", "+inf") else float(part))
-        except ValueError:
-            raise ConfigError(f"{flag}: {part!r} is not a number") from None
+    values = tuple(_parse_float(p.strip(), flag) for p in text.split(",") if p.strip())
     if not values:
         raise ConfigError(f"{flag}: empty list")
-    return tuple(values)
+    return values
 
 
-def _parse_size(text: str) -> tuple[int, int]:
+def _parse_size(text: str, flag: str) -> tuple[int, int]:
     try:
         w_s, h_s = text.lower().split("x")
         w, h = int(w_s), int(h_s)
     except ValueError:
-        raise ConfigError(f"--input-size expects WxH, got {text!r}") from None
+        raise ConfigError(f"{flag} expects WxH, got {text!r}") from None
     if w < 1 or h < 1:
-        raise ConfigError(f"--input-size must be positive, got {text!r}")
+        raise ConfigError(f"{flag} must be positive, got {text!r}")
     return w, h
 
 
@@ -126,7 +124,7 @@ def _load_dataset(args, filecfg) -> tuple[list[datasets_mod.ImageAnnotations], d
     fmt = _resolve(args, filecfg, "format", "kitti")
     size = _resolve(args, filecfg, "image_size", None)
     if isinstance(size, str):
-        size = _parse_size(size)
+        size = _parse_size(size, "--image-size")
     image_w, image_h = size if size else (datasets_mod.KITTI_IMAGE_W, datasets_mod.KITTI_IMAGE_H)
     skip_bad = bool(getattr(args, "skip_bad", False))
     images, skipped = datasets_mod.load_dataset(
@@ -212,7 +210,7 @@ def _anchor_config(args, filecfg, scales_override=None) -> anchors_mod.AnchorCon
     return anchors_mod.AnchorConfig(
         scales=_parse_float_list(scales, "--scales") if isinstance(scales, str) else (scales or anchors_mod.SCALES_BASELINE),
         ratios=_parse_float_list(ratios, "--ratios") if isinstance(ratios, str) else (ratios or anchors_mod.RATIOS_DEFAULT),
-        stride=float(stride) if stride is not None else 16.0,
+        stride=_parse_float(stride, "--stride") if stride is not None else 16.0,
         allow_border=allow_border,
     )
 
@@ -339,7 +337,7 @@ def cmd_rf(args) -> int:
         arch_label = f"builtin:{args.arch}"
 
     size_raw = _resolve(args, filecfg, "input_size", "1392x512")
-    input_size = _parse_size(size_raw) if isinstance(size_raw, str) else size_raw
+    input_size = _parse_size(size_raw, "--input-size") if isinstance(size_raw, str) else size_raw
 
     probe = _resolve(args, filecfg, "probe", None)
     if probe is not None and probe not in graph.layers:
@@ -426,7 +424,7 @@ def cmd_eval(args) -> int:
 
     class_name = _resolve(args, filecfg, "class_name", "Car")
     iou_raw = _resolve(args, filecfg, "iou", None)
-    iou_threshold = float(iou_raw) if iou_raw is not None else None
+    iou_threshold = _parse_float(iou_raw, "--iou") if iou_raw is not None else None
     mode = _resolve(args, filecfg, "mode", "all-point")
     buckets_raw = _resolve(args, filecfg, "buckets", None)
     buckets = (

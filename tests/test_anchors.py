@@ -11,14 +11,17 @@ from scaledet.anchors import (
     SCALES_BASELINE,
     SCALES_EXTENDED,
     AnchorConfig,
+    CoverageReport,
+    CoverageRow,
+    GtAttribution,
     anchor_shapes,
     coverage,
     match_gt,
     tile_anchors,
 )
-from scaledet.datasets import Annotation, ImageAnnotations
+from scaledet.datasets import DEFAULT_WIDTH_BIN_EDGES, Annotation, ImageAnnotations
 from scaledet.errors import ConfigError
-from scaledet.geometry import Box, iou
+from scaledet.geometry import Box, boxes_to_array, iou, iou_matrix
 
 
 def exhaustive_match(anchors, gt_boxes):
@@ -39,6 +42,73 @@ def exhaustive_match(anchors, gt_boxes):
                 best_idx, best_iou = idx, value
         out.append((best_idx, float(best_iou)))
     return out
+
+
+def dense_best_anchors(config, image_w, image_h, gt_boxes):
+    """Oracle for coverage's search: the IoU of every tiled anchor, then argmax.
+
+    Tiles the unclipped grid (border-filtered when ``allow_border`` is off)
+    in row-major cell order with the family per cell, so ``np.argmax``
+    breaks ties toward the lowest tiling index. Returns the anchor count and
+    one ``(best_iou, best_scale, best_ratio)`` per box; None instead of the
+    list when no anchor is kept.
+    """
+    stride = config.stride
+    nx = max(1, math.ceil(image_w / stride))
+    ny = max(1, math.ceil(image_h / stride))
+    shapes = np.asarray(anchor_shapes(config))
+    cx = (np.arange(nx) + 0.5) * stride
+    cy = (np.arange(ny) + 0.5) * stride
+    gx, gy = np.meshgrid(cx, cy)
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    anchors = np.empty((centers.shape[0], shapes.shape[0], 4))
+    anchors[:, :, 0] = centers[:, None, 0] - 0.5 * shapes[None, :, 0]
+    anchors[:, :, 1] = centers[:, None, 1] - 0.5 * shapes[None, :, 1]
+    anchors[:, :, 2] = centers[:, None, 0] + 0.5 * shapes[None, :, 0]
+    anchors[:, :, 3] = centers[:, None, 1] + 0.5 * shapes[None, :, 1]
+    anchors = anchors.reshape(-1, 4)
+    shape_idx = np.tile(np.arange(shapes.shape[0]), centers.shape[0])
+    if not config.allow_border:
+        inside = ((anchors[:, 0] >= 0) & (anchors[:, 1] >= 0)
+                  & (anchors[:, 2] <= image_w) & (anchors[:, 3] <= image_h))
+        anchors, shape_idx = anchors[inside], shape_idx[inside]
+    if not len(anchors):
+        return 0, None
+    if not gt_boxes:
+        return len(anchors), []
+    ious = iou_matrix(anchors, boxes_to_array(gt_boxes))
+    best = np.argmax(ious, axis=0)
+    n_ratios = len(config.ratios)
+    out = []
+    for col, a_idx in enumerate(best):
+        s_idx = int(shape_idx[a_idx])
+        out.append((float(ious[a_idx, col]), config.scales[s_idx // n_ratios],
+                    config.ratios[s_idx % n_ratios]))
+    return len(anchors), out
+
+
+def dense_coverage(config, dataset, thresholds, buckets=DEFAULT_WIDTH_BIN_EDGES):
+    """Oracle for ``coverage``: the whole report, built from the dense search."""
+    attribution, counts = [], []
+    for image in dataset:
+        gts = [a.box for a in image.annotations if not a.is_dontcare]
+        count, best = dense_best_anchors(config, image.image_w, image.image_h, gts)
+        counts.append(count)
+        for box, (value, scale, ratio) in zip(gts, best):
+            attribution.append(GtAttribution(image.image_id, box.width, scale, ratio, value))
+    rows = []
+    for t in thresholds:
+        hits = [a.best_iou >= t for a in attribution]
+        rows.append(CoverageRow(t, None, None, sum(hits), len(hits)))
+        for i, (lo, hi) in enumerate(zip(buckets, buckets[1:])):
+            last = i == len(buckets) - 2
+            inside = [(lo <= a.gt_width < hi) or (last and a.gt_width >= hi) or
+                      (i == 0 and a.gt_width < lo) for a in attribution]
+            rows.append(CoverageRow(t, lo, hi, sum(h and n for h, n in zip(hits, inside)),
+                                    sum(inside)))
+    return CoverageReport(config, tuple(thresholds), tuple(buckets), tuple(rows),
+                          tuple(attribution), sum(counts) / len(counts), len(dataset),
+                          len(attribution))
 
 
 class TestShapes:
@@ -90,6 +160,9 @@ class TestShapes:
             {"ratios": ()},
             {"ratios": (0.0, -1.0)},
             {"stride": 0},
+            {"scales": (math.inf,)},
+            {"ratios": (math.nan,)},
+            {"stride": math.nan},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -253,6 +326,101 @@ class TestCoverage:
             coverage(AnchorConfig(), vehicle_dataset[:1], thresholds=(0.0,))
         with pytest.raises(ConfigError):
             coverage(AnchorConfig(), vehicle_dataset[:1], thresholds=(1.5,))
+
+
+@st.composite
+def search_cases(draw):
+    """An anchor family, an image size and boxes that stress the window search."""
+    stride = draw(st.sampled_from([7.5, 10.0, 13.0, 16.0, 23.3, 32.0])
+                  | st.floats(min_value=6.0, max_value=40.0))
+    config = AnchorConfig(
+        scales=tuple(draw(st.lists(st.sampled_from([16.0, 32.0, 45.0, 64.0, 128.0, 256.0]),
+                                   min_size=1, max_size=4, unique=True))),
+        ratios=tuple(draw(st.lists(st.sampled_from([0.45, 0.5, 1.0, 2.0, 3.1]),
+                                   min_size=1, max_size=3, unique=True))),
+        stride=stride,
+        allow_border=draw(st.booleans()),
+    )
+    image_w = float(draw(st.integers(min_value=20, max_value=600)))
+    image_h = float(draw(st.integers(min_value=20, max_value=400)))
+    shapes = anchor_shapes(config)
+    boxes = []
+    for kind in draw(st.lists(st.sampled_from(["snapped", "free", "far"]),
+                              min_size=1, max_size=12)):
+        if kind == "snapped":
+            # Centers on cell centers or cell edges; sizes of an anchor shape
+            # or of whole half-strides, so IoU ties are exact.
+            i = draw(st.integers(min_value=-2, max_value=int(image_w / stride) + 2))
+            j = draw(st.integers(min_value=-2, max_value=int(image_h / stride) + 2))
+            cx = (i + 0.5 * draw(st.integers(0, 2))) * stride
+            cy = (j + 0.5 * draw(st.integers(0, 2))) * stride
+            if draw(st.booleans()):
+                w, h = draw(st.sampled_from(shapes))
+            else:
+                w = draw(st.integers(1, 24)) * stride / 2
+                h = draw(st.integers(1, 24)) * stride / 2
+            boxes.append(Box.from_center(cx, cy, w, h))
+        elif kind == "free":
+            # Inside, partly outside, or wider than the image.
+            w = draw(st.floats(min_value=1.0, max_value=1.5 * image_w))
+            h = draw(st.floats(min_value=1.0, max_value=1.5 * image_h))
+            x1 = draw(st.floats(min_value=-w, max_value=image_w))
+            y1 = draw(st.floats(min_value=-h, max_value=image_h))
+            boxes.append(Box(x1, y1, x1 + w, y1 + h))
+        else:
+            # Far outside the image: no anchor overlaps it.
+            x1 = draw(st.sampled_from([-5000.0, image_w + 3000.0]))
+            y1 = draw(st.sampled_from([-4000.0, 0.0, image_h + 2000.0]))
+            boxes.append(Box(x1, y1, x1 + 40.0, y1 + 30.0))
+    return config, image_w, image_h, boxes
+
+
+class TestBestAnchorSearch:
+    """The windowed search in ``coverage`` against the dense oracle, bit for bit."""
+
+    @given(search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle(self, case):
+        config, image_w, image_h, boxes = case
+        dataset = [_image_of_boxes(boxes, dims=(image_w, image_h))]
+        count, expected = dense_best_anchors(config, image_w, image_h, boxes)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                coverage(config, dataset, thresholds=(0.5,))
+            return
+        report = coverage(config, dataset, thresholds=(0.5,))
+        got = [(a.best_iou, a.best_scale, a.best_ratio) for a in report.attribution]
+        assert got == expected
+        assert report.anchors_per_image == count
+
+    @pytest.mark.parametrize("allow_border", [True, False])
+    @pytest.mark.parametrize("scales", [SCALES_BASELINE, SCALES_EXTENDED])
+    def test_vehicle_dataset_report_equals_dense(self, vehicle_dataset, scales, allow_border):
+        config = AnchorConfig(scales=scales, allow_border=allow_border)
+        thresholds = (0.3, 0.5, 0.7)
+        assert coverage(config, vehicle_dataset, thresholds=thresholds) == dense_coverage(
+            config, vehicle_dataset, thresholds
+        )
+
+    def test_zero_overlap_takes_first_kept_shape(self):
+        # Far from every anchor; with the border kept the first anchor is
+        # shape 0, without it the first anchor that fits the 100x60 image.
+        far = [Box(5000.0, 5000.0, 5040.0, 5030.0)]
+        dataset = [_image_of_boxes(far, dims=(100.0, 60.0))]
+        family = {"scales": (64.0, 32.0), "ratios": (1.0, 0.5)}
+        [kept] = coverage(AnchorConfig(**family), dataset, thresholds=(0.5,)).attribution
+        assert (kept.best_scale, kept.best_ratio, kept.best_iou) == (64.0, 1.0, 0.0)
+        [dropped] = coverage(AnchorConfig(**family, allow_border=False), dataset,
+                             thresholds=(0.5,)).attribution
+        _, [expected] = dense_best_anchors(AnchorConfig(**family, allow_border=False),
+                                           100.0, 60.0, far)
+        assert (dropped.best_iou, dropped.best_scale, dropped.best_ratio) == expected
+        assert dropped.best_scale == 32.0
+
+    def test_no_kept_anchor_is_a_config_error(self):
+        dataset = [_image_of_boxes([Box(10, 10, 50, 40)], dims=(100.0, 60.0))]
+        with pytest.raises(ConfigError, match="100x60"):
+            coverage(AnchorConfig(allow_border=False), dataset, thresholds=(0.5,))
 
 
 class TestCoverageDirection:

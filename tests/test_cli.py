@@ -146,6 +146,14 @@ class TestCoverageCommand:
         assert "allow_border=True" in (kept / "run_config.txt").read_text()
         assert "allow_border=False" in (dropped / "run_config.txt").read_text()
 
+    def test_drop_border_without_fitting_anchor_exit_code(self, dataset_dir, tmp_path, capsys):
+        # No anchor of the default family fits inside 100x60 px.
+        assert main(["coverage", str(dataset_dir), "--image-size", "100x60", "--drop-border",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "100x60" in err
+        assert "(128.0, 256.0, 512.0)" in err
+
 
 class TestRfCommand:
     def test_zf_probe(self, tmp_path, capsys):
@@ -337,6 +345,44 @@ class TestConfigPrecedence:
         monkeypatch.setenv("SCALEDET_OUTPUT_DIR", str(target))
         assert main(["stats", str(kitti_dir)]) == 0
         assert (target / "stats.csv").exists()
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])
+    def test_bad_number_exit_code(self, dataset_dir, tmp_path, capsys, subcommand, key, source):
+        argv = [subcommand, str(dataset_dir)]
+        if subcommand == "eval":
+            dets = tmp_path / "dets.csv"
+            dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+            argv.append(str(dets))
+        argv += ["--out", str(tmp_path / "o")]
+        if source == "flag":
+            argv += [f"--{key}", "abc"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}=abc\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"--{key}" in err
+        assert "'abc'" in err
+
+    @pytest.mark.parametrize("subcommand", ["stats", "coverage", "eval", "simulate"])
+    def test_bad_image_size_names_its_flag(self, dataset_dir, tmp_path, capsys, subcommand):
+        argv = [subcommand, str(dataset_dir)]
+        if subcommand in ("eval", "simulate"):
+            extra = tmp_path / "extra.txt"
+            extra.write_text("")
+            argv.append(str(extra))
+        assert main(argv + ["--image-size", "80", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "--image-size expects WxH, got '80'" in err
+        assert "--input-size" not in err
+
+    def test_bad_input_size_names_its_flag(self, tmp_path, capsys):
+        assert main(["rf", "zf", "--input-size", "80", "--out", str(tmp_path / "o")]) == 1
+        assert "--input-size expects WxH, got '80'" in capsys.readouterr().err
 
 
 class TestSvg:
