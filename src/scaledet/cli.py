@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import anchors as anchors_mod
@@ -90,6 +91,12 @@ def _resolve(args, filecfg: dict[str, str], key: str, default):
     return default
 
 
+def _resolve_floats(args, filecfg: dict[str, str], key: str, default) -> tuple[float, ...]:
+    """A comma-separated number list from the flag ``--key`` or the config file."""
+    value = _resolve(args, filecfg, key, None)
+    return default if value is None else _parse_float_list(value, f"--{key}")
+
+
 def _out_dir(args, filecfg: dict[str, str]) -> Path:
     out = _resolve(args, filecfg, "out", None)
     if out is None:
@@ -123,9 +130,10 @@ def _load_dataset(args, filecfg) -> tuple[list[datasets_mod.ImageAnnotations], d
     """Load the dataset and return it with the effective loader settings."""
     fmt = _resolve(args, filecfg, "format", "kitti")
     size = _resolve(args, filecfg, "image_size", None)
-    if isinstance(size, str):
-        size = _parse_size(size, "--image-size")
-    image_w, image_h = size if size else (datasets_mod.KITTI_IMAGE_W, datasets_mod.KITTI_IMAGE_H)
+    image_w, image_h = (
+        _parse_size(size, "--image-size") if size is not None
+        else (datasets_mod.KITTI_IMAGE_W, datasets_mod.KITTI_IMAGE_H)
+    )
     skip_bad = bool(getattr(args, "skip_bad", False))
     images, skipped = datasets_mod.load_dataset(
         args.dataset_dir, fmt, image_w=image_w, image_h=image_h, skip_bad=skip_bad
@@ -151,12 +159,7 @@ def cmd_stats(args) -> int:
     out_dir = _out_dir(args, filecfg)
     images, loader_settings = _load_dataset(args, filecfg)
     class_filter = _resolve(args, filecfg, "class_filter", None)
-    bins = _resolve(args, filecfg, "bins", None)
-    edges = (
-        _parse_float_list(bins, "--bins")
-        if isinstance(bins, str)
-        else (bins or datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-    )
+    edges = _resolve_floats(args, filecfg, "bins", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
 
     annotations = [a for image in images for a in image.annotations]
     stats = datasets_mod.compute_stats(
@@ -167,12 +170,8 @@ def cmd_stats(args) -> int:
         for name, lo, hi, count in datasets_mod.stats_csv_rows(stats)
     ]
     _write_csv(out_dir / "stats.csv", ["histogram_name", "bin_lo", "bin_hi", "count"], rows)
-    for name, hist in (
-        ("width", stats.width_histogram),
-        ("height", stats.height_histogram),
-        ("sqrt_area", stats.sqrt_area_histogram),
-        ("aspect", stats.aspect_histogram),
-    ):
+    for name in ("width", "height", "sqrt_area", "aspect"):
+        hist = getattr(stats, f"{name}_histogram")
         svg = svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts)
         (out_dir / f"{name}_histogram.svg").write_text(svg, encoding="utf-8")
     _write_run_config(
@@ -198,8 +197,6 @@ def cmd_stats(args) -> int:
 
 
 def _anchor_config(args, filecfg, scales_override=None) -> anchors_mod.AnchorConfig:
-    scales = scales_override or _resolve(args, filecfg, "scales", None)
-    ratios = _resolve(args, filecfg, "ratios", None)
     stride = _resolve(args, filecfg, "stride", None)
     drop_border = getattr(args, "drop_border", None)
     if drop_border is None:
@@ -208,27 +205,15 @@ def _anchor_config(args, filecfg, scales_override=None) -> anchors_mod.AnchorCon
     else:
         allow_border = not drop_border
     return anchors_mod.AnchorConfig(
-        scales=_parse_float_list(scales, "--scales") if isinstance(scales, str) else (scales or anchors_mod.SCALES_BASELINE),
-        ratios=_parse_float_list(ratios, "--ratios") if isinstance(ratios, str) else (ratios or anchors_mod.RATIOS_DEFAULT),
+        scales=(
+            _parse_float_list(scales_override, "--compare")
+            if scales_override
+            else _resolve_floats(args, filecfg, "scales", anchors_mod.SCALES_BASELINE)
+        ),
+        ratios=_resolve_floats(args, filecfg, "ratios", anchors_mod.RATIOS_DEFAULT),
         stride=_parse_float(stride, "--stride") if stride is not None else 16.0,
         allow_border=allow_border,
     )
-
-
-def _coverage_rows(report: anchors_mod.CoverageReport) -> list[list]:
-    rows = []
-    for row in report.rows:
-        rows.append(
-            [
-                _fmt(row.threshold),
-                _fmt(row.bucket_lo),
-                _fmt(row.bucket_hi),
-                row.matched,
-                row.total,
-                _fmt(row.recall),
-            ]
-        )
-    return rows
 
 
 def cmd_coverage(args) -> int:
@@ -236,25 +221,23 @@ def cmd_coverage(args) -> int:
     out_dir = _out_dir(args, filecfg)
     images, loader_settings = _load_dataset(args, filecfg)
     config = _anchor_config(args, filecfg)
-    thresholds_raw = _resolve(args, filecfg, "thresholds", None)
-    thresholds = (
-        _parse_float_list(thresholds_raw, "--thresholds")
-        if isinstance(thresholds_raw, str)
-        else (thresholds_raw or (0.5, 0.7))
-    )
-    buckets_raw = _resolve(args, filecfg, "buckets", None)
-    buckets = (
-        _parse_float_list(buckets_raw, "--buckets")
-        if isinstance(buckets_raw, str)
-        else (buckets_raw or datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-    )
+    thresholds = _resolve_floats(args, filecfg, "thresholds", (0.5, 0.7))
+    buckets = _resolve_floats(args, filecfg, "buckets", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
     class_filter = _resolve(args, filecfg, "class_filter", None)
 
     report = anchors_mod.coverage(
         config, images, thresholds=thresholds, buckets=buckets, class_filter=class_filter
     )
     header = ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"]
-    _write_csv(out_dir / "coverage.csv", header, _coverage_rows(report))
+    _write_csv(
+        out_dir / "coverage.csv",
+        header,
+        [
+            [_fmt(r.threshold), _fmt(r.bucket_lo), _fmt(r.bucket_hi), r.matched, r.total,
+             _fmt(r.recall)]
+            for r in report.rows
+        ],
+    )
     _write_csv(
         out_dir / "attribution.csv",
         ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"],
@@ -270,27 +253,15 @@ def cmd_coverage(args) -> int:
         alt = anchors_mod.coverage(
             alt_config, images, thresholds=thresholds, buckets=buckets, class_filter=class_filter
         )
-        delta_rows = []
-        for row_a, row_b in zip(report.rows, alt.rows):
-            delta = (
-                None
-                if row_a.recall is None or row_b.recall is None
-                else row_b.recall - row_a.recall
-            )
-            delta_rows.append(
-                [
-                    _fmt(row_a.threshold),
-                    _fmt(row_a.bucket_lo),
-                    _fmt(row_a.bucket_hi),
-                    _fmt(row_a.recall),
-                    _fmt(row_b.recall),
-                    _fmt(delta),
-                ]
-            )
         _write_csv(
             out_dir / "delta.csv",
             ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare", "delta"],
-            delta_rows,
+            [
+                [_fmt(a.threshold), _fmt(a.bucket_lo), _fmt(a.bucket_hi), _fmt(a.recall),
+                 _fmt(b.recall),
+                 _fmt(None if a.recall is None or b.recall is None else b.recall - a.recall)]
+                for a, b in zip(report.rows, alt.rows)
+            ],
         )
 
     _write_run_config(
@@ -336,8 +307,7 @@ def cmd_rf(args) -> int:
             ) from None
         arch_label = f"builtin:{args.arch}"
 
-    size_raw = _resolve(args, filecfg, "input_size", "1392x512")
-    input_size = _parse_size(size_raw, "--input-size") if isinstance(size_raw, str) else size_raw
+    input_size = _parse_size(_resolve(args, filecfg, "input_size", "1392x512"), "--input-size")
 
     probe = _resolve(args, filecfg, "probe", None)
     if probe is not None and probe not in graph.layers:
@@ -348,18 +318,10 @@ def cmd_rf(args) -> int:
     rows = []
     for name in graph.topo_order:
         info = infos[name]
-        dims = info.spatial_dims or (None, None)
-        rows.append(
-            [
-                name,
-                info.receptive_field,
-                info.cumulative_stride,
-                "|".join(str(r) for r in sorted(info.rf_set)),
-                _fmt(info.channels),
-                _fmt(dims[0]),
-                _fmt(dims[1]),
-            ]
-        )
+        out_w, out_h = info.spatial_dims or (None, None)
+        rows.append([name, info.receptive_field, info.cumulative_stride,
+                     "|".join(str(r) for r in sorted(info.rf_set)),
+                     _fmt(info.channels), _fmt(out_w), _fmt(out_h)])
     _write_csv(
         out_dir / "rf.csv",
         ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"],
@@ -412,6 +374,8 @@ def _read_folds_manifest(path) -> dict[str, str]:
             if len(row) != 2:
                 raise ParseError(f"{file.name}: line {lineno}: expected 2 columns")
             mapping[row[0]] = row[1]
+    if not mapping:
+        raise ParseError(f"{file.name}: no folds")
     return mapping
 
 
@@ -419,47 +383,28 @@ def cmd_eval(args) -> int:
     filecfg = _read_config_file(args.config)
     out_dir = _out_dir(args, filecfg)
     images, loader_settings = _load_dataset(args, filecfg)
-    gts = eval_mod.gts_of(images)
+    gts = [a for image in images for a in image.annotations]
     dets = eval_mod.read_detections_csv(args.detections_csv)
 
     class_name = _resolve(args, filecfg, "class_name", "Car")
     iou_raw = _resolve(args, filecfg, "iou", None)
     iou_threshold = _parse_float(iou_raw, "--iou") if iou_raw is not None else None
     mode = _resolve(args, filecfg, "mode", "all-point")
-    buckets_raw = _resolve(args, filecfg, "buckets", None)
-    buckets = (
-        _parse_float_list(buckets_raw, "--buckets")
-        if isinstance(buckets_raw, str)
-        else (buckets_raw or datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-    )
+    buckets = _resolve_floats(args, filecfg, "buckets", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
 
     report = eval_mod.evaluate_detections(
         dets, gts, class_name=class_name, iou_threshold=iou_threshold,
         mode=mode, bucket_edges=buckets,
     )
 
-    _write_csv(
-        out_dir / "pr.csv",
-        ["recall", "precision"],
-        [[_fmt(r), _fmt(p)] for r, p in report.pr_points],
-    )
-    ap_rows = [["overall", "", "", _fmt(report.ap), report.tp, report.fp, report.total_gt]]
-    for bucket in report.per_bucket:
-        ap_rows.append(
-            [
-                "bucket",
-                _fmt(bucket.bucket_lo),
-                _fmt(bucket.bucket_hi),
-                _fmt(bucket.ap),
-                bucket.tp,
-                bucket.fp,
-                bucket.total_gt,
-            ]
-        )
+    _write_csv(out_dir / "pr.csv", ["recall", "precision"],
+               [[_fmt(r), _fmt(p)] for r, p in report.pr_points])
     _write_csv(
         out_dir / "ap.csv",
         ["scope", "bucket_lo", "bucket_hi", "ap", "tp", "fp", "total_gt"],
-        ap_rows,
+        [["overall", "", "", _fmt(report.ap), report.tp, report.fp, report.total_gt]]
+        + [["bucket", _fmt(b.bucket_lo), _fmt(b.bucket_hi), _fmt(b.ap), b.tp, b.fp, b.total_gt]
+           for b in report.per_bucket],
     )
     (out_dir / "pr.svg").write_text(
         svgplot.line_chart(f"PR curve ({class_name}, IoU {report.iou_threshold:g})",
@@ -471,32 +416,16 @@ def cmd_eval(args) -> int:
     fold_lines = []
     if folds_path is not None:
         mapping = _read_folds_manifest(folds_path)
-        fold_ids = sorted(set(mapping.values()))
-        fold_rows = []
-        fold_aps = []
-        for fold_id in fold_ids:
-            fold_images = {img for img, fid in mapping.items() if fid == fold_id}
-            fold_report = eval_mod.evaluate_detections(
-                [d for d in dets if d.image_id in fold_images],
-                [g for g in gts if g.source_image in fold_images],
-                class_name=class_name,
-                iou_threshold=iou_threshold,
-                mode=mode,
-            )
-            fold_aps.append(fold_report.ap)
-            fold_rows.append(
-                [fold_id, _fmt(fold_report.ap), fold_report.tp, fold_report.fp,
-                 fold_report.total_gt, len(fold_images)]
-            )
-        agg = eval_mod.aggregate_folds(fold_aps)
-        fold_rows.append(
-            ["mean", _fmt(agg.mean), "", "", "", ""]
-        )
-        _write_csv(
-            out_dir / "folds.csv",
-            ["fold_id", "ap", "tp", "fp", "total_gt", "images"],
-            fold_rows,
-        )
+        images_per_fold = Counter(mapping.values())
+        fold_reports = eval_mod.split_report(report, gts, mapping)
+        fold_rows = [
+            [fold_id, _fmt(r.ap), r.tp, r.fp, r.total_gt, images_per_fold[fold_id]]
+            for fold_id, r in fold_reports.items()
+        ]
+        agg = eval_mod.aggregate_folds([r.ap for r in fold_reports.values()])
+        fold_rows.append(["mean", _fmt(agg.mean), "", "", "", ""])
+        _write_csv(out_dir / "folds.csv", ["fold_id", "ap", "tp", "fp", "total_gt", "images"],
+                   fold_rows)
         fold_lines.append(
             f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
             f"max={agg.maximum!r} stddev={agg.stddev!r}"

@@ -10,6 +10,13 @@ dropped from the tally entirely.
 Equal-score detections are ordered by content (image id, then coordinates),
 never by input position, so shuffling the input cannot change any label.
 
+Matching runs once per image: detections are sorted once and their IoU with
+each ground-truth box of their image is computed once (``iou_matrix``
+arithmetic), keeping the pairs at or above the threshold. A width bucket
+only changes which ground truth is ignored, so bucketed AP re-runs the greedy
+assignment over those candidate pairs alone; folds split the images, so a
+fold's labels are a slice of the one overall matching (``split_report``).
+
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR
 curve and the legacy "11-point" average) are available.
@@ -21,11 +28,15 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
-from .datasets import Annotation, ImageAnnotations
+import numpy as np
+
+from .datasets import Annotation
 from .errors import ConfigError, ParseError
-from .geometry import Box, iou
+from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou
 
 __all__ = [
     "Detection",
@@ -42,15 +53,21 @@ __all__ = [
     "average_precision",
     "scale_bucketed_ap",
     "evaluate_detections",
+    "split_report",
     "aggregate_folds",
     "read_detections_csv",
     "write_detections_csv",
-    "gts_of",
 ]
 
 TP = "tp"
 FP = "fp"
 IGNORED = "ignored"
+_LABELS = (TP, FP, IGNORED)  # indexed by the label codes below
+_TP, _FP, _IGNORED = range(3)
+# Detections per batch when pairing them with ground truth, and IoU cells
+# per block of the NMS overlap matrix: both bound the temporary arrays.
+_PAIR_BATCH = 1024
+_NMS_CELLS = 1 << 20
 
 DETECTIONS_CSV_HEADER = ["image_id", "class", "x1", "y1", "x2", "y2", "score"]
 
@@ -88,16 +105,90 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     if not 0 < iou_threshold < 1:
         raise ConfigError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    boxes = boxes_to_array([dets[i].box for i in order])
+    alive = np.ones(len(order), dtype=bool)
+    rows = max(1, _NMS_CELLS // max(len(order), 1))  # rows of the overlap matrix held at once
     kept: list[Detection] = []
-    suppressed = [False] * len(dets)
-    for pos, i in enumerate(order):
-        if suppressed[i]:
-            continue
-        kept.append(dets[i])
-        for j in order[pos + 1 :]:
-            if not suppressed[j] and iou(dets[i].box, dets[j].box) > iou_threshold:
-                suppressed[j] = True
+    for start in range(0, len(order), rows):
+        suppresses = iou_matrix(boxes[start : start + rows], boxes) > iou_threshold
+        for pos in range(start, min(start + rows, len(order))):
+            if alive[pos]:
+                kept.append(dets[order[pos]])
+                alive &= ~suppresses[pos - start]
     return kept
+
+
+class _Matching:
+    """Candidate pairs of one matching run, labelled per ignore mask.
+
+    ``dets`` holds the detections in score order; the candidates are the
+    same-image (detection, ground truth) pairs with IoU at or above the
+    threshold, as flat arrays ordered by detection, then ground-truth index.
+    The threshold is above 0, so a detection can only claim, or be absorbed
+    by, a candidate; a strict-``>`` scan of its untaken candidates in index
+    order picks the box that a scan of all its image's boxes would.
+    """
+
+    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float):
+        if not 0 < iou_threshold <= 1:
+            raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
+        self.dets, self.gts = sorted(dets, key=Detection.sort_key), gts
+        ids: dict[str, int] = {}
+        gt_image = np.array([ids.setdefault(g.source_image, len(ids)) for g in gts], dtype=np.intp)
+        det_image = np.array([ids.setdefault(d.image_id, len(ids)) for d in self.dets], dtype=np.intp)
+        by_image = np.argsort(gt_image, kind="stable")
+        per_image = np.bincount(gt_image, minlength=len(ids))
+        first = np.cumsum(per_image) - per_image  # of each image's run in by_image
+        det_boxes = boxes_to_array([d.box for d in self.dets])
+        gt_boxes = boxes_to_array([g.box for g in gts])
+        parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        for lo in range(0, len(self.dets), _PAIR_BATCH):
+            image = det_image[lo : lo + _PAIR_BATCH]
+            n = per_image[image]
+            det = np.repeat(np.arange(lo, lo + len(image)), n)
+            gt = by_image[np.repeat(first[image] - (np.cumsum(n) - n), n) + np.arange(len(det))]
+            value = paired_iou(det_boxes[det], gt_boxes[gt])
+            keep = value >= iou_threshold
+            parts.append((det[keep], gt[keep], value[keep]))
+        self.det, self.gt, self.iou = (np.concatenate(column) for column in zip(*parts))
+        # The scalar ``iou`` defines matching; a candidate whose vectorized IoU
+        # differs from it in any bit would mean the arithmetic has drifted.
+        if len(self.det) and iou(self.dets[self.det[0]].box, gts[self.gt[0]].box) != self.iou[0]:
+            raise AssertionError("paired_iou disagrees with geometry.iou")
+
+    def labels(self, ignore: np.ndarray) -> np.ndarray:
+        """Label codes of ``dets`` when the ground truth flagged in ``ignore`` is ignored."""
+        absorbs = ignore[self.gt]
+        fallback = np.full(len(self.dets), _FP, dtype=np.int8)
+        fallback[self.det[absorbs]] = _IGNORED
+        code = fallback.copy()
+        det, gt, value = self.det[~absorbs], self.gt[~absorbs], self.iou[~absorbs]
+        code[det] = _TP
+        # A box that is the candidate of one detection only is free on its
+        # turn: only detections with a shared box need the greedy scan.
+        shared = np.zeros(len(self.dets), dtype=bool)
+        shared[det[np.bincount(gt, minlength=len(self.gts))[gt] > 1]] = True
+        pick = shared[det]
+        taken: set[int] = set()
+        pairs = zip(det[pick].tolist(), gt[pick].tolist(), value[pick].tolist())
+        for d, candidates in groupby(pairs, key=itemgetter(0)):
+            best_iou, best = 0.0, -1
+            for _, g, v in candidates:
+                if v > best_iou and g not in taken:
+                    best_iou, best = v, g
+            if best < 0:
+                code[d] = fallback[d]
+            else:
+                taken.add(best)
+        return code
+
+
+class _Matches(list):
+    """``match_detections`` output that keeps the matching it came from."""
+
+    def __init__(self, matching: _Matching, ignore: np.ndarray):
+        super().__init__(zip(matching.dets, [_LABELS[c] for c in matching.labels(ignore).tolist()]))
+        self.matching = matching
 
 
 def match_detections(
@@ -113,42 +204,12 @@ def match_detections(
     detections without reward or penalty; it defaults to the DontCare flags.
     Ground truth and detections are paired within the same image only.
     """
-    if not 0 < iou_threshold <= 1:
-        raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
+    matching = _Matching(dets, gts, iou_threshold)
     if ignore_mask is None:
         ignore_mask = [g.is_dontcare for g in gts]
     if len(ignore_mask) != len(gts):
         raise ValueError("ignore_mask length must equal the number of ground-truth boxes")
-
-    by_image: dict[str, dict[str, list]] = {}
-    for g, ign in zip(gts, ignore_mask):
-        slot = by_image.setdefault(g.source_image, {"counted": [], "ignored": []})
-        (slot["ignored"] if ign else slot["counted"]).append(g.box)
-    matched: dict[str, list[bool]] = {
-        img: [False] * len(slot["counted"]) for img, slot in by_image.items()
-    }
-
-    results: list[tuple[Detection, str]] = []
-    for det in sorted(dets, key=Detection.sort_key):
-        slot = by_image.get(det.image_id)
-        label = FP
-        if slot is not None:
-            counted = slot["counted"]
-            taken = matched[det.image_id]
-            best_iou, best_idx = 0.0, -1
-            for idx, gt_box in enumerate(counted):
-                if taken[idx]:
-                    continue
-                value = iou(det.box, gt_box)
-                if value > best_iou:
-                    best_iou, best_idx = value, idx
-            if best_idx >= 0 and best_iou >= iou_threshold:
-                taken[best_idx] = True
-                label = TP
-            elif any(iou(det.box, ig) >= iou_threshold for ig in slot["ignored"]):
-                label = IGNORED
-        results.append((det, label))
-    return results
+    return _Matches(matching, np.array(ignore_mask, dtype=bool))
 
 
 def tp_fp_sequence(matches: list[tuple[Detection, str]]) -> list[bool]:
@@ -230,11 +291,7 @@ class EvalReport:
     fp: int
     total_gt: int
     zero_gt: bool
-
-
-def _counts(tp_flags: list[bool]) -> tuple[int, int]:
-    tp = sum(tp_flags)
-    return tp, len(tp_flags) - tp
+    matches: tuple[tuple[Detection, str], ...]  # every detection with its label, in score order
 
 
 def scale_bucketed_ap(
@@ -250,22 +307,35 @@ def scale_bucketed_ap(
     are neither rewarded nor penalized, keeping buckets independent. Buckets
     without ground truth report ``ap=None`` rather than 0.
     """
+    return _bucket_aps(_Matching(dets, gts, iou_threshold), bucket_edges, mode)
+
+
+def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
     edges = tuple(float(e) for e in bucket_edges)
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ConfigError(f"bucket edges must be strictly increasing, got {edges}")
+    widths = np.array([g.box.width for g in matching.gts], dtype=np.float64)
+    dontcare = np.array([g.is_dontcare for g in matching.gts], dtype=bool)
     results: list[BucketAP] = []
     for lo, hi in zip(edges, edges[1:]):
-        ignore = [g.is_dontcare or not (lo <= g.box.width < hi) for g in gts]
-        total_gt = ignore.count(False)
+        ignore = dontcare | (widths < lo) | (widths >= hi)
+        total_gt = len(ignore) - int(ignore.sum())
         if total_gt == 0:
             results.append(BucketAP(lo, hi, None, 0, 0, 0))
             continue
-        flags = tp_fp_sequence(match_detections(dets, gts, iou_threshold, ignore_mask=ignore))
-        tp, fp = _counts(flags)
-        results.append(
-            BucketAP(lo, hi, average_precision(flags, total_gt, mode), tp, fp, total_gt)
-        )
+        code = matching.labels(ignore)
+        flags = (code[code != _IGNORED] == _TP).tolist()
+        ap, tp = average_precision(flags, total_gt, mode), sum(flags)
+        results.append(BucketAP(lo, hi, ap, tp, len(flags) - tp, total_gt))
     return results
+
+
+def _report(class_name, iou_threshold, mode, matches, total_gt, per_bucket=()) -> EvalReport:
+    flags = tp_fp_sequence(matches)
+    tp = sum(flags)
+    return EvalReport(class_name, iou_threshold, mode, tuple(pr_curve(flags, total_gt)),
+                      average_precision(flags, total_gt, mode), per_bucket, tp, len(flags) - tp,
+                      total_gt, total_gt == 0, tuple(matches))
 
 
 def evaluate_detections(
@@ -279,32 +349,39 @@ def evaluate_detections(
     """Full single-class evaluation: PR curve, AP, and optional bucket APs.
 
     Detections and counted ground truth are restricted to ``class_name``;
-    DontCare regions of any class stay in play as ignore regions.
+    DontCare regions of any class stay in play as ignore regions. The
+    buckets reuse the candidate pairs of the overall matching.
     """
     if iou_threshold is None:
         iou_threshold = default_iou_threshold(class_name)
     class_dets = [d for d in dets if d.class_name == class_name]
     class_gts = [g for g in gts if g.class_name == class_name or g.is_dontcare]
-    flags = tp_fp_sequence(match_detections(class_dets, class_gts, iou_threshold))
-    total_gt = sum(1 for g in class_gts if not g.is_dontcare)
-    tp, fp = _counts(flags)
+    matches = match_detections(class_dets, class_gts, iou_threshold)
     per_bucket: tuple[BucketAP, ...] = ()
     if bucket_edges is not None:
-        per_bucket = tuple(
-            scale_bucketed_ap(class_dets, class_gts, bucket_edges, iou_threshold, mode)
-        )
-    return EvalReport(
-        class_name=class_name,
-        iou_threshold=iou_threshold,
-        mode=mode,
-        pr_points=tuple(pr_curve(flags, total_gt)),
-        ap=average_precision(flags, total_gt, mode),
-        per_bucket=per_bucket,
-        tp=tp,
-        fp=fp,
-        total_gt=total_gt,
-        zero_gt=total_gt == 0,
-    )
+        per_bucket = tuple(_bucket_aps(matches.matching, bucket_edges, mode))
+    total_gt = sum(1 for g in class_gts if not g.is_dontcare)
+    return _report(class_name, iou_threshold, mode, matches, total_gt, per_bucket)
+
+
+def split_report(report: EvalReport, gts: list[Annotation], fold_of: dict[str, str]) -> dict:
+    """Per-fold reports sliced from ``report``, keyed by fold id in sorted order.
+
+    ``fold_of`` maps image ids to fold ids; ``gts`` is what ``report`` was
+    computed from. Matching is per image, so each fold's report, equal to
+    ``evaluate_detections`` without buckets on the fold's images, is a
+    slice of ``report.matches``.
+    """
+    matches: dict[str, list] = {fold: [] for fold in sorted(set(fold_of.values()))}
+    total_gt = dict.fromkeys(matches, 0)
+    for match in report.matches:
+        if match[0].image_id in fold_of:
+            matches[fold_of[match[0].image_id]].append(match)
+    for g in gts:
+        if g.source_image in fold_of and g.class_name == report.class_name and not g.is_dontcare:
+            total_gt[fold_of[g.source_image]] += 1
+    settings = (report.class_name, report.iou_threshold, report.mode)
+    return {fold: _report(*settings, m, total_gt[fold]) for fold, m in matches.items()}
 
 
 @dataclass(frozen=True)
@@ -365,13 +442,7 @@ def read_detections_csv(path) -> list[Detection]:
                 raise ParseError(f"{path.name}: line {lineno}: expected 7 columns, got {len(row)}")
             try:
                 box = Box(float(row[2]), float(row[3]), float(row[4]), float(row[5]))
-                score = float(row[6])
+                dets.append(Detection(row[0], row[1], box, float(row[6])))
             except ValueError as exc:
                 raise ParseError(f"{path.name}: line {lineno}: {exc}") from None
-            dets.append(Detection(image_id=row[0], class_name=row[1], box=box, score=score))
     return dets
-
-
-def gts_of(dataset: list[ImageAnnotations]) -> list[Annotation]:
-    """Flatten a loaded dataset into one annotation list."""
-    return [a for image in dataset for a in image.annotations]

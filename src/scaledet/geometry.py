@@ -24,6 +24,7 @@ __all__ = [
     "BoxDelta",
     "iou",
     "iou_matrix",
+    "paired_iou",
     "encode_delta",
     "decode_delta",
     "clip_box",
@@ -125,14 +126,23 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    iw = np.maximum(iw, 0.0)
-    ih = np.maximum(ih, 0.0)
-    inter = iw * ih
-    areas_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    areas_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = (areas_a[:, None] + areas_b[None, :]) - inter
+    return paired_iou(a[:, None, :], b[None, :, :])
+
+
+def paired_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """IoU of each row of ``boxes_a`` with the matching row of ``boxes_b``.
+
+    The arrays broadcast against each other over their leading axes (last
+    axis: x1, y1, x2, y2). Arithmetic matches :func:`iou` exactly.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64)
+    b = np.asarray(boxes_b, dtype=np.float64)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    areas_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    areas_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = (areas_a + areas_b) - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=inter > 0.0)
     return out

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import synthetic_vehicle_dataset
 from scaledet.cli import main
-from scaledet.datasets import kitti_label_line
+from scaledet.datasets import kitti_label_line, load_dataset
+from scaledet.evaluation import evaluate_detections, read_detections_csv
 from scaledet.svgplot import bar_chart, line_chart
 
 
@@ -262,6 +263,61 @@ class TestSimulateAndEval:
         fold_aps = [float(r[1]) for r in rows[1:3]]
         assert float(rows[3][1]) == pytest.approx(sum(fold_aps) / 2, abs=1e-12)
         assert "folds: n=2" in capsys.readouterr().out
+
+    def test_fold_rows_equal_evaluating_each_fold(self, dataset_dir, tmp_path):
+        # DontCare regions and a second class exercise the ignore and class
+        # filters; image 000007 is in no fold.
+        for i, path in enumerate(sorted(dataset_dir.glob("*.txt"))):
+            extra = ""
+            if i % 2 == 0:
+                extra += "DontCare -1 -1 -10 100.0 150.0 180.0 200.0 -1 -1 -1 -1000 -1000 -1000 -10\n"
+            if i % 3 == 0:
+                extra += "Van 0.00 0 0.0 400.0 150.0 470.0 200.0 1.5 1.6 3.5 0.0 1.7 20.0 0.0\n"
+            path.write_text(path.read_text() + extra)
+        profile = self._profile(tmp_path, "detect_prob=0:0.7\nfp_per_image=3\nseed=4\n")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(dataset_dir), str(profile), "--out", str(sim_out)]) == 0
+        fold_of = {f"{i:06d}": f"f{i % 3}" for i in range(7)}
+        manifest = tmp_path / "folds.csv"
+        manifest.write_text("image_id,fold_id\n"
+                            + "".join(f"{k},{v}\n" for k, v in fold_of.items()))
+        eval_out = tmp_path / "eval"
+        assert main(["eval", str(dataset_dir), str(sim_out / "detections.csv"), "--iou", "0.5",
+                     "--folds", str(manifest), "--out", str(eval_out)]) == 0
+
+        images, _ = load_dataset(dataset_dir, "kitti")
+        gts = [a for image in images for a in image.annotations]
+        dets = read_detections_csv(sim_out / "detections.csv")
+        rows = read_csv(eval_out / "folds.csv")
+        assert [r[0] for r in rows[1:]] == ["f0", "f1", "f2", "mean"]
+        for fold_id, ap, tp, fp, total_gt, n_images in rows[1:4]:
+            fold = {k for k, v in fold_of.items() if v == fold_id}
+            want = evaluate_detections([d for d in dets if d.image_id in fold],
+                                       [g for g in gts if g.source_image in fold],
+                                       class_name="Car", iou_threshold=0.5)
+            assert want.tp + want.fp > 0
+            assert [ap, tp, fp, total_gt, n_images] == [
+                repr(want.ap), str(want.tp), str(want.fp), str(want.total_gt), str(len(fold))
+            ]
+
+    def test_header_only_folds_manifest_exit_code(self, dataset_dir, tmp_path, capsys):
+        profile = self._profile(tmp_path, "detect_prob=0:1\nseed=1\n")
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", str(dataset_dir), str(profile), "--out", str(sim_out)]) == 0
+        manifest = tmp_path / "folds.csv"
+        manifest.write_text("image_id,fold_id\n")
+        assert main(["eval", str(dataset_dir), str(sim_out / "detections.csv"),
+                     "--folds", str(manifest), "--out", str(tmp_path / "eval")]) == 2
+        assert "folds.csv: no folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exit_code(self, dataset_dir, tmp_path, capsys, score):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n"
+                        f"000000,Car,0,0,10,10,0.5\n000001,Car,0,0,10,10,{score}\n")
+        assert main(["eval", str(dataset_dir), str(dets), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert "dets.csv: line 3" in err and "finite" in err
 
     def test_seed_override_changes_output(self, dataset_dir, tmp_path):
         profile = self._profile(tmp_path, "detect_prob=0:0.5\nseed=1\n")

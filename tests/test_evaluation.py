@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scaledet.datasets import Annotation
 from scaledet.errors import ConfigError, ParseError
@@ -19,6 +21,7 @@ from scaledet.evaluation import (
     pr_curve,
     read_detections_csv,
     scale_bucketed_ap,
+    split_report,
     tp_fp_sequence,
     write_detections_csv,
 )
@@ -49,13 +52,15 @@ def nms_oracle(dets, threshold):
     return kept
 
 
-def matching_oracle(dets, gts, threshold):
+def matching_oracle(dets, gts, threshold, ignore_mask=None):
     """Step-by-step simulation of the greedy matching protocol."""
+    if ignore_mask is None:
+        ignore_mask = [g.is_dontcare for g in gts]
     order = sorted(dets, key=Detection.sort_key)
     unmatched = {}
     ignore = {}
-    for idx, g in enumerate(gts):
-        slot = ignore if g.is_dontcare else unmatched
+    for idx, (g, ignored) in enumerate(zip(gts, ignore_mask)):
+        slot = ignore if ignored else unmatched
         slot.setdefault(g.source_image, []).append((idx, g.box))
     labels = []
     for d in order:
@@ -74,6 +79,42 @@ def matching_oracle(dets, gts, threshold):
         else:
             labels.append((d, FP))
     return labels
+
+
+# Hypothesis cases for the matching kernel. Box(0, 0, 10, 10) has IoU exactly
+# 0.5 with Box(0, 0, 10, 5) and with Box(0, 5, 10, 10) (an IoU tie), and
+# exactly 1/3 with Box(0, 5, 10, 15); a small pool also makes duplicates.
+EXACT_BOXES = [Box(0, 0, 10, 10), Box(0, 0, 10, 5), Box(0, 5, 10, 10), Box(0, 5, 10, 15),
+               Box(0.0, 0.0, 10.0, 10.0)]
+# Detections may land on image "c", which holds no ground truth.
+DET_IMAGES = ["a", "b", "c"]
+GT_IMAGES = ["a", "b"]
+THRESHOLDS = st.sampled_from([0.5, 0.7, 1.0])
+
+
+def _length(lo, hi):
+    return st.one_of(st.integers(lo, hi), st.integers(4 * lo, 4 * hi).map(lambda v: v / 4))
+
+
+@st.composite
+def boxes(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(EXACT_BOXES))
+    x1, y1 = draw(_length(0, 16)), draw(_length(0, 16))
+    return Box(x1, y1, x1 + draw(_length(1, 12)), y1 + draw(_length(1, 12)))
+
+
+detections = st.lists(
+    st.builds(Detection, st.sampled_from(DET_IMAGES), st.sampled_from(["Car", "Car", "Van"]),
+              boxes(), st.sampled_from([0.25, 0.5, 0.75])),  # coarse scores force ties
+    max_size=14,
+)
+ground_truth = st.lists(
+    st.builds(lambda cls, box, image: Annotation(class_name=cls, box=box, source_image=image),
+              st.sampled_from(["Car", "Car", "DontCare", "Van"]), boxes(),
+              st.sampled_from(GT_IMAGES)),
+    max_size=10,
+)
 
 
 def riemann_ap(points, resolution=1e-4):
@@ -222,6 +263,93 @@ class TestMatching:
             perm = list(np.random.default_rng(seed).permutation(len(dets)))
             shuffled = match_detections([dets[i] for i in perm], gts, 0.3)
             assert shuffled == base  # identical content order, identical labels
+
+
+class TestMatchingKernel:
+    """The candidate-pair kernel against the step-by-step oracle."""
+
+    @given(detections, ground_truth, THRESHOLDS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_match_equals_oracle(self, dets, gts, threshold, data):
+        mask = data.draw(st.none() | st.lists(st.booleans(), min_size=len(gts),
+                                              max_size=len(gts)))
+        got = match_detections(dets, gts, threshold, ignore_mask=mask)
+        assert list(got) == matching_oracle(dets, gts, threshold, ignore_mask=mask)
+
+    @given(detections, ground_truth, THRESHOLDS,
+           st.sampled_from([(0, math.inf), (0, 5, 10, math.inf), (0, 8, 10.5), (3, 6, 9)]))
+    @settings(max_examples=200, deadline=None)
+    def test_buckets_equal_rematching_each_bucket(self, dets, gts, threshold, edges):
+        want = []
+        for lo, hi in zip(edges, edges[1:]):
+            ignore = [g.is_dontcare or not lo <= g.box.width < hi for g in gts]
+            total_gt = ignore.count(False)
+            if total_gt == 0:
+                want.append((lo, hi, None, 0, 0, 0))
+                continue
+            flags = tp_fp_sequence(matching_oracle(dets, gts, threshold, ignore))
+            want.append((lo, hi, average_precision(flags, total_gt), sum(flags),
+                         len(flags) - sum(flags), total_gt))
+        got = scale_bucketed_ap(dets, gts, edges, threshold)
+        assert [(b.bucket_lo, b.bucket_hi, b.ap, b.tp, b.fp, b.total_gt) for b in got] == want
+
+        class_gts = [g for g in gts if g.class_name == "Car" or g.is_dontcare]
+        report = evaluate_detections(dets, gts, "Car", threshold, bucket_edges=edges)
+        assert list(report.per_bucket) == scale_bucketed_ap(
+            [d for d in dets if d.class_name == "Car"], class_gts, edges, threshold
+        )
+
+    @given(detections, ground_truth, THRESHOLDS,
+           st.lists(st.sampled_from(["f0", "f1", None]), min_size=4, max_size=4),
+           st.sampled_from(["all-point", "11-point"]), st.sampled_from(["Car", "Van", "DontCare"]))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_slices_equal_fold_evaluation(self, dets, gts, threshold, folds, mode, cls):
+        fold_of = {image: f for image, f in zip(DET_IMAGES + ["d"], folds) if f is not None}
+        report = evaluate_detections(dets, gts, cls, threshold, mode)
+        assert [d for d, _ in report.matches] == sorted(
+            [d for d in dets if d.class_name == cls], key=Detection.sort_key
+        )
+        split = split_report(report, gts, fold_of)
+        assert list(split) == sorted(set(fold_of.values()))
+        for fold, fold_report in split.items():
+            images = {image for image, f in fold_of.items() if f == fold}
+            assert fold_report == evaluate_detections(
+                [d for d in dets if d.image_id in images],
+                [g for g in gts if g.source_image in images],
+                cls, threshold, mode,
+            )
+
+    @given(detections, st.sampled_from([0.25, 1 / 3, 0.5, 0.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_nms_equals_oracle(self, dets, threshold):
+        assert nms(dets, threshold) == nms_oracle(dets, threshold)
+
+    def test_iou_exactly_at_threshold_matches(self):
+        dets = [det(0, 0, 10, 5, 0.9)]
+        assert match_detections(dets, [gt(0, 0, 10, 10)], 0.5) == [(dets[0], TP)]
+        assert match_detections(dets, [gt(0, 0, 10, 10, cls="DontCare")], 0.5) == [
+            (dets[0], IGNORED)
+        ]
+        assert nms([det(0, 0, 10, 10, 0.9), dets[0]], 0.5) == [det(0, 0, 10, 10, 0.9), dets[0]]
+
+    def test_iou_tie_claims_lowest_index(self):
+        # The first detection ties g0 and g1 at 0.5 and takes g0, so the
+        # second, which overlaps g0 alone, finds it taken.
+        first, second = det(0, 0, 10, 10, 0.9), det(0, 0, 10, 5, 0.8)
+        gts = [gt(0, 0, 10, 5), gt(0, 5, 10, 10)]
+        assert match_detections([first, second], gts, 0.5) == [(first, TP), (second, FP)]
+
+    def test_outbid_detection_falls_back_to_ignore_region(self):
+        first, second = det(0, 0, 10, 10, 0.9), det(0, 0, 10, 9, 0.8)
+        gts = [gt(0, 0, 10, 10), gt(0, 0, 10, 8, cls="DontCare")]
+        assert match_detections([first, second], gts, 0.7) == [(first, TP), (second, IGNORED)]
+
+    def test_empty_inputs(self):
+        assert nms([], 0.5) == []
+        assert match_detections([], [], 0.5) == []
+        assert match_detections([det(0, 0, 10, 10, 0.9)], [], 0.5)[0][1] == FP
+        report = evaluate_detections([], [gt(0, 0, 10, 10)], bucket_edges=(0, math.inf))
+        assert (report.ap, report.tp, report.fp, report.matches) == (0.0, 0, 0, ())
 
 
 class TestAveragePrecision:

@@ -15,6 +15,7 @@ from scaledet.geometry import (
     encode_delta,
     iou,
     iou_matrix,
+    paired_iou,
 )
 
 
@@ -145,6 +146,14 @@ class TestIoU:
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert matrix[i, j] == iou(a, b)
+
+    @given(st.lists(st.tuples(float_boxes(), float_boxes()), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_paired_agrees_with_scalar_exactly(self, pairs):
+        values = paired_iou(boxes_to_array([a for a, _ in pairs]),
+                            boxes_to_array([b for _, b in pairs]))
+        assert values.shape == (len(pairs),)
+        assert values.tolist() == [iou(a, b) for a, b in pairs]
 
 
 class TestDeltas:
