@@ -1,10 +1,17 @@
 """Command-line interface.
 
-Subcommands: ``stats``, ``coverage``, ``rf``, ``eval``, ``simulate``. Every
-run writes its artifacts (CSV plus SVG where a plot makes sense) into an
-output directory along with ``run_config.txt``, the effective configuration
-after applying precedence flags > config file > defaults. Re-running any
-subcommand with identical inputs and seed reproduces byte-identical outputs.
+Subcommands: ``stats``, ``coverage``, ``rf``, ``eval``, ``simulate``. Each
+has one table in ``SETTINGS`` of ``(key, flag, parse, default, help)`` rows,
+read alike by argparse, by ``--config`` files (``key=value`` lines) and by
+``run_config.txt``. A setting comes from its flag, else the config file, else
+the default; flag and file text go through the same parser, so a bad value
+is a config error either way. Config keys outside the table are rejected,
+and booleans take ``true`` or ``false``.
+
+Every run writes its artifacts (CSV plus SVG where a plot makes sense) into
+an output directory along with ``run_config.txt``, every resolved setting.
+Re-running any subcommand with identical inputs and seed reproduces
+byte-identical outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 input parse error,
 3 internal invariant violation.
@@ -28,7 +35,7 @@ from . import evaluation as eval_mod
 from . import netgraph as netgraph_mod
 from . import svgplot
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .simulate import load_profile, simulate as run_detector
+from .simulate import load_profile, read_key_values, simulate as run_detector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,84 +45,50 @@ EXIT_INTERNAL = 3
 _ENV_OUTPUT_DIR = "SCALEDET_OUTPUT_DIR"
 
 
-def _parse_float(value, flag: str) -> float:
+# ---------------------------------------------------------- value parsers ----
+# Each takes the raw text and the name to report, and raises ConfigError.
+
+
+def _text(text: str, name: str) -> str:
+    return text
+
+
+def _number(text: str, name: str) -> float:
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"{flag}: {value!r} is not a number") from None
+        raise ConfigError(f"{name}: {text!r} is not a number") from None
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    values = tuple(_parse_float(p.strip(), flag) for p in text.split(",") if p.strip())
+def _integer(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} expects an integer, got {text!r}") from None
+
+
+def _numbers(text: str, name: str) -> tuple[float, ...]:
+    values = tuple(_number(p.strip(), name) for p in text.split(",") if p.strip())
     if not values:
-        raise ConfigError(f"{flag}: empty list")
+        raise ConfigError(f"{name}: empty list")
     return values
 
 
-def _parse_size(text: str, flag: str) -> tuple[int, int]:
+def _size(text: str, name: str) -> tuple[int, int]:
     try:
         w_s, h_s = text.lower().split("x")
         w, h = int(w_s), int(h_s)
     except ValueError:
-        raise ConfigError(f"{flag} expects WxH, got {text!r}") from None
+        raise ConfigError(f"{name} expects WxH, got {text!r}") from None
     if w < 1 or h < 1:
-        raise ConfigError(f"{flag} must be positive, got {text!r}")
+        raise ConfigError(f"{name} must be positive, got {text!r}")
     return w, h
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(file.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{file.name} line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve(args, filecfg: dict[str, str], key: str, default):
-    """flags > config file > default; flags use None as the 'unset' marker."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in filecfg:
-        return filecfg[key]
-    return default
-
-
-def _resolve_floats(args, filecfg: dict[str, str], key: str, default) -> tuple[float, ...]:
-    """A comma-separated number list from the flag ``--key`` or the config file."""
-    value = _resolve(args, filecfg, key, None)
-    return default if value is None else _parse_float_list(value, f"--{key}")
-
-
-def _out_dir(args, filecfg: dict[str, str]) -> Path:
-    out = _resolve(args, filecfg, "out", None)
-    if out is None:
-        out = os.environ.get(_ENV_OUTPUT_DIR, "scaledet_out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_run_config(out_dir: Path, settings: dict) -> None:
-    lines = [f"{key}={settings[key]}" for key in sorted(settings)]
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _boolean(text: str, name: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"{name}: {text!r} is not true or false")
+    return text.lower() == "true"
 
 
 def _fmt(value) -> str:
@@ -126,44 +99,88 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_dataset(args, filecfg) -> tuple[list[datasets_mod.ImageAnnotations], dict]:
-    """Load the dataset and return it with the effective loader settings."""
-    fmt = _resolve(args, filecfg, "format", "kitti")
-    size = _resolve(args, filecfg, "image_size", None)
-    image_w, image_h = (
-        _parse_size(size, "--image-size") if size is not None
-        else (datasets_mod.KITTI_IMAGE_W, datasets_mod.KITTI_IMAGE_H)
-    )
-    skip_bad = bool(getattr(args, "skip_bad", False))
+def _record(value, parse) -> str:
+    """A resolved setting as ``run_config.txt`` writes it."""
+    if parse is _numbers and value is not None:
+        return ",".join(map(_fmt, value))
+    if parse is _size:
+        return "%dx%d" % value
+    return _fmt(value)
+
+
+# --------------------------------------------------------------- settings ----
+
+
+def _settings(args) -> tuple[Path, dict]:
+    """The output directory and every setting of the subcommand's table.
+
+    Each value is the flag's, else the ``--config`` file's, else the row's
+    default; flag and file text both go through the row's parser.
+    """
+    rows = SETTINGS[args.subcommand][2]
+    from_file: dict[str, tuple[int, str]] = {}
+    if args.config is not None:
+        file = Path(args.config)
+        if not file.is_file():
+            raise ConfigError(f"config file not found: {args.config}")
+        try:
+            text = file.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{file.name}: not UTF-8 text ({exc.reason})") from None
+        keys = {key for key, flag, *_ in rows if flag.startswith("-")}
+        from_file = read_key_values(text, file.name, keys)
+    settings = {"subcommand": args.subcommand}
+    for key, flag, parse, default, _ in rows:
+        if getattr(args, key) is not None:
+            settings[key] = parse(getattr(args, key), flag)
+        elif key in from_file:
+            lineno, text = from_file[key]
+            settings[key] = parse(text, f"{file.name} line {lineno}: {key} ({flag})")
+        else:
+            settings[key] = default
+    out = settings.pop("out")
+    out = Path(os.environ.get(_ENV_OUTPUT_DIR, "scaledet_out") if out is None else out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from None
+    return out, settings
+
+
+def _write_run_config(out_dir: Path, settings: dict) -> None:
+    parsers = {key: parse for key, _, parse, _, _ in SETTINGS[settings["subcommand"]][2]}
+    lines = [f"{key}={_record(settings[key], parsers.get(key))}" for key in sorted(settings)]
+    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _load_dataset(s: dict) -> list[datasets_mod.ImageAnnotations]:
+    image_w, image_h = s["image_size"]
     images, skipped = datasets_mod.load_dataset(
-        args.dataset_dir, fmt, image_w=image_w, image_h=image_h, skip_bad=skip_bad
+        s["dataset_dir"], s["format"], image_w=image_w, image_h=image_h, skip_bad=s["skip_bad"]
     )
     for message in skipped:
         print(f"skipped: {message}", file=sys.stderr)
     if not images:
-        raise ParseError(f"no parseable annotation files in {args.dataset_dir}")
-    settings = {
-        "dataset_dir": args.dataset_dir,
-        "format": fmt,
-        "image_size": f"{image_w:g}x{image_h:g}",
-        "skip_bad": skip_bad,
-    }
-    return images, settings
+        raise ParseError(f"no parseable annotation files in {s['dataset_dir']}")
+    return images
 
 
 # ---------------------------------------------------------------- stats ----
 
 
 def cmd_stats(args) -> int:
-    filecfg = _read_config_file(args.config)
-    out_dir = _out_dir(args, filecfg)
-    images, loader_settings = _load_dataset(args, filecfg)
-    class_filter = _resolve(args, filecfg, "class_filter", None)
-    edges = _resolve_floats(args, filecfg, "bins", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-
+    out_dir, s = _settings(args)
+    images = _load_dataset(s)
     annotations = [a for image in images for a in image.annotations]
     stats = datasets_mod.compute_stats(
-        annotations, class_filter=class_filter, bin_edges=edges, image_count=len(images)
+        annotations, class_filter=s["class_filter"], bin_edges=s["bins"], image_count=len(images)
     )
     rows = [
         [name, _fmt(lo), _fmt(hi), count]
@@ -174,15 +191,7 @@ def cmd_stats(args) -> int:
         hist = getattr(stats, f"{name}_histogram")
         svg = svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts)
         (out_dir / f"{name}_histogram.svg").write_text(svg, encoding="utf-8")
-    _write_run_config(
-        out_dir,
-        {
-            "subcommand": "stats",
-            **loader_settings,
-            "class_filter": class_filter or "",
-            "bins": ",".join(_fmt(e) for e in edges),
-        },
-    )
+    _write_run_config(out_dir, s)
     modal = stats.width_histogram.modal_bin()
     print(f"images: {stats.image_count}")
     print(f"annotations (after filter): {stats.annotation_count}")
@@ -196,89 +205,36 @@ def cmd_stats(args) -> int:
 # ------------------------------------------------------------- coverage ----
 
 
-def _anchor_config(args, filecfg, scales_override=None) -> anchors_mod.AnchorConfig:
-    stride = _resolve(args, filecfg, "stride", None)
-    drop_border = getattr(args, "drop_border", None)
-    if drop_border is None:
-        raw = filecfg.get("allow_border")
-        allow_border = raw is None or raw.lower() not in ("false", "0", "no")
-    else:
-        allow_border = not drop_border
-    return anchors_mod.AnchorConfig(
-        scales=(
-            _parse_float_list(scales_override, "--compare")
-            if scales_override
-            else _resolve_floats(args, filecfg, "scales", anchors_mod.SCALES_BASELINE)
-        ),
-        ratios=_resolve_floats(args, filecfg, "ratios", anchors_mod.RATIOS_DEFAULT),
-        stride=_parse_float(stride, "--stride") if stride is not None else 16.0,
-        allow_border=allow_border,
-    )
-
-
 def cmd_coverage(args) -> int:
-    filecfg = _read_config_file(args.config)
-    out_dir = _out_dir(args, filecfg)
-    images, loader_settings = _load_dataset(args, filecfg)
-    config = _anchor_config(args, filecfg)
-    thresholds = _resolve_floats(args, filecfg, "thresholds", (0.5, 0.7))
-    buckets = _resolve_floats(args, filecfg, "buckets", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-    class_filter = _resolve(args, filecfg, "class_filter", None)
-
-    report = anchors_mod.coverage(
-        config, images, thresholds=thresholds, buckets=buckets, class_filter=class_filter
-    )
-    header = ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"]
-    _write_csv(
-        out_dir / "coverage.csv",
-        header,
-        [
-            [_fmt(r.threshold), _fmt(r.bucket_lo), _fmt(r.bucket_hi), r.matched, r.total,
-             _fmt(r.recall)]
-            for r in report.rows
-        ],
-    )
-    _write_csv(
-        out_dir / "attribution.csv",
-        ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"],
-        [
-            [_fmt(a.gt_width), _fmt(a.best_scale), _fmt(a.best_ratio), _fmt(a.best_iou), a.image_id]
-            for a in report.attribution
-        ],
-    )
-
-    compare = _resolve(args, filecfg, "compare", None)
-    if compare is not None:
-        alt_config = _anchor_config(args, filecfg, scales_override=compare)
-        alt = anchors_mod.coverage(
-            alt_config, images, thresholds=thresholds, buckets=buckets, class_filter=class_filter
-        )
-        _write_csv(
-            out_dir / "delta.csv",
-            ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare", "delta"],
-            [
-                [_fmt(a.threshold), _fmt(a.bucket_lo), _fmt(a.bucket_hi), _fmt(a.recall),
-                 _fmt(b.recall),
-                 _fmt(None if a.recall is None or b.recall is None else b.recall - a.recall)]
-                for a, b in zip(report.rows, alt.rows)
-            ],
-        )
-
-    _write_run_config(
-        out_dir,
-        {
-            "subcommand": "coverage",
-            **loader_settings,
-            "class_filter": class_filter or "",
-            "scales": ",".join(_fmt(s) for s in config.scales),
-            "ratios": ",".join(_fmt(r) for r in config.ratios),
-            "stride": config.stride,
-            "allow_border": config.allow_border,
-            "thresholds": ",".join(_fmt(t) for t in thresholds),
-            "buckets": ",".join(_fmt(b) for b in buckets),
-            "compare": compare or "",
-        },
-    )
+    out_dir, s = _settings(args)
+    families = [
+        anchors_mod.AnchorConfig(scales=scales, ratios=s["ratios"], stride=s["stride"],
+                                 allow_border=s["allow_border"])
+        for scales in (s["scales"], s["compare"]) if scales is not None
+    ]
+    images = _load_dataset(s)
+    report, *alt = [
+        anchors_mod.coverage(config, images, thresholds=s["thresholds"], buckets=s["buckets"],
+                             class_filter=s["class_filter"])
+        for config in families
+    ]
+    _write_csv(out_dir / "coverage.csv",
+               ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"],
+               [[_fmt(r.threshold), _fmt(r.bucket_lo), _fmt(r.bucket_hi), r.matched, r.total,
+                 _fmt(r.recall)] for r in report.rows])
+    _write_csv(out_dir / "attribution.csv",
+               ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"],
+               [[_fmt(a.gt_width), _fmt(a.best_scale), _fmt(a.best_ratio), _fmt(a.best_iou),
+                 a.image_id] for a in report.attribution])
+    if alt:
+        _write_csv(out_dir / "delta.csv",
+                   ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
+                    "delta"],
+                   [[_fmt(a.threshold), _fmt(a.bucket_lo), _fmt(a.bucket_hi), _fmt(a.recall),
+                     _fmt(b.recall),
+                     _fmt(None if a.recall is None or b.recall is None else b.recall - a.recall)]
+                    for a, b in zip(report.rows, alt[0].rows)])
+    _write_run_config(out_dir, s)
     for t in report.thresholds:
         recall = report.overall_recall(t)
         print(f"recall@{t:g}: {recall if recall is not None else 'undefined'}")
@@ -291,29 +247,26 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_rf(args) -> int:
-    filecfg = _read_config_file(args.config)
-    out_dir = _out_dir(args, filecfg)
-    arch_path = Path(args.arch)
+    out_dir, s = _settings(args)
+    arch_path = Path(s["arch"])
     if arch_path.is_file():
         graph = netgraph_mod.load_arch(arch_path)
         arch_label = str(arch_path)
     else:
         try:
-            graph = netgraph_mod.parse_arch(netgraph_mod.builtin_arch(args.arch))
+            graph = netgraph_mod.parse_arch(netgraph_mod.builtin_arch(s["arch"]))
         except KeyError:
             raise ParseError(
-                f"{args.arch!r} is neither a file nor a builtin architecture "
+                f"{s['arch']!r} is neither a file nor a builtin architecture "
                 f"({', '.join(netgraph_mod.builtin_arch_names())})"
             ) from None
-        arch_label = f"builtin:{args.arch}"
+        arch_label = f"builtin:{s['arch']}"
 
-    input_size = _parse_size(_resolve(args, filecfg, "input_size", "1392x512"), "--input-size")
-
-    probe = _resolve(args, filecfg, "probe", None)
+    probe = s["probe"]
     if probe is not None and probe not in graph.layers:
         graph = netgraph_mod.with_probe_window(graph, probe_name=probe)
 
-    infos, findings = netgraph_mod.analyze_with_findings(graph, input_size)
+    infos, findings = netgraph_mod.analyze_with_findings(graph, s["input_size"])
 
     rows = []
     for name in graph.topo_order:
@@ -322,26 +275,12 @@ def cmd_rf(args) -> int:
         rows.append([name, info.receptive_field, info.cumulative_stride,
                      "|".join(str(r) for r in sorted(info.rf_set)),
                      _fmt(info.channels), _fmt(out_w), _fmt(out_h)])
-    _write_csv(
-        out_dir / "rf.csv",
-        ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"],
-        rows,
-    )
-    findings_text = (
-        "\n".join(("ok  " if f.ok else "BAD ") + f.message for f in findings)
-        if findings
-        else "no merge nodes"
-    )
-    (out_dir / "findings.txt").write_text(findings_text + "\n", encoding="utf-8")
-    _write_run_config(
-        out_dir,
-        {
-            "subcommand": "rf",
-            "arch": arch_label,
-            "input_size": f"{input_size[0]}x{input_size[1]}",
-            "probe": probe or "",
-        },
-    )
+    _write_csv(out_dir / "rf.csv",
+               ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"], rows)
+    findings_text = "\n".join(("ok  " if f.ok else "BAD ") + f.message for f in findings)
+    (out_dir / "findings.txt").write_text((findings_text or "no merge nodes") + "\n",
+                                          encoding="utf-8")
+    _write_run_config(out_dir, {**s, "arch": arch_label})
     report_layers = [probe] if probe else graph.sinks()
     for name in report_layers:
         info = infos[name]
@@ -380,21 +319,14 @@ def _read_folds_manifest(path) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
-    filecfg = _read_config_file(args.config)
-    out_dir = _out_dir(args, filecfg)
-    images, loader_settings = _load_dataset(args, filecfg)
+    out_dir, s = _settings(args)
+    images = _load_dataset(s)
     gts = [a for image in images for a in image.annotations]
-    dets = eval_mod.read_detections_csv(args.detections_csv)
-
-    class_name = _resolve(args, filecfg, "class_name", "Car")
-    iou_raw = _resolve(args, filecfg, "iou", None)
-    iou_threshold = _parse_float(iou_raw, "--iou") if iou_raw is not None else None
-    mode = _resolve(args, filecfg, "mode", "all-point")
-    buckets = _resolve_floats(args, filecfg, "buckets", datasets_mod.DEFAULT_WIDTH_BIN_EDGES)
-
+    dets = eval_mod.read_detections_csv(s["detections_csv"])
+    class_name, mode = s["class_name"], s["mode"]
     report = eval_mod.evaluate_detections(
-        dets, gts, class_name=class_name, iou_threshold=iou_threshold,
-        mode=mode, bucket_edges=buckets,
+        dets, gts, class_name=class_name, iou_threshold=s.pop("iou"),
+        mode=mode, bucket_edges=s["buckets"],
     )
 
     _write_csv(out_dir / "pr.csv", ["recall", "precision"],
@@ -412,10 +344,9 @@ def cmd_eval(args) -> int:
         encoding="utf-8",
     )
 
-    folds_path = _resolve(args, filecfg, "folds", None)
     fold_lines = []
-    if folds_path is not None:
-        mapping = _read_folds_manifest(folds_path)
+    if s["folds"] is not None:
+        mapping = _read_folds_manifest(s["folds"])
         images_per_fold = Counter(mapping.values())
         fold_reports = eval_mod.split_report(report, gts, mapping)
         fold_rows = [
@@ -431,19 +362,7 @@ def cmd_eval(args) -> int:
             f"max={agg.maximum!r} stddev={agg.stddev!r}"
         )
 
-    _write_run_config(
-        out_dir,
-        {
-            "subcommand": "eval",
-            **loader_settings,
-            "detections_csv": args.detections_csv,
-            "class_name": class_name,
-            "iou_threshold": report.iou_threshold,
-            "mode": mode,
-            "buckets": ",".join(_fmt(b) for b in buckets),
-            "folds": folds_path or "",
-        },
-    )
+    _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
     if report.zero_gt:
         print("warning: no ground truth for this class; AP defined as 0", file=sys.stderr)
@@ -457,38 +376,85 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    filecfg = _read_config_file(args.config)
-    out_dir = _out_dir(args, filecfg)
-    images, loader_settings = _load_dataset(args, filecfg)
-    profile_path = Path(args.profile)
+    out_dir, s = _settings(args)
+    images = _load_dataset(s)
+    profile_path = Path(s["profile"])
     if not profile_path.is_file():
-        raise ConfigError(f"profile file not found: {args.profile}")
+        raise ConfigError(f"profile file not found: {s['profile']}")
     profile = load_profile(profile_path)
-    seed_raw = _resolve(args, filecfg, "seed", None)
-    if seed_raw is not None:
-        try:
-            seed = int(seed_raw)
-        except ValueError:
-            raise ConfigError(f"--seed expects an integer, got {seed_raw!r}") from None
-        profile = dataclasses.replace(profile, seed=seed)
+    if s["seed"] is not None:
+        profile = dataclasses.replace(profile, seed=s["seed"])
 
     detections = run_detector(images, profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
-    _write_run_config(
-        out_dir,
-        {
-            "subcommand": "simulate",
-            **loader_settings,
-            "profile": str(profile_path),
-            "seed": profile.seed,
-        },
-    )
+    _write_run_config(out_dir, {**s, "profile": profile_path, "seed": profile.seed})
     print(f"detections: {len(detections)}")
     print(f"wrote {out_dir / 'detections.csv'}")
     return EXIT_OK
 
 
-# ------------------------------------------------------------- plumbing ----
+# ------------------------------------------------------- settings table ----
+# (key, flag, parse, default, help). ``key`` is the argparse dest, the config
+# key and the run_config.txt key. A flag without a leading dash is a
+# positional argument, which a config file cannot set. A boolean row's flag
+# stores "true"; its "--on/--off" form adds a flag that stores "false".
+
+_DATASET = (
+    ("dataset_dir", "dataset_dir", _text, None, "directory of annotation files"),
+    ("format", "--format", _text, "kitti", "annotation format: kitti or voc"),
+    ("image_size", "--image-size", _size,
+     (datasets_mod.KITTI_IMAGE_W, datasets_mod.KITTI_IMAGE_H),
+     "WxH for formats without size info"),
+    ("skip_bad", "--skip-bad", _boolean, False, "skip unparseable files instead of failing"),
+)
+_BUCKETS = ("buckets", "--buckets", _numbers, datasets_mod.DEFAULT_WIDTH_BIN_EDGES,
+            "comma-separated width bucket edges")
+_OUT = ("out", "--out", _text, None, "output directory (default $SCALEDET_OUTPUT_DIR)")
+
+SETTINGS = {
+    "stats": (cmd_stats, "scale/aspect distribution of a dataset", _DATASET + (
+        ("class_filter", "--class", _text, None, "restrict histograms to one class"),
+        ("bins", "--bins", _numbers, datasets_mod.DEFAULT_WIDTH_BIN_EDGES,
+         "comma-separated histogram bin edges (inf allowed)"),
+        _OUT,
+    )),
+    "coverage": (cmd_coverage, "anchor-vs-ground-truth recall report", _DATASET + (
+        ("class_filter", "--class", _text, None, "restrict ground truth to one class"),
+        ("scales", "--scales", _numbers, anchors_mod.SCALES_BASELINE,
+         "comma-separated anchor scales (sqrt of area)"),
+        ("ratios", "--ratios", _numbers, anchors_mod.RATIOS_DEFAULT,
+         "comma-separated h/w aspect ratios"),
+        ("stride", "--stride", _number, 16.0, "anchor grid stride in pixels"),
+        ("allow_border", "--keep-border/--drop-border", _boolean, True,
+         "keep anchors that extend beyond the image (default)"),
+        ("thresholds", "--thresholds", _numbers, (0.5, 0.7), "comma-separated IoU thresholds"),
+        _BUCKETS,
+        ("compare", "--compare", _numbers, None, "alternate scales list; emits delta.csv"),
+        _OUT,
+    )),
+    "rf": (cmd_rf, "receptive-field report for an architecture file", (
+        ("arch", "arch", _text, None, "architecture file path or builtin name (e.g. zf)"),
+        ("input_size", "--input-size", _size, (1392, 512), "WxH input size (default 1392x512)"),
+        ("probe", "--probe", _text, None,
+         "layer to report; 'rpn_window' appends a 3x3 window probe"),
+        _OUT,
+    )),
+    "eval": (cmd_eval, "evaluate a detections CSV against ground truth", _DATASET + (
+        ("detections_csv", "detections_csv", _text, None,
+         "CSV with header image_id,class,x1,y1,x2,y2,score"),
+        ("class_name", "--class", _text, "Car", "class to evaluate (default Car)"),
+        ("iou", "--iou", _number, None, "IoU threshold (default 0.7 for Car, else 0.5)"),
+        ("mode", "--mode", _text, "all-point", "AP interpolation: all-point or 11-point"),
+        _BUCKETS,
+        ("folds", "--folds", _text, None, "CSV manifest image_id,fold_id for per-fold AP"),
+        _OUT,
+    )),
+    "simulate": (cmd_simulate, "generate synthetic detections from ground truth", _DATASET + (
+        ("profile", "profile", _text, None, "detector profile file (key=value lines)"),
+        ("seed", "--seed", _integer, None, "override the profile's random seed"),
+        _OUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,68 +464,22 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage, receptive fields, evaluation, and a deterministic simulator.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output directory (default $SCALEDET_OUTPUT_DIR)")
+    for name, (func, help_text, rows) in SETTINGS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, flag, parse, _, text in rows:
+            if not flag.startswith("-"):
+                p.add_argument(key, help=text)
+            elif parse is _boolean:
+                on, _, off = flag.partition("/")
+                group = p.add_mutually_exclusive_group()
+                group.add_argument(on, dest=key, action="store_const", const="true", help=text)
+                if off:
+                    group.add_argument(off, dest=key, action="store_const", const="false",
+                                       help=f"the opposite of {on}")
+            else:
+                p.add_argument(flag, dest=key, help=text)
         p.add_argument("--config", help="key=value config file; flags override it")
-
-    def dataset_args(p):
-        p.add_argument("dataset_dir", help="directory of annotation files")
-        p.add_argument("--format", choices=["kitti", "voc"], help="annotation format")
-        p.add_argument("--image-size", dest="image_size", help="WxH for formats without size info")
-        p.add_argument("--skip-bad", dest="skip_bad", action="store_true",
-                       help="skip unparseable files instead of failing")
-
-    p = sub.add_parser("stats", help="scale/aspect distribution of a dataset")
-    dataset_args(p)
-    p.add_argument("--class", dest="class_filter", help="restrict histograms to one class")
-    p.add_argument("--bins", help="comma-separated histogram bin edges (inf allowed)")
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("coverage", help="anchor-vs-ground-truth recall report")
-    dataset_args(p)
-    p.add_argument("--class", dest="class_filter", help="restrict ground truth to one class")
-    p.add_argument("--scales", help="comma-separated anchor scales (sqrt of area)")
-    p.add_argument("--ratios", help="comma-separated h/w aspect ratios")
-    p.add_argument("--stride", type=float, help="anchor grid stride in pixels")
-    border = p.add_mutually_exclusive_group()
-    border.add_argument("--keep-border", dest="drop_border", action="store_false",
-                        help="keep anchors that extend beyond the image (default)")
-    border.add_argument("--drop-border", dest="drop_border", action="store_true",
-                        help="discard anchors that extend beyond the image")
-    p.set_defaults(drop_border=False)
-    p.add_argument("--thresholds", help="comma-separated IoU thresholds")
-    p.add_argument("--buckets", help="comma-separated width bucket edges")
-    p.add_argument("--compare", help="alternate scales list; emits delta.csv")
-    common(p)
-    p.set_defaults(func=cmd_coverage)
-
-    p = sub.add_parser("rf", help="receptive-field report for an architecture file")
-    p.add_argument("arch", help="architecture file path or builtin name (e.g. zf)")
-    p.add_argument("--input-size", dest="input_size", help="WxH input size (default 1392x512)")
-    p.add_argument("--probe", help="layer to report; 'rpn_window' appends a 3x3 window probe")
-    common(p)
-    p.set_defaults(func=cmd_rf)
-
-    p = sub.add_parser("eval", help="evaluate a detections CSV against ground truth")
-    dataset_args(p)
-    p.add_argument("detections_csv", help="CSV with header image_id,class,x1,y1,x2,y2,score")
-    p.add_argument("--class", dest="class_name", help="class to evaluate (default Car)")
-    p.add_argument("--iou", help="IoU threshold (default 0.7 for Car, else 0.5)")
-    p.add_argument("--mode", choices=["all-point", "11-point"], help="AP interpolation")
-    p.add_argument("--buckets", help="comma-separated width bucket edges")
-    p.add_argument("--folds", help="CSV manifest image_id,fold_id for per-fold AP")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("simulate", help="generate synthetic detections from ground truth")
-    dataset_args(p)
-    p.add_argument("profile", help="detector profile file (key=value lines)")
-    p.add_argument("--seed", help="override the profile's random seed")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
+        p.set_defaults(func=func)
     return parser
 
 

@@ -239,11 +239,14 @@ def average_precision(tp_flags: list[bool], total_gt: int, mode: str = "all-poin
     With ``total_gt == 0`` the AP is defined as 0 (callers flag the
     degenerate denominator).
     """
+    return _ap_of_curve(pr_curve(tp_flags, total_gt), total_gt, mode)
+
+
+def _ap_of_curve(points: list[tuple[float, float]], total_gt: int, mode: str) -> float:
     if mode not in ("all-point", "11-point"):
         raise ConfigError(f"unknown AP mode {mode!r}")
     if total_gt < 0:
         raise ValueError(f"total_gt must be >= 0, got {total_gt}")
-    points = pr_curve(tp_flags, total_gt)
     if total_gt == 0 or not points:
         return 0.0
     if mode == "11-point":
@@ -333,8 +336,9 @@ def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
 def _report(class_name, iou_threshold, mode, matches, total_gt, per_bucket=()) -> EvalReport:
     flags = tp_fp_sequence(matches)
     tp = sum(flags)
-    return EvalReport(class_name, iou_threshold, mode, tuple(pr_curve(flags, total_gt)),
-                      average_precision(flags, total_gt, mode), per_bucket, tp, len(flags) - tp,
+    points = pr_curve(flags, total_gt)
+    return EvalReport(class_name, iou_threshold, mode, tuple(points),
+                      _ap_of_curve(points, total_gt, mode), per_bucket, tp, len(flags) - tp,
                       total_gt, total_gt == 0, tuple(matches))
 
 

@@ -85,41 +85,55 @@ class DetectorProfile:
         return float(np.interp(width, xs, ps))
 
 
-def parse_profile(text: str) -> DetectorProfile:
-    """Parse key=value profile text; unknown keys are rejected."""
-    values: dict[str, object] = {}
+def read_key_values(text: str, where: str, keys) -> dict[str, tuple[int, str]]:
+    """``key=value`` lines as ``{key: (line number, value)}``; the last repeat wins.
+
+    ``#`` starts a comment and blank lines are skipped. A line without ``=``
+    or with a key not in ``keys`` raises ConfigError naming ``where`` and
+    the line.
+    """
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"profile line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        scalar_keys = (
-            "loc_noise_sigma",
-            "score_mean_tp",
-            "score_mean_fp",
-            "score_sigma",
-            "fp_per_image",
-        )
-        if key not in ("detect_prob", "fp_size_range", "seed") + scalar_keys:
-            raise ConfigError(f"profile line {lineno}: unknown key {key!r}")
+        if not eq:
+            raise ConfigError(f"{where} line {lineno}: expected key=value, got {line!r}")
+        if key not in keys:
+            raise ConfigError(f"{where} line {lineno}: unknown key {key!r}")
+        values[key] = (lineno, value.strip())
+    return values
+
+
+def _knots(value: str) -> tuple[tuple[float, float], ...]:
+    return tuple((float(w), float(p)) for w, _, p in (k.partition(":") for k in value.split(",")))
+
+
+def _pair(value: str) -> tuple[float, float]:
+    lo, _, hi = value.partition(",")
+    return float(lo), float(hi)
+
+
+_PROFILE_KEYS = {
+    "detect_prob": _knots,
+    "loc_noise_sigma": float,
+    "score_mean_tp": float,
+    "score_mean_fp": float,
+    "score_sigma": float,
+    "fp_per_image": float,
+    "fp_size_range": _pair,
+    "seed": int,
+}
+
+
+def parse_profile(text: str) -> DetectorProfile:
+    """Parse key=value profile text; unknown keys are rejected."""
+    values: dict[str, object] = {}
+    for key, (lineno, value) in read_key_values(text, "profile", _PROFILE_KEYS).items():
         try:
-            if key == "detect_prob":
-                knots = []
-                for part in value.split(","):
-                    w, _, p = part.partition(":")
-                    knots.append((float(w), float(p)))
-                values[key] = tuple(knots)
-            elif key == "fp_size_range":
-                lo, _, hi = value.partition(",")
-                values[key] = (float(lo), float(hi))
-            elif key == "seed":
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
+            values[key] = _PROFILE_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"profile line {lineno}: bad value for {key}: {value!r}") from None
     return DetectorProfile(**values)

@@ -1,12 +1,15 @@
 import csv
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import synthetic_vehicle_dataset
-from scaledet.cli import main
+from conftest import VOC_XML, synthetic_vehicle_dataset
+from scaledet.cli import SETTINGS, main
 from scaledet.datasets import kitti_label_line, load_dataset
 from scaledet.evaluation import evaluate_detections, read_detections_csv
 from scaledet.svgplot import bar_chart, line_chart
@@ -403,6 +406,133 @@ class TestConfigPrecedence:
         assert (target / "stats.csv").exists()
 
 
+class TestConfigFile:
+    def test_allow_border_false_equals_drop_border(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("allow_border=false\n")
+        runs = {}
+        for tag, extra in (("file", ["--config", str(cfg)]), ("flag", ["--drop-border"]),
+                           ("default", [])):
+            assert main(["coverage", str(dataset_dir), *extra, "--out", str(tmp_path / tag)]) == 0
+            runs[tag] = [line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("anchors per image")]
+        assert runs["file"] == runs["flag"] != runs["default"]
+        assert dir_bytes(tmp_path / "file") == dir_bytes(tmp_path / "flag")
+        assert "allow_border=False" in (tmp_path / "file" / "run_config.txt").read_text()
+
+    def test_flag_overrides_config_boolean(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("allow_border=false\n")
+        out = tmp_path / "o"
+        assert main(["coverage", str(dataset_dir), "--config", str(cfg), "--keep-border",
+                     "--out", str(out)]) == 0
+        assert "allow_border=True" in (out / "run_config.txt").read_text()
+
+    def test_skip_bad_true_equals_skip_bad_flag(self, kitti_dir, tmp_path, capsys):
+        (kitti_dir / "broken.txt").write_text("Car 1\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("skip_bad=true\n")
+        assert main(["stats", str(kitti_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "file")]) == 0
+        assert "skipped: broken.txt" in capsys.readouterr().err
+        assert main(["stats", str(kitti_dir), "--skip-bad", "--out", str(tmp_path / "flag")]) == 0
+        assert dir_bytes(tmp_path / "file") == dir_bytes(tmp_path / "flag")
+        assert "skip_bad=True" in (tmp_path / "file" / "run_config.txt").read_text()
+
+    @pytest.mark.parametrize("key, value", [("allow_border", "flase"), ("skip_bad", "1")])
+    def test_non_boolean_exit_code(self, dataset_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main(["coverage", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"run.cfg line 1: {key}" in err and repr(value) in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_compare_exit_code(self, dataset_dir, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        argv = ["coverage", str(dataset_dir), "--out", str(out)]
+        if source == "flag":
+            argv += ["--compare", ""]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("compare=\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--compare" in err and "empty list" in err
+        assert not (out / "delta.csv").exists()
+
+    def test_compare_recorded_like_scales(self, dataset_dir, tmp_path):
+        out = tmp_path / "o"
+        assert main(["coverage", str(dataset_dir), "--scales", "32,64", "--compare", "32,64,128",
+                     "--out", str(out)]) == 0
+        lines = (out / "run_config.txt").read_text().splitlines()
+        assert "scales=32.0,64.0" in lines and "compare=32.0,64.0,128.0" in lines
+
+    def test_non_utf8_config_exit_code(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"scales=64\xff\n")
+        assert main(["coverage", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "run.cfg: not UTF-8 text" in capsys.readouterr().err
+
+    def test_unknown_key_exit_code(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("thresholds=0.5\nscale=64\n")
+        out = tmp_path / "o"
+        assert main(["coverage", str(dataset_dir), "--config", str(cfg), "--out", str(out)]) == 1
+        assert "run.cfg line 2: unknown key 'scale'" in capsys.readouterr().err
+        assert not (out / "coverage.csv").exists()
+
+
+CONFIG_KEYS = [(name, key, flag) for name, (_, _, rows) in SETTINGS.items()
+               for key, flag, *_ in rows if flag.startswith("-")]
+
+
+@pytest.fixture
+def fuzz_inputs(tmp_path):
+    """Every input a subcommand needs, tiny, with KITTI and VOC labels side by side."""
+    labels = tmp_path / "labels"
+    write_kitti_dataset(labels, synthetic_vehicle_dataset(seed=5, n_images=3))
+    (labels / "000123.xml").write_text(VOC_XML)
+    dets = tmp_path / "dets.csv"
+    dets.write_text("image_id,class,x1,y1,x2,y2,score\n000000,Car,10,10,60,40,0.9\n")
+    profile = tmp_path / "profile.txt"
+    profile.write_text("detect_prob=0:0.5\nfp_per_image=1\nseed=1\n")
+    (tmp_path / "folds.csv").write_text("image_id,fold_id\n000000,a\n000001,b\n")
+    return {"stats": [str(labels)], "coverage": [str(labels)], "rf": ["zf"],
+            "eval": [str(labels), str(dets)], "simulate": [str(labels), str(profile)]}
+
+
+class TestExitCodeFuzz:
+    @given(case=st.sampled_from(CONFIG_KEYS),
+           text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_setting_text_exits_0_or_1(self, fuzz_inputs, tmp_path, monkeypatch, capsys,
+                                           case, text):
+        # Any text for any table key, as a flag or as a config line, is a
+        # valid run or a config error, never an internal error.
+        monkeypatch.chdir(tmp_path)
+        name, key, flag = case
+        for source in ("flag", "config"):
+            work = Path(tempfile.mkdtemp(dir=tmp_path))
+            argv = [name, *fuzz_inputs[name]]
+            if key == "out":  # keep every output inside the work directory
+                value = str(work / ("o" + text.replace("/", "_")))
+            else:
+                value = text
+                argv += ["--out", str(work / "out")]
+            if source == "flag":
+                argv.append(f"{flag.split('/')[0]}={value}")
+            else:
+                (work / "run.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+                argv += ["--config", str(work / "run.cfg")]
+            code = main(argv)
+            assert code in (0, 1), (argv, capsys.readouterr().err)
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])
@@ -435,6 +565,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "--image-size expects WxH, got '80'" in err
         assert "--input-size" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_is_a_file_exit_code(self, kitti_dir, tmp_path, capsys, source):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["stats", str(kitti_dir)]
+        if source == "flag":
+            argv += ["--out", str(taken)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"out={taken}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_bad_input_size_names_its_flag(self, tmp_path, capsys):
         assert main(["rf", "zf", "--input-size", "80", "--out", str(tmp_path / "o")]) == 1
