@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DEFAULT_WIDTH_BIN_EDGES, ImageAnnotations
+from .datasets import DEFAULT_WIDTH_BIN_EDGES, ImageAnnotations, bin_index, check_edges
 from .errors import ConfigError
 from .geometry import Box, boxes_to_array, iou_matrix
 
@@ -364,9 +364,7 @@ def coverage(
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds or any(not 0 < t <= 1 for t in thresholds):
         raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thresholds}")
-    edges = tuple(float(e) for e in buckets)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigError(f"bucket edges must be strictly increasing, got {edges}")
+    edges = check_edges(buckets)
 
     grids: dict[tuple[float, float], _AnchorGrid] = {}
     anchor_counts: list[int] = []
@@ -409,14 +407,7 @@ def coverage(
         )
         for (image_id, box), s_idx, best in zip(gts, shape_arr.tolist(), iou_arr.tolist())
     )
-    width_arr = np.asarray([box.width for _, box in gts], dtype=np.float64)
-    nbins = len(edges) - 1
-    if width_arr.size:
-        bucket_idx = np.clip(
-            np.searchsorted(np.asarray(edges), width_arr, side="right") - 1, 0, nbins - 1
-        )
-    else:
-        bucket_idx = np.zeros(0, dtype=np.int64)
+    bucket_idx = bin_index([box.width for _, box in gts], edges)
 
     rows: list[CoverageRow] = []
     for t in thresholds:
@@ -430,7 +421,7 @@ def coverage(
                 total=int(iou_arr.size),
             )
         )
-        for b in range(nbins):
+        for b in range(len(edges) - 1):
             in_bucket = bucket_idx == b
             rows.append(
                 CoverageRow(

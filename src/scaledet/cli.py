@@ -14,7 +14,8 @@ Re-running any subcommand with identical inputs and seed reproduces
 byte-identical outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 input parse error,
-3 internal invariant violation.
+3 internal invariant violation. A config file, profile or folds manifest that
+cannot be read is a config error; any other unreadable input a parse error.
 
 The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
 """
@@ -35,7 +36,7 @@ from . import evaluation as eval_mod
 from . import netgraph as netgraph_mod
 from . import svgplot
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .simulate import load_profile, read_key_values, simulate as run_detector
+from .simulate import parse_profile, read_key_values, simulate as run_detector
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -120,22 +121,16 @@ def _settings(args) -> tuple[Path, dict]:
     rows = SETTINGS[args.subcommand][2]
     from_file: dict[str, tuple[int, str]] = {}
     if args.config is not None:
-        file = Path(args.config)
-        if not file.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            text = file.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{file.name}: not UTF-8 text ({exc.reason})") from None
+        where = Path(args.config).name
         keys = {key for key, flag, *_ in rows if flag.startswith("-")}
-        from_file = read_key_values(text, file.name, keys)
+        from_file = read_key_values(datasets_mod.read_input(args.config, ConfigError), where, keys)
     settings = {"subcommand": args.subcommand}
     for key, flag, parse, default, _ in rows:
         if getattr(args, key) is not None:
             settings[key] = parse(getattr(args, key), flag)
         elif key in from_file:
             lineno, text = from_file[key]
-            settings[key] = parse(text, f"{file.name} line {lineno}: {key} ({flag})")
+            settings[key] = parse(text, f"{where} line {lineno}: {key} ({flag})")
         else:
             settings[key] = default
     out = settings.pop("out")
@@ -250,7 +245,7 @@ def cmd_rf(args) -> int:
     out_dir, s = _settings(args)
     arch_path = Path(s["arch"])
     if arch_path.is_file():
-        graph = netgraph_mod.load_arch(arch_path)
+        graph = netgraph_mod.parse_arch(datasets_mod.read_input(arch_path))
         arch_label = str(arch_path)
     else:
         try:
@@ -297,27 +292,6 @@ def cmd_rf(args) -> int:
 # ----------------------------------------------------------------- eval ----
 
 
-def _read_folds_manifest(path) -> dict[str, str]:
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"folds manifest not found: {path}")
-    mapping: dict[str, str] = {}
-    with open(file, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["image_id", "fold_id"]:
-            raise ParseError(f"{file.name}: expected header image_id,fold_id")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{file.name}: line {lineno}: expected 2 columns")
-            mapping[row[0]] = row[1]
-    if not mapping:
-        raise ParseError(f"{file.name}: no folds")
-    return mapping
-
-
 def cmd_eval(args) -> int:
     out_dir, s = _settings(args)
     images = _load_dataset(s)
@@ -346,7 +320,10 @@ def cmd_eval(args) -> int:
 
     fold_lines = []
     if s["folds"] is not None:
-        mapping = _read_folds_manifest(s["folds"])
+        rows = datasets_mod.read_csv_rows(s["folds"], ("image_id", "fold_id"), ConfigError)
+        mapping = {image_id: fold_id for _, (image_id, fold_id) in rows}
+        if not mapping:
+            raise ParseError(f"{Path(s['folds']).name}: no folds")
         images_per_fold = Counter(mapping.values())
         fold_reports = eval_mod.split_report(report, gts, mapping)
         fold_rows = [
@@ -378,16 +355,14 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     out_dir, s = _settings(args)
     images = _load_dataset(s)
-    profile_path = Path(s["profile"])
-    if not profile_path.is_file():
-        raise ConfigError(f"profile file not found: {s['profile']}")
-    profile = load_profile(profile_path)
+    profile = parse_profile(datasets_mod.read_input(s["profile"], ConfigError))
     if s["seed"] is not None:
         profile = dataclasses.replace(profile, seed=s["seed"])
 
     detections = run_detector(images, profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
-    _write_run_config(out_dir, {**s, "profile": profile_path, "seed": profile.seed})
+    # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt").
+    _write_run_config(out_dir, {**s, "profile": Path(s["profile"]), "seed": profile.seed})
     print(f"detections: {len(detections)}")
     print(f"wrote {out_dir / 'detections.csv'}")
     return EXIT_OK
@@ -494,7 +469,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InvalidBoxError, FileNotFoundError) as exc:
+    except (ParseError, InvalidBoxError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # pragma: no cover - defensive

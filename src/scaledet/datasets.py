@@ -15,11 +15,16 @@ Two input formats are supported:
 excluded from statistics; evaluation treats them as ignore regions.
 
 Parsers are pure functions on input text, so per-file parsing can run
-concurrently and statistics merge associatively.
+concurrently and statistics merge associatively. Every input file of the
+toolkit is read by ``read_input``: UTF-8, with any failure to read (missing,
+a directory, not UTF-8) raised as one error naming the file.
+``read_csv_rows`` adds the header and column checks of the CSV inputs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -42,14 +47,15 @@ __all__ = [
     "DEFAULT_ASPECT_BIN_EDGES",
     "KITTI_IMAGE_W",
     "KITTI_IMAGE_H",
+    "read_input",
+    "read_csv_rows",
     "parse_kitti_label",
-    "kitti_label_line",
     "parse_voc_xml",
+    "check_edges",
+    "bin_index",
     "make_histogram",
     "compute_stats",
     "stats_csv_rows",
-    "load_kitti_dir",
-    "load_voc_dir",
     "load_dataset",
     "split_folds",
 ]
@@ -82,8 +88,6 @@ class Annotation:
     truncated: float = 0.0
     occluded: int = 0
     source_image: str = ""
-    image_w: float | None = None
-    image_h: float | None = None
     extras: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -93,14 +97,6 @@ class Annotation:
     @property
     def is_dontcare(self) -> bool:
         return self.class_name == DONTCARE_CLASS
-
-    @property
-    def width(self) -> float:
-        return self.box.width
-
-    @property
-    def height(self) -> float:
-        return self.box.height
 
 
 @dataclass(frozen=True)
@@ -113,6 +109,47 @@ class ImageAnnotations:
     annotations: tuple[Annotation, ...] = ()
 
 
+def read_input(path, error=ParseError) -> str:
+    """Text of the input file ``path``, decoded as UTF-8 with newlines kept as written.
+
+    A file that cannot be read (missing, a directory, a NUL byte in the
+    path) or is not UTF-8 raises ``error`` naming the file. The CLI passes
+    ConfigError for the inputs that configure a run.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from None
+
+
+def read_csv_rows(path, header, error=ParseError):
+    """Yield the data rows of the CSV input ``path`` as ``(line number, fields)``.
+
+    The first row must equal ``header`` and every other non-blank row must
+    have as many fields; otherwise ParseError names the file. A file that
+    cannot be read raises ``error``, as in ``read_input``.
+    """
+    name = Path(path).name
+    rows = csv.reader(io.StringIO(read_input(path, error), newline=""))
+    try:
+        first = next(rows, None)
+        if first != list(header):
+            got = ",".join(first) if first else "empty file"
+            raise ParseError(f"{name}: expected header {','.join(header)}, got {got}")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{name}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        raise ParseError(f"{name}: {exc}") from None
+
+
 def _num(fields: list[str], idx: int, lineno: int) -> float:
     try:
         return float(fields[idx])
@@ -122,12 +159,7 @@ def _num(fields: list[str], idx: int, lineno: int) -> float:
         ) from None
 
 
-def parse_kitti_label(
-    text: str,
-    image_id: str,
-    image_w: float | None = KITTI_IMAGE_W,
-    image_h: float | None = KITTI_IMAGE_H,
-) -> list[Annotation]:
+def parse_kitti_label(text: str, image_id: str) -> list[Annotation]:
     """Parse the contents of one KITTI label file.
 
     Every non-empty line must carry at least 15 whitespace-separated fields;
@@ -145,7 +177,9 @@ def parse_kitti_label(
             raise ParseError(f"line {lineno}: expected at least 15 fields, got {len(fields)}")
         class_name = fields[0]
         truncated = _num(fields, 1, lineno)
-        occluded = int(_num(fields, 2, lineno))
+        occluded = _num(fields, 2, lineno)
+        if not math.isfinite(occluded):
+            raise ParseError(f"line {lineno}: field 3 ({fields[2]!r}) is not finite")
         coords = tuple(_num(fields, i, lineno) for i in (4, 5, 6, 7))
         try:
             box = Box(*coords)
@@ -159,40 +193,12 @@ def parse_kitti_label(
                 class_name=class_name,
                 box=box,
                 truncated=truncated,
-                occluded=occluded,
+                occluded=int(occluded),
                 source_image=image_id,
-                image_w=image_w,
-                image_h=image_h,
                 extras=extras,
             )
         )
     return annotations
-
-
-def kitti_label_line(annotation: Annotation) -> str:
-    """Serialize an annotation back to the 15(+)-field label line.
-
-    Floats are written with ``repr`` so reparsing the line reproduces an
-    identical Annotation. Requires KITTI-shaped ``extras``.
-    """
-    if len(annotation.extras) < 8:
-        raise ValueError(
-            f"annotation lacks the 8 trailing numeric fields needed for a label line "
-            f"(got {len(annotation.extras)} extras)"
-        )
-    b = annotation.box
-    fields = [
-        annotation.class_name,
-        repr(float(annotation.truncated)),
-        str(int(annotation.occluded)),
-        repr(float(annotation.extras[0])),
-        repr(float(b.x1)),
-        repr(float(b.y1)),
-        repr(float(b.x2)),
-        repr(float(b.y2)),
-    ]
-    fields.extend(repr(float(v)) for v in annotation.extras[1:])
-    return " ".join(fields)
 
 
 def _xml_float(parent: ET.Element, tag: str, context: str) -> float:
@@ -242,8 +248,11 @@ def parse_voc_xml(text: str, image_id: str | None = None) -> tuple[float, float,
             box = Box(xmin - 1.0, ymin - 1.0, xmax, ymax)
         except InvalidBoxError as exc:
             raise ParseError(f"{context}: {exc}") from None
-        truncated = float(int(obj.findtext("truncated") or 0))
-        difficult = int(obj.findtext("difficult") or 0)
+        try:
+            truncated = float(int(obj.findtext("truncated") or 0))
+            difficult = int(obj.findtext("difficult") or 0)
+        except ValueError:
+            raise ParseError(f"{context}: <truncated> and <difficult> must be integers") from None
         annotations.append(
             Annotation(
                 class_name=name,
@@ -251,8 +260,6 @@ def parse_voc_xml(text: str, image_id: str | None = None) -> tuple[float, float,
                 truncated=truncated,
                 occluded=difficult,
                 source_image=image_id,
-                image_w=image_w,
-                image_h=image_h,
             )
         )
     return image_w, image_h, annotations
@@ -278,27 +285,26 @@ class Histogram:
         return self.bin_bounds(index)
 
 
-def _validate_edges(edges: tuple[float, ...]) -> np.ndarray:
-    arr = np.asarray(edges, dtype=np.float64)
-    if arr.size < 2:
-        raise ConfigError(f"need at least 2 bin edges, got {list(edges)}")
-    if not np.all(np.diff(arr) > 0):
-        raise ConfigError(f"bin edges must be strictly increasing, got {list(edges)}")
-    return arr
+def check_edges(edges) -> tuple[float, ...]:
+    """``edges`` as floats; raises ConfigError unless there are 2+ and they strictly increase."""
+    edges = tuple(float(e) for e in edges)
+    if len(edges) < 2 or not np.all(np.diff(edges) > 0):
+        raise ConfigError(f"need 2 or more strictly increasing bin edges, got {list(edges)}")
+    return edges
+
+
+def bin_index(values, edges) -> np.ndarray:
+    """Bin of each value over checked ``edges``; out-of-range values go to the end bins."""
+    idx = np.searchsorted(edges, np.asarray(values, dtype=np.float64), side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
 
 
 def make_histogram(values, bin_edges) -> Histogram:
     """Histogram ``values`` over ``bin_edges``; out-of-range values fall into
     the first/last bin so no mass is ever dropped."""
-    edges = _validate_edges(tuple(bin_edges))
-    nbins = edges.size - 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    vals = np.asarray(list(values), dtype=np.float64)
-    if vals.size:
-        idx = np.searchsorted(edges, vals, side="right") - 1
-        idx = np.clip(idx, 0, nbins - 1)
-        counts = np.bincount(idx, minlength=nbins).astype(np.int64)
-    return Histogram(bin_edges=tuple(float(e) for e in edges), counts=tuple(int(c) for c in counts))
+    edges = check_edges(bin_edges)
+    counts = np.bincount(bin_index(list(values), edges), minlength=len(edges) - 1)
+    return Histogram(bin_edges=edges, counts=tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -370,53 +376,16 @@ def stats_csv_rows(stats: DatasetStats) -> list[tuple[str, float, float, int]]:
     return rows
 
 
-def load_kitti_dir(
-    path,
-    image_w: float = KITTI_IMAGE_W,
-    image_h: float = KITTI_IMAGE_H,
-    skip_bad: bool = False,
-) -> tuple[list[ImageAnnotations], list[str]]:
-    """Load every ``.txt`` label file under ``path`` (sorted by name).
-
-    Returns ``(images, skipped)`` where ``skipped`` collects per-file error
-    messages when ``skip_bad`` is set; otherwise the first bad file raises.
-    """
-    directory = Path(path)
-    if not directory.is_dir():
-        raise ParseError(f"not a directory: {directory}")
-    images: list[ImageAnnotations] = []
-    skipped: list[str] = []
-    for file in sorted(directory.glob("*.txt")):
-        image_id = file.stem
-        try:
-            anns = parse_kitti_label(file.read_text(), image_id, image_w, image_h)
-        except ParseError as exc:
-            if not skip_bad:
-                raise ParseError(f"{file.name}: {exc}") from None
-            skipped.append(f"{file.name}: {exc}")
-            continue
-        images.append(ImageAnnotations(image_id, image_w, image_h, tuple(anns)))
-    return images, skipped
-
-
-def load_voc_dir(path, skip_bad: bool = False) -> tuple[list[ImageAnnotations], list[str]]:
-    """Load every ``.xml`` annotation file under ``path`` (sorted by name)."""
-    directory = Path(path)
-    if not directory.is_dir():
-        raise ParseError(f"not a directory: {directory}")
-    images: list[ImageAnnotations] = []
-    skipped: list[str] = []
-    for file in sorted(directory.glob("*.xml")):
-        image_id = file.stem
-        try:
-            w, h, anns = parse_voc_xml(file.read_text(), image_id)
-        except ParseError as exc:
-            if not skip_bad:
-                raise ParseError(f"{file.name}: {exc}") from None
-            skipped.append(f"{file.name}: {exc}")
-            continue
-        images.append(ImageAnnotations(image_id, w, h, tuple(anns)))
-    return images, skipped
+def _load_image(file: Path, fmt: str, image_w: float, image_h: float) -> ImageAnnotations:
+    text = read_input(file)
+    try:
+        if fmt == "voc":
+            image_w, image_h, anns = parse_voc_xml(text, file.stem)
+        else:
+            anns = parse_kitti_label(text, file.stem)
+    except ParseError as exc:
+        raise ParseError(f"{file.name}: {exc}") from None
+    return ImageAnnotations(file.stem, image_w, image_h, tuple(anns))
 
 
 def load_dataset(
@@ -426,12 +395,29 @@ def load_dataset(
     image_h: float = KITTI_IMAGE_H,
     skip_bad: bool = False,
 ) -> tuple[list[ImageAnnotations], list[str]]:
-    """Dispatch to the KITTI or VOC directory loader by ``fmt``."""
-    if fmt == "kitti":
-        return load_kitti_dir(path, image_w=image_w, image_h=image_h, skip_bad=skip_bad)
-    if fmt == "voc":
-        return load_voc_dir(path, skip_bad=skip_bad)
-    raise ConfigError(f"unknown dataset format {fmt!r} (expected 'kitti' or 'voc')")
+    """Load every annotation file of format ``fmt`` under ``path``, sorted by name.
+
+    ``fmt`` is ``"kitti"`` (``*.txt`` label files, all of size ``image_w`` x
+    ``image_h``) or ``"voc"`` (``*.xml`` files, which carry their size).
+    Returns ``(images, skipped)``. A file that cannot be read or parsed
+    raises ParseError naming it, unless ``skip_bad`` is set, in which case
+    its message goes to ``skipped`` and loading goes on.
+    """
+    if fmt not in ("kitti", "voc"):
+        raise ConfigError(f"unknown dataset format {fmt!r} (expected 'kitti' or 'voc')")
+    directory = Path(path)
+    if not directory.is_dir():
+        raise ParseError(f"not a directory: {directory}")
+    images: list[ImageAnnotations] = []
+    skipped: list[str] = []
+    for file in sorted(directory.glob("*.txt" if fmt == "kitti" else "*.xml")):
+        try:
+            images.append(_load_image(file, fmt, image_w, image_h))
+        except ParseError as exc:
+            if not skip_bad:
+                raise
+            skipped.append(str(exc))
+    return images, skipped
 
 
 @dataclass(frozen=True)

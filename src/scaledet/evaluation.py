@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Annotation
+from .datasets import Annotation, check_edges, read_csv_rows
 from .errors import ConfigError, ParseError
 from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou
 
@@ -314,9 +314,7 @@ def scale_bucketed_ap(
 
 
 def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
-    edges = tuple(float(e) for e in bucket_edges)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ConfigError(f"bucket edges must be strictly increasing, got {edges}")
+    edges = check_edges(bucket_edges)
     widths = np.array([g.box.width for g in matching.gts], dtype=np.float64)
     dontcare = np.array([g.is_dontcare for g in matching.gts], dtype=bool)
     results: list[BucketAP] = []
@@ -429,24 +427,11 @@ def write_detections_csv(path, dets: list[Detection]) -> None:
 
 def read_detections_csv(path) -> list[Detection]:
     """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score)."""
-    path = Path(path)
     dets: list[Detection] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DETECTIONS_CSV_HEADER:
-            raise ParseError(
-                f"{path.name}: expected header {','.join(DETECTIONS_CSV_HEADER)}, "
-                f"got {','.join(header) if header else 'empty file'}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ParseError(f"{path.name}: line {lineno}: expected 7 columns, got {len(row)}")
-            try:
-                box = Box(float(row[2]), float(row[3]), float(row[4]), float(row[5]))
-                dets.append(Detection(row[0], row[1], box, float(row[6])))
-            except ValueError as exc:
-                raise ParseError(f"{path.name}: line {lineno}: {exc}") from None
+    for lineno, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
+        try:
+            box = Box(float(row[2]), float(row[3]), float(row[4]), float(row[5]))
+            dets.append(Detection(row[0], row[1], box, float(row[6])))
+        except ValueError as exc:
+            raise ParseError(f"{Path(path).name}: line {lineno}: {exc}") from None
     return dets

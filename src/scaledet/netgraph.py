@@ -31,7 +31,6 @@ __all__ = [
     "RFInfo",
     "Finding",
     "parse_arch",
-    "load_arch",
     "builtin_arch",
     "builtin_arch_names",
     "analyze",
@@ -235,11 +234,6 @@ def parse_arch(text: str) -> NetGraph:
     return NetGraph(layers=layers, input_name=input_names[0], topo_order=tuple(topo))
 
 
-def load_arch(path) -> NetGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_arch(fh.read())
-
-
 def builtin_arch_names() -> list[str]:
     from importlib import resources
 
@@ -394,9 +388,11 @@ def receptive_field(
 ) -> RFInfo:
     """RFInfo of one layer.
 
-    Raises KeyError for unknown layers and :class:`IncompatibleMergeError`
-    when a merge on the path has mismatched branch strides (or spatial dims,
-    when an input size is given).
+    Raises KeyError for unknown layers. The whole graph is analyzed, so any
+    merge in it whose branch strides differ (or spatial dims, when an input
+    size is given), downstream of ``layer`` or not, raises
+    :class:`IncompatibleMergeError`, as does any layer with non-positive
+    output dims.
     """
     if layer not in graph.layers:
         raise KeyError(f"no layer named {layer!r}")

@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .evaluation import Detection
 from .geometry import Box
 
-__all__ = ["DetectorProfile", "parse_profile", "load_profile", "simulate"]
+__all__ = ["DetectorProfile", "parse_profile", "simulate"]
 
 # Floor on generated detection extent after localization jitter.
 _MIN_SIZE = 0.25
@@ -137,11 +137,6 @@ def parse_profile(text: str) -> DetectorProfile:
         except ValueError:
             raise ConfigError(f"profile line {lineno}: bad value for {key}: {value!r}") from None
     return DetectorProfile(**values)
-
-
-def load_profile(path) -> DetectorProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())
 
 
 def _image_rng(seed: int, image_id: str) -> np.random.Generator:

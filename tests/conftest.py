@@ -45,12 +45,36 @@ def synthetic_vehicle_dataset(
                     class_name="Car",
                     box=Box(x1, y1, x1 + width, y1 + height),
                     source_image=image_id,
-                    image_w=image_w,
-                    image_h=image_h,
                 )
             )
         images.append(ImageAnnotations(image_id, image_w, image_h, tuple(annotations)))
     return images
+
+
+def kitti_label_line(annotation: Annotation) -> str:
+    """Serialize an annotation back to the 15(+)-field label line.
+
+    Floats are written with ``repr`` so reparsing the line reproduces an
+    identical Annotation. Requires KITTI-shaped ``extras``.
+    """
+    if len(annotation.extras) < 8:
+        raise ValueError(
+            f"annotation lacks the 8 trailing numeric fields needed for a label line "
+            f"(got {len(annotation.extras)} extras)"
+        )
+    b = annotation.box
+    fields = [
+        annotation.class_name,
+        repr(float(annotation.truncated)),
+        str(int(annotation.occluded)),
+        repr(float(annotation.extras[0])),
+        repr(float(b.x1)),
+        repr(float(b.y1)),
+        repr(float(b.x2)),
+        repr(float(b.y2)),
+    ]
+    fields.extend(repr(float(v)) for v in annotation.extras[1:])
+    return " ".join(fields)
 
 
 @pytest.fixture

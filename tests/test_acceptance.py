@@ -27,7 +27,7 @@ from scaledet.anchors import (
     coverage,
 )
 from scaledet.cli import main
-from scaledet.datasets import compute_stats, load_kitti_dir, split_folds
+from scaledet.datasets import compute_stats, load_dataset, split_folds
 from scaledet.evaluation import (
     Detection,
     average_precision,
@@ -199,7 +199,7 @@ def test_criterion_8_real_kitti(tmp_path):
               "(set SCALEDET_KITTI_LABEL_DIR)")
         pytest.skip("real KITTI labels not available")
     with criterion(8, "real KITTI modal width bin in [30,60); 6-fold split sizes", 60.0):
-        images, _ = load_kitti_dir(label_dir, skip_bad=True)
+        images, _ = load_dataset(label_dir, "kitti", skip_bad=True)
         annotations = [a for i in images for a in i.annotations]
         stats = compute_stats(annotations, class_filter="Car")
         lo, hi = stats.width_histogram.modal_bin()

@@ -244,8 +244,7 @@ class TestMatching:
 
 def _image_of_boxes(boxes, image_id="000000", dims=(1392.0, 512.0)):
     anns = tuple(
-        Annotation(class_name="Car", box=b, source_image=image_id,
-                   image_w=dims[0], image_h=dims[1])
+        Annotation(class_name="Car", box=b, source_image=image_id)
         for b in boxes
     )
     return ImageAnnotations(image_id, dims[0], dims[1], anns)

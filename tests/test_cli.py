@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import VOC_XML, synthetic_vehicle_dataset
+from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
 from scaledet.cli import SETTINGS, main
-from scaledet.datasets import kitti_label_line, load_dataset
+from scaledet.datasets import load_dataset
 from scaledet.evaluation import evaluate_detections, read_detections_csv
 from scaledet.svgplot import bar_chart, line_chart
 
@@ -533,6 +533,95 @@ class TestExitCodeFuzz:
             assert code in (0, 1), (argv, capsys.readouterr().err)
 
 
+# One good file of each input kind, the subcommand that reads it ("@" marks a
+# path under the fixture root), and the exit code when the file cannot be
+# read: a config error for the inputs that configure a run, else a parse error.
+INPUT_FILES = {
+    "label": ("kitti/000001.txt", b"Car 0.0 0 0.0 10 10 60 40 1.5 1.6 3.5 0.0 1.7 20.0 0.0\n",
+              ["stats", "@kitti"], 2),
+    "xml": ("voc/000123.xml", VOC_XML.encode(), ["stats", "@voc", "--format", "voc"], 2),
+    "arch": ("net.arch", b"input data channels=3\nconv c1 k=3 s=2 p=1 c=8 from data\n",
+             ["rf", "@net.arch"], 2),
+    "detections": ("dets.csv", b"image_id,class,x1,y1,x2,y2,score\n000000,Car,10,10,60,40,0.9\n",
+                   ["eval", "@kitti", "@dets.csv"], 2),
+    "profile": ("profile.txt", b"detect_prob=0:0.5\nfp_per_image=1\nseed=1\n",
+                ["simulate", "@kitti", "@profile.txt"], 1),
+    "folds": ("folds.csv", b"image_id,fold_id\n000000,a\n000001,b\n",
+              ["eval", "@kitti", "@dets.csv", "--folds", "@folds.csv"], 1),
+    "config": ("run.cfg", b"bins=0,30,60,inf\nclass_filter=Car\n",
+               ["stats", "@kitti", "--config", "@run.cfg"], 1),
+}
+
+
+def write_input_files(root: Path) -> None:
+    write_kitti_dataset(root / "kitti", synthetic_vehicle_dataset(seed=5, n_images=3))
+    (root / "voc").mkdir()
+    for relpath, good, _, _ in INPUT_FILES.values():
+        (root / relpath).write_bytes(good)
+
+
+def run_on_input(root: Path, kind: str, content: bytes | None) -> int:
+    """Run the subcommand reading ``kind`` with ``content`` in its file (None: a directory)."""
+    relpath, _, argv, _ = INPUT_FILES[kind]
+    target = root / relpath
+    target.unlink()
+    if content is None:
+        target.mkdir()
+    else:
+        target.write_bytes(content)
+    return main([str(root / a[1:]) if a.startswith("@") else a for a in argv]
+                + ["--out", str(root / "out")])
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_good_file_exit_code(self, tmp_path, kind):
+        # The baseline the fuzz below splices into is a valid run.
+        write_input_files(tmp_path)
+        assert run_on_input(tmp_path, kind, INPUT_FILES[kind][1]) == 0
+
+    @pytest.mark.parametrize("content", [b"\xff\n", None], ids=["not-utf8", "directory"])
+    @pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, kind, content):
+        write_input_files(tmp_path)
+        assert run_on_input(tmp_path, kind, content) == INPUT_FILES[kind][3]
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert err.count(Path(INPUT_FILES[kind][0]).name) == 1, err
+
+    def test_skip_bad_skips_non_utf8_label(self, tmp_path, capsys):
+        write_input_files(tmp_path)
+        (tmp_path / "kitti" / "000001.txt").write_bytes(b"Car \xff\n")
+        assert main(["stats", str(tmp_path / "kitti"), "--skip-bad",
+                     "--out", str(tmp_path / "out")]) == 0
+        out, err = capsys.readouterr()
+        assert "images: 2" in out
+        assert "skipped:" in err and "000001.txt: not UTF-8 text" in err
+
+    def test_oversized_csv_field_exit_code(self, tmp_path, capsys):
+        write_input_files(tmp_path)
+        assert run_on_input(tmp_path, "detections",
+                            b"image_id,class,x1,y1,x2,y2,score\n" + b"x" * 200_000 + b"\n") == 2
+        assert "dets.csv: field larger than field limit" in capsys.readouterr().err
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_input_bytes_never_exit_3(self, tmp_path, capsys, data):
+        # Arbitrary bytes, or a good file with a span replaced by arbitrary
+        # bytes (which reaches past the first line), or a directory.
+        kind = data.draw(st.sampled_from(sorted(INPUT_FILES)))
+        good = INPUT_FILES[kind][1]
+        spliced = st.tuples(st.integers(0, len(good)), st.integers(0, 8),
+                            st.binary(max_size=8)).map(
+            lambda t: good[: t[0]] + t[2] + good[t[0] + t[1]:])
+        content = data.draw(st.one_of(st.none(), st.binary(max_size=64), spliced))
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        write_input_files(root)
+        code = run_on_input(root, kind, content)
+        assert code in (0, 1, 2), (kind, content, capsys.readouterr().err)
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])
@@ -553,6 +642,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"--{key}" in err
         assert "'abc'" in err
+
+    @pytest.mark.parametrize("subcommand, flag", [("stats", "--bins"), ("coverage", "--buckets"),
+                                                  ("eval", "--buckets")])
+    def test_nan_edge_exit_code(self, dataset_dir, tmp_path, capsys, subcommand, flag):
+        # One edge check for histogram bins and width buckets: NaN is not
+        # strictly increasing.
+        argv = [subcommand, str(dataset_dir)]
+        if subcommand == "eval":
+            dets = tmp_path / "dets.csv"
+            dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+            argv.append(str(dets))
+        assert main(argv + [flag, "0,nan,100", "--out", str(tmp_path / "o")]) == 1
+        assert "strictly increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["stats", "coverage", "eval", "simulate"])
     def test_bad_image_size_names_its_flag(self, dataset_dir, tmp_path, capsys, subcommand):

@@ -1,20 +1,24 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML
+import scaledet
+from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, kitti_label_line
 from scaledet.datasets import (
     DEFAULT_WIDTH_BIN_EDGES,
     Annotation,
+    check_edges,
     compute_stats,
-    kitti_label_line,
-    load_kitti_dir,
-    load_voc_dir,
+    load_dataset,
     make_histogram,
     parse_kitti_label,
     parse_voc_xml,
+    read_csv_rows,
+    read_input,
     split_folds,
     stats_csv_rows,
 )
@@ -54,6 +58,13 @@ class TestKittiParsing:
         text = KITTI_LINE + "\n" + "Car 0 0\n"
         with pytest.raises(ParseError, match="line 2"):
             parse_kitti_label(text, "x")
+
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_occlusion_rejected(self, level):
+        fields = KITTI_LINE.split()
+        fields[2] = level
+        with pytest.raises(ParseError, match="line 1: field 3"):
+            parse_kitti_label(" ".join(fields), "x")
 
     def test_degenerate_box_rejected(self):
         fields = KITTI_LINE.split()
@@ -117,6 +128,12 @@ class TestVocParsing:
             "<annotation><size><width>10</width><height>10</height></size>"
             "<object><name>car</name></object></annotation>"
         )
+        with pytest.raises(ParseError, match="object 0"):
+            parse_voc_xml(xml)
+
+    @pytest.mark.parametrize("tag", ["truncated", "difficult"])
+    def test_non_integer_flag_rejected(self, tag):
+        xml = VOC_XML.replace(f"<{tag}>0</{tag}>", f"<{tag}>,</{tag}>")
         with pytest.raises(ParseError, match="object 0"):
             parse_voc_xml(xml)
 
@@ -200,7 +217,7 @@ class TestStats:
 
 class TestLoaders:
     def test_kitti_dir(self, kitti_dir):
-        images, skipped = load_kitti_dir(kitti_dir)
+        images, skipped = load_dataset(kitti_dir, "kitti")
         assert [i.image_id for i in images] == ["000000", "000001", "000002"]
         assert skipped == []
         assert len(images[0].annotations) == 3
@@ -209,11 +226,11 @@ class TestLoaders:
     def test_kitti_dir_bad_file_raises(self, kitti_dir):
         (kitti_dir / "000003.txt").write_text("Car 1 2\n")
         with pytest.raises(ParseError, match="000003.txt"):
-            load_kitti_dir(kitti_dir)
+            load_dataset(kitti_dir, "kitti")
 
     def test_kitti_dir_skip_bad(self, kitti_dir):
         (kitti_dir / "000003.txt").write_text("Car 1 2\n")
-        images, skipped = load_kitti_dir(kitti_dir, skip_bad=True)
+        images, skipped = load_dataset(kitti_dir, "kitti", skip_bad=True)
         assert len(images) == 3
         assert len(skipped) == 1 and "000003.txt" in skipped[0]
 
@@ -221,14 +238,122 @@ class TestLoaders:
         d = tmp_path / "voc"
         d.mkdir()
         (d / "000123.xml").write_text(VOC_XML)
-        images, skipped = load_voc_dir(d)
+        images, skipped = load_dataset(d, "voc")
         assert len(images) == 1 and skipped == []
         assert images[0].image_w == 500.0
         assert images[0].annotations[0].class_name == "car"
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(ParseError):
-            load_kitti_dir(tmp_path / "nope")
+            load_dataset(tmp_path / "nope", "kitti")
+
+    @pytest.mark.parametrize("bad", ["not-utf8", "directory"])
+    def test_unreadable_file_raises_or_is_skipped(self, kitti_dir, bad):
+        target = kitti_dir / "000003.txt"
+        if bad == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(b"Car \xff\n")
+        with pytest.raises(ParseError, match="000003.txt"):
+            load_dataset(kitti_dir, "kitti")
+        images, skipped = load_dataset(kitti_dir, "kitti", skip_bad=True)
+        assert [i.image_id for i in images] == ["000000", "000001", "000002"]
+        assert len(skipped) == 1 and skipped[0].count("000003.txt") == 1
+
+    def test_unknown_format(self, kitti_dir):
+        with pytest.raises(ConfigError, match="unknown dataset format"):
+            load_dataset(kitti_dir, "coco")
+
+
+class TestReaders:
+    def test_read_input_keeps_newlines(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes("x\r\ny\rz é\n".encode())
+        assert read_input(tmp_path / "a.txt") == "x\r\ny\rz é\n"
+
+    @pytest.mark.parametrize("error", [ParseError, ConfigError])
+    @pytest.mark.parametrize("name, reason", [("bad.txt", "not UTF-8"), ("dir.txt", "cannot read"),
+                                              ("absent.txt", "cannot read"),
+                                              ("nul\x00.txt", "cannot read")])
+    def test_read_input_failure_raises_given_error(self, tmp_path, error, name, reason):
+        (tmp_path / "bad.txt").write_bytes(b"ok \xff\n")
+        (tmp_path / "dir.txt").mkdir()
+        with pytest.raises(error, match=reason) as info:
+            read_input(tmp_path / name, error)
+        assert str(info.value).count(name) == 1
+
+    def test_read_csv_rows(self, tmp_path):
+        (tmp_path / "m.csv").write_text('a,b\n1,2\n\n3,"4\n5"\n')
+        assert list(read_csv_rows(tmp_path / "m.csv", ("a", "b"))) == [
+            (2, ["1", "2"]), (4, ["3", "4\n5"])
+        ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "m.csv: expected header a,b, got empty file"),
+        ("a,c\n", "m.csv: expected header a,b, got a,c"),
+        ("a,b\n1,2\n1\n", "m.csv: line 3: expected 2 columns, got 1"),
+    ])
+    def test_read_csv_rows_malformed_is_parse_error(self, tmp_path, text, message):
+        # ``error`` is only for a file that cannot be read.
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(ParseError) as info:
+            list(read_csv_rows(tmp_path / "m.csv", ("a", "b"), ConfigError))
+        assert str(info.value) == message
+
+
+def _file_reads(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of every call in ``source`` that
+    reads a file: ``open`` in a read mode, ``read_text`` or ``read_bytes``."""
+
+    def is_read(call: ast.Call) -> bool:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "open":
+            return name in ("read_text", "read_bytes")
+        # open() reads unless it is given a mode with "w", "a" or "x".
+        strings = [n.value for n in (*call.args, *(k.value for k in call.keywords))
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        return not any(s and set(s) <= set("rwxabt+") and set(s) & set("wax") for s in strings)
+
+    found: list[tuple[str, int]] = []
+
+    class Visitor(ast.NodeVisitor):
+        where = "<module>"
+
+        def visit_FunctionDef(self, node):
+            outer, self.where = self.where, node.name
+            self.generic_visit(node)
+            self.where = outer
+
+        def visit_Call(self, node):
+            if is_read(node):
+                found.append((self.where, node.lineno))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+class TestOneReader:
+    # Every input file goes through datasets.read_input; builtin_arch reads
+    # packaged resources. Output writers are not reads.
+    ALLOWED = {("datasets.py", "read_input"), ("netgraph.py", "builtin_arch")}
+
+    def test_only_read_input_reads_files(self):
+        src = Path(scaledet.__file__).parent
+        reads = [(f.name, where, line) for f in sorted(src.glob("*.py"))
+                 for where, line in _file_reads(f.read_text(encoding="utf-8"))]
+        assert {(name, where) for name, where, _ in reads} == self.ALLOWED, reads
+
+    def test_guard_sees_reads_and_skips_writes(self):
+        source = (
+            "def a(p):\n    with open(p, 'r', encoding='utf-8') as fh:\n        return fh.read()\n"
+            "def b(p):\n    return open(p).read()\n"
+            "def c(p):\n    return p.read_text()\n"
+            "def d(p):\n    return p.open(mode='rb').read()\n"
+            "def e(p, t):\n    open(p, 'w', newline='').write(t)\n    p.write_text(t)\n"
+            "    p.open(mode='x').write(t)\n"
+        )
+        assert [where for where, _ in _file_reads(source)] == ["a", "b", "c", "d"]
 
 
 class TestFolds:

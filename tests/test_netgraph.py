@@ -196,6 +196,18 @@ class TestReceptiveField:
         with pytest.raises(IncompatibleMergeError, match="strides differ"):
             receptive_field(g, "m")
 
+    def test_stride_mismatch_downstream_raises(self):
+        # The bad merge consumes c1; c1's own receptive field is well defined,
+        # but the whole graph is analyzed.
+        g = parse_arch(
+            "input in channels=3\n"
+            "conv c1 k=3 s=2 p=1 c=8 from in\n"
+            "conv c2 k=3 s=1 p=1 c=8 from in\n"
+            "concat m from c1,c2"
+        )
+        with pytest.raises(IncompatibleMergeError, match="strides differ"):
+            receptive_field(g, "c1")
+
     def test_stride_multiplicative_and_merge_invariant(self):
         g = parse_arch(builtin_arch("zf_combin"))
         infos = analyze(g)
