@@ -97,6 +97,10 @@ class _Axis:
     """
 
     def __init__(self, stride: float, half: np.ndarray, limit: float, allow_border: bool):
+        if limit / stride > _MAX_CELLS:
+            raise ConfigError(
+                f"stride {stride:g} splits {limit:.15g} px into over {_MAX_CELLS} grid cells"
+            )
         self.cells = cells = max(1, math.ceil(limit / stride))
         centers = (np.arange(cells, dtype=np.float64) + 0.5) * stride
         self.stride = stride
@@ -220,6 +224,9 @@ def tile_anchors(config: AnchorConfig, image_w: float, image_h: float) -> list[B
 # arrays of batch x window cells of one shape on one axis, so this bounds
 # the working set (under 1 MB per array on a KITTI-size image).
 _SEARCH_BATCH = 1024
+# Grid cells per image axis: keeps a search step's batch x cells float64
+# window array within 64 MB. KITTI at stride 16 uses 87 cells.
+_MAX_CELLS = 8192
 
 
 def _best_anchors(grid: _AnchorGrid, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -261,7 +261,7 @@ def cmd_rf(args) -> int:
     if probe is not None and probe not in graph.layers:
         graph = netgraph_mod.with_probe_window(graph, probe_name=probe)
 
-    infos, findings = netgraph_mod.analyze_with_findings(graph, s["input_size"])
+    infos, findings = netgraph_mod.analyze(graph, s["input_size"])
 
     rows = []
     for name in graph.topo_order:
@@ -283,8 +283,9 @@ def cmd_rf(args) -> int:
         print(
             f"{name}: rf={info.receptive_field} stride={info.cumulative_stride} rf_set={rf_set}"
         )
+    merges = sum(spec.kind in ("concat", "resadd") for spec in graph.layers.values())
     bad = [f for f in findings if not f.ok]
-    print(f"findings: {len(findings)} merge node(s), {len(bad)} violation(s)")
+    print(f"findings: {merges} merge node(s), {len(bad)} violation(s)")
     print(f"wrote {out_dir / 'rf.csv'}")
     return EXIT_OK
 

@@ -17,11 +17,19 @@ equal cumulative strides; the scalar receptive field of any layer is the
 maximum of its ``rf_set``. Padding never changes the receptive field, only
 the offset and the spatial dimensions, which follow
 floor((n + 2p - k) / s) + 1 per axis.
+
+One pass does the analysis: :func:`analyze` returns the per-layer facts and
+the findings (merge checks and non-positive output dims) and never raises.
+:func:`receptive_field` reads one layer from the same pass and raises
+:class:`IncompatibleMergeError` where the receptive field is undefined;
+:func:`validate_variant` returns the findings at a given input size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
+from importlib import resources
 
 from .errors import IncompatibleMergeError, ParseError
 
@@ -34,13 +42,22 @@ __all__ = [
     "builtin_arch",
     "builtin_arch_names",
     "analyze",
-    "analyze_with_findings",
     "receptive_field",
     "validate_variant",
     "with_probe_window",
 ]
 
 _MERGE_KINDS = ("concat", "resadd")
+# Integer keys of each layer kind, in the order they are checked:
+# (key, LayerSpec field, minimum). A pool's p defaults to 0.
+_KEYS = {
+    "input": (("channels", "channels_out", 1),),
+    "conv": (("k", "kernel", 1), ("s", "stride", 1), ("p", "padding", 0),
+             ("c", "channels_out", 1)),
+    "pool": (("k", "kernel", 1), ("s", "stride", 1), ("p", "padding", 0)),
+    "concat": (),
+    "resadd": (),
+}
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ def parse_arch(text: str) -> NetGraph:
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind not in ("input", "conv", "pool", "concat", "resadd"):
+        if kind not in _KEYS:
             raise ParseError(f"line {lineno}: unknown layer kind {kind!r}")
         if len(tokens) < 2:
             raise ParseError(f"line {lineno}: missing layer name")
@@ -153,50 +170,26 @@ def parse_arch(text: str) -> NetGraph:
             if "from" not in rest:
                 raise ParseError(f"line {lineno}: missing 'from' clause")
             at = rest.index("from")
-            src_tokens = rest[at + 1 :]
+            inputs = tuple(s for part in rest[at + 1 :] for s in part.split(",") if s)
             rest = rest[:at]
-            if not src_tokens:
-                raise ParseError(f"line {lineno}: 'from' names no layers")
-            inputs = tuple(s for part in src_tokens for s in part.split(",") if s)
             if not inputs:
                 raise ParseError(f"line {lineno}: 'from' names no layers")
 
         kv = _parse_kv(rest, lineno)
-
-        def require(key: str, minimum: int) -> int:
+        if kind == "pool":
+            kv.setdefault("p", "0")
+        values = {}
+        for key, attr, minimum in _KEYS[kind]:
             if key not in kv:
                 raise ParseError(f"line {lineno}: {kind} layer requires {key}=")
-            return _parse_int(kv.pop(key), key, lineno, minimum)
-
-        if kind == "input":
-            channels = require("channels", 1)
-            spec = LayerSpec(name=name, kind=kind, channels_out=channels)
-        elif kind == "conv":
-            spec = LayerSpec(
-                name=name,
-                kind=kind,
-                kernel=require("k", 1),
-                stride=require("s", 1),
-                padding=require("p", 0),
-                channels_out=require("c", 1),
-                inputs=inputs,
-            )
-        elif kind == "pool":
-            kernel = require("k", 1)
-            stride = require("s", 1)
-            padding = _parse_int(kv.pop("p"), "p", lineno, 0) if "p" in kv else 0
-            spec = LayerSpec(
-                name=name, kind=kind, kernel=kernel, stride=stride, padding=padding, inputs=inputs
-            )
-        else:  # concat / resadd
-            if len(inputs) < 2:
-                raise ParseError(f"line {lineno}: {kind} needs at least 2 inputs")
-            spec = LayerSpec(name=name, kind=kind, inputs=inputs)
-        if kind != "input" and len(inputs) != len(set(inputs)):
+            values[attr] = _parse_int(kv.pop(key), key, lineno, minimum)
+        if kind in _MERGE_KINDS and len(inputs) < 2:
+            raise ParseError(f"line {lineno}: {kind} needs at least 2 inputs")
+        if len(inputs) != len(set(inputs)):
             raise ParseError(f"line {lineno}: repeated input name in 'from' clause")
         if kv:
             raise ParseError(f"line {lineno}: unexpected keys {sorted(kv)}")
-        layers[name] = spec
+        layers[name] = LayerSpec(name=name, kind=kind, inputs=inputs, **values)
         lines[name] = lineno
 
     if not layers:
@@ -212,56 +205,39 @@ def parse_arch(text: str) -> NetGraph:
                     f"line {lines[name]}: layer {name!r} references undefined layer {src!r}"
                 )
 
-    # Kahn's algorithm; leftovers mean a cycle.
-    indeg = {name: len(spec.inputs) for name, spec in layers.items()}
-    consumers: dict[str, list[str]] = {name: [] for name in layers}
-    for name, spec in layers.items():
-        for src in spec.inputs:
-            consumers[src].append(name)
-    ready = [n for n, d in indeg.items() if d == 0]
-    topo: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        topo.append(node)
-        for nxt in consumers[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(topo) != len(layers):
-        stuck = sorted(set(layers) - set(topo))
-        raise ParseError(f"cycle detected involving layers {stuck}")
-
-    return NetGraph(layers=layers, input_name=input_names[0], topo_order=tuple(topo))
+    sorter = TopologicalSorter({name: spec.inputs for name, spec in layers.items()})
+    try:
+        topo = tuple(sorter.static_order())
+    except CycleError as exc:
+        raise ParseError(f"cycle detected involving layers {sorted(set(exc.args[1]))}") from None
+    return NetGraph(layers=layers, input_name=input_names[0], topo_order=topo)
 
 
 def builtin_arch_names() -> list[str]:
-    from importlib import resources
-
     files = resources.files("scaledet").joinpath("archs")
     return sorted(p.name[: -len(".arch")] for p in files.iterdir() if p.name.endswith(".arch"))
 
 
 def builtin_arch(name: str) -> str:
     """Text of a bundled architecture fixture (zf, zf_ml, zf_ms, ...)."""
-    from importlib import resources
-
     res = resources.files("scaledet").joinpath("archs").joinpath(f"{name}.arch")
     if not res.is_file():
         raise KeyError(f"no builtin architecture {name!r}; have {builtin_arch_names()}")
     return res.read_text(encoding="utf-8")
 
 
-def _out_dim(n: int, kernel: int, stride: int, padding: int) -> int:
-    return (n + 2 * padding - kernel) // stride + 1
-
-
 def _analyze(
-    graph: NetGraph,
-    input_size: tuple[int, int] | None,
-    strict: bool,
-) -> tuple[dict[str, RFInfo], list[Finding]]:
+    graph: NetGraph, input_size: tuple[int, int] | None
+) -> tuple[dict[str, RFInfo], list[Finding], list[str]]:
+    """The one pass behind :func:`analyze`, in topological order.
+
+    Also returns, in order, the problems that leave a receptive field
+    undefined: non-positive output dims, and merge branches whose strides
+    or spatial dims differ. A resadd channel mismatch is only a finding.
+    """
     infos: dict[str, RFInfo] = {}
     findings: list[Finding] = []
+    errors: list[str] = []
 
     for name in graph.topo_order:
         spec = graph.layers[name]
@@ -284,14 +260,10 @@ def _analyze(
             rf_set = frozenset(r + (k - 1) * jump for r in src.rf_set)
             dims = None
             if src.spatial_dims is not None:
-                dims = (
-                    _out_dim(src.spatial_dims[0], k, s, p),
-                    _out_dim(src.spatial_dims[1], k, s, p),
-                )
+                dims = tuple((n + 2 * p - k) // s + 1 for n in src.spatial_dims)
                 if dims[0] < 1 or dims[1] < 1:
                     msg = f"layer {name!r} output dims {dims} are not positive"
-                    if strict:
-                        raise IncompatibleMergeError(msg)
+                    errors.append(msg)
                     findings.append(Finding(node=name, ok=False, message=msg))
                     dims = (max(dims[0], 1), max(dims[1], 1))
             channels = spec.channels_out if spec.kind == "conv" else src.channels
@@ -307,25 +279,19 @@ def _analyze(
 
         # Merge node: union receptive fields, require consistent stride/dims.
         branches = [infos[src] for src in spec.inputs]
-        strides = {b.cumulative_stride for b in branches}
         problems: list[str] = []
-        if len(strides) > 1:
-            msg = (
+        if len({b.cumulative_stride for b in branches}) > 1:
+            problems.append(
                 f"merge {name!r}: branch strides differ "
                 f"({[b.cumulative_stride for b in branches]})"
             )
-            if strict:
-                raise IncompatibleMergeError(msg)
-            problems.append(msg)
         dims = None
         if all(b.spatial_dims is not None for b in branches):
             dim_set = {b.spatial_dims for b in branches}
             if len(dim_set) > 1:
-                msg = f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})"
-                if strict:
-                    raise IncompatibleMergeError(msg)
-                problems.append(msg)
+                problems.append(f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
             dims = branches[0].spatial_dims
+        errors.extend(problems)
         if spec.kind == "concat":
             channels = sum(b.channels or 0 for b in branches)
         else:
@@ -346,41 +312,27 @@ def _analyze(
             spatial_dims=dims,
         )
         if problems:
-            findings.append(
-                Finding(
-                    node=name,
-                    ok=False,
-                    message="; ".join(problems),
-                    channels=channels,
-                    rf_set=rf_set,
-                )
-            )
+            message = "; ".join(problems)
         else:
-            findings.append(
-                Finding(
-                    node=name,
-                    ok=True,
-                    message=f"merge {name!r} ok: channels={channels}, "
-                    f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}",
-                    channels=channels,
-                    rf_set=rf_set,
-                )
-            )
+            message = (f"merge {name!r} ok: channels={channels}, "
+                       f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
+        findings.append(Finding(node=name, ok=not problems, message=message,
+                                channels=channels, rf_set=rf_set))
 
-    return infos, findings
+    return infos, findings, errors
 
 
-def analyze(graph: NetGraph, input_size: tuple[int, int] | None = None) -> dict[str, RFInfo]:
-    """RFInfo for every layer, strict: merge inconsistencies raise."""
-    infos, _ = _analyze(graph, input_size, strict=True)
-    return infos
-
-
-def analyze_with_findings(
+def analyze(
     graph: NetGraph, input_size: tuple[int, int] | None = None
 ) -> tuple[dict[str, RFInfo], list[Finding]]:
-    """Lenient analysis: inconsistencies become findings, never exceptions."""
-    return _analyze(graph, input_size, strict=False)
+    """RFInfo for every layer, and the findings of the graph.
+
+    There is one finding per merge node, ok or not, and one per layer whose
+    output dims are not positive (its dims are then clamped to 1 so the pass
+    can go on). Never raises: every inconsistency becomes a finding.
+    """
+    infos, findings, _ = _analyze(graph, input_size)
+    return infos, findings
 
 
 def receptive_field(
@@ -392,29 +344,30 @@ def receptive_field(
     merge in it whose branch strides differ (or spatial dims, when an input
     size is given), downstream of ``layer`` or not, raises
     :class:`IncompatibleMergeError`, as does any layer with non-positive
-    output dims.
+    output dims; the first such problem in topological order is named.
     """
     if layer not in graph.layers:
         raise KeyError(f"no layer named {layer!r}")
-    return analyze(graph, input_size)[layer]
+    infos, _, errors = _analyze(graph, input_size)
+    if errors:
+        raise IncompatibleMergeError(errors[0])
+    return infos[layer]
 
 
 def validate_variant(graph: NetGraph, input_w: int, input_h: int) -> list[Finding]:
-    """Check every merge node at a concrete input size.
+    """Check every merge node, and every layer's output dims, at an input size.
 
     Concat requires equal branch spatial dims (channels add); resadd
     additionally requires equal channels. Violations come back as findings,
     never as exceptions.
     """
-    _, findings = analyze_with_findings(graph, (int(input_w), int(input_h)))
-    return findings
+    return analyze(graph, (int(input_w), int(input_h)))[1]
 
 
-def with_probe_window(
-    graph: NetGraph, probe_name: str = "rpn_window", kernel: int = 3, channels: int = 256
-) -> NetGraph:
-    """Return a copy of the graph with a k x k sliding-window layer appended
-    to its single sink, mirroring a proposal head's first convolution."""
+def with_probe_window(graph: NetGraph, probe_name: str = "rpn_window") -> NetGraph:
+    """Return a copy of the graph with a 3 x 3, 256-channel sliding-window
+    layer appended to its single sink, mirroring a proposal head's first
+    convolution."""
     if probe_name in graph.layers:
         raise ParseError(f"graph already has a layer named {probe_name!r}")
     sinks = graph.sinks()
@@ -424,10 +377,10 @@ def with_probe_window(
     layers[probe_name] = LayerSpec(
         name=probe_name,
         kind="conv",
-        kernel=kernel,
+        kernel=3,
         stride=1,
-        padding=(kernel - 1) // 2,
-        channels_out=channels,
+        padding=1,
+        channels_out=256,
         inputs=(sinks[0],),
     )
     return NetGraph(

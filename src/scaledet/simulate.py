@@ -41,6 +41,10 @@ __all__ = ["DetectorProfile", "parse_profile", "simulate"]
 
 # Floor on generated detection extent after localization jitter.
 _MIN_SIZE = 0.25
+# Bounds on fp_per_image, far above any detector's output per image (tests and
+# the benchmark use at most 15), and on loc_noise_sigma in pixels, far beyond
+# any image side and small enough that jittered edges stay _MIN_SIZE apart.
+_MAX_FP, _MAX_JITTER = 1000.0, 1e6
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,10 @@ class DetectorProfile:
         knots = tuple((float(w), float(p)) for w, p in self.detect_prob)
         object.__setattr__(self, "detect_prob", knots)
         object.__setattr__(self, "fp_size_range", tuple(float(v) for v in self.fp_size_range))
+        for key in ("detect_prob", "loc_noise_sigma", "score_mean_tp", "score_mean_fp",
+                    "score_sigma", "fp_per_image", "fp_size_range"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if not knots:
             raise ConfigError("detect_prob needs at least one knot")
         if any(b[0] <= a[0] for a, b in zip(knots, knots[1:])):
@@ -68,8 +76,10 @@ class DetectorProfile:
             raise ConfigError(f"detect_prob probabilities must lie in [0, 1]: {knots}")
         if self.loc_noise_sigma < 0 or self.score_sigma < 0:
             raise ConfigError("sigmas must be >= 0")
-        if self.fp_per_image < 0:
-            raise ConfigError(f"fp_per_image must be >= 0, got {self.fp_per_image}")
+        if self.loc_noise_sigma > _MAX_JITTER:
+            raise ConfigError(f"loc_noise_sigma must be <= {_MAX_JITTER:g}")
+        if not 0 <= self.fp_per_image <= _MAX_FP:
+            raise ConfigError(f"fp_per_image must be in [0, {_MAX_FP:g}], got {self.fp_per_image}")
         lo, hi = self.fp_size_range
         if not 0 < lo <= hi:
             raise ConfigError(f"fp_size_range must satisfy 0 < min <= max, got {self.fp_size_range}")

@@ -1,5 +1,6 @@
 import csv
 import math
+import random
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,6 +13,7 @@ from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
 from scaledet.cli import SETTINGS, main
 from scaledet.datasets import load_dataset
 from scaledet.evaluation import evaluate_detections, read_detections_csv
+from scaledet.simulate import _PROFILE_KEYS
 from scaledet.svgplot import bar_chart, line_chart
 
 
@@ -159,6 +161,51 @@ class TestCoverageCommand:
         assert "(128.0, 256.0, 512.0)" in err
 
 
+# The integer keys of each layer kind.
+ARCH_KEYS = {"input": ("channels",), "conv": ("k", "s", "p", "c"), "pool": ("k", "s", "p"),
+             "concat": (), "resadd": ()}
+
+
+@st.composite
+def arch_texts(draw):
+    """Arch files built from layer kinds, key names and 'from' clauses.
+
+    Most lines are well formed and take earlier layers, so many files parse.
+    One draw in 25 instead drops or adds a key, gives a value below 1,
+    reuses a name, changes the number of sources, repeats one, or names
+    the next layer (a cycle).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def rarely() -> bool:
+        return rng.random() < 0.04
+
+    names = ["in"]
+    lines = [] if rarely() else ["input in channels=3"]
+    for i in range(rng.randint(1, 6)):
+        kinds = ["conv", "pool", "concat", "resadd"] if len(names) > 1 else ["conv", "pool"]
+        kind = "input" if rarely() else rng.choice(kinds)
+        keys = list(ARCH_KEYS[kind])
+        if keys and rarely():
+            keys.remove(rng.choice(keys))
+        if rarely():
+            keys.append(rng.choice(["channels", "k", "s", "p", "c"]))
+        name = rng.choice(names) if rarely() else f"l{i}"
+        tokens = [kind, name]
+        for key in keys:
+            tokens.append(f"{key}={rng.randint(-1, 0) if rarely() else rng.randint(1, 7)}")
+        if kind != "input" or rarely():
+            pool = names + [f"l{i + 1}"] if rarely() else names
+            count = rng.randint(0, 3) if rarely() else 1 if kind in ("conv", "pool") else 2
+            sources = rng.sample(pool, min(count, len(pool)))
+            if sources and rarely():
+                sources.append(sources[0])
+            tokens += ["from", ",".join(sources)]
+        lines.append(" ".join(tokens))
+        names.append(name)
+    return "\n".join(lines)
+
+
 class TestRfCommand:
     def test_zf_probe(self, tmp_path, capsys):
         out = tmp_path / "rf"
@@ -195,6 +242,27 @@ class TestRfCommand:
 
     def test_unknown_builtin_exit_code(self, tmp_path):
         assert main(["rf", "zf_unknown", "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_positive_dims_are_not_merge_nodes(self, tmp_path, capsys):
+        out = tmp_path / "rf"
+        assert main(["rf", "zf", "--input-size", "4x4", "--out", str(out)]) == 0
+        assert (out / "findings.txt").read_text().splitlines() == [
+            "BAD layer 'pool1' output dims (0, 0) are not positive",
+            "BAD layer 'pool2' output dims (0, 0) are not positive",
+        ]
+        assert "findings: 0 merge node(s), 2 violation(s)" in capsys.readouterr().out
+
+    @given(text=arch_texts(), size=st.none() | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_arch_text_exits_0_or_2(self, tmp_path, capsys, text, size):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        arch = work / "net.arch"
+        arch.write_text(text)
+        argv = ["rf", str(arch), "--out", str(work / "out")]
+        if size is not None:
+            argv += ["--input-size", f"{size[0]}x{size[1]}"]
+        assert main(argv) in (0, 2), (text, capsys.readouterr().err)
 
 
 class TestSimulateAndEval:
@@ -238,6 +306,26 @@ class TestSimulateAndEval:
         buckets = {(r[1], r[2]): r[3] for r in rows[1:] if r[0] == "bucket"}
         assert float(buckets[("0.0", "128.0")]) < 0.05
         assert float(buckets[("128.0", "inf")]) > 0.95
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300"])
+    @pytest.mark.parametrize("key", sorted(_PROFILE_KEYS))
+    def test_extreme_profile_value_exit_code(self, dataset_dir, tmp_path, capsys, key, value):
+        # The value stands where the key takes a number: a knot width, the
+        # upper end of a range, or the whole value.
+        text = {"detect_prob": "16:0.5,{}:1.0", "fp_size_range": "20,{}"}.get(key, "{}")
+        profile = self._profile(tmp_path, f"fp_per_image=1\n{key}={text.format(value)}\n")
+        code = main(["simulate", str(dataset_dir), str(profile), "--out", str(tmp_path / "o")])
+        assert code in (0, 1), capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["fp_per_image=inf", "fp_per_image=1e300",
+                                      "score_mean_tp=nan", "score_sigma=nan",
+                                      "loc_noise_sigma=inf", "loc_noise_sigma=nan"])
+    def test_profile_value_that_crashed_is_config_error(self, dataset_dir, tmp_path, capsys,
+                                                        line):
+        profile = self._profile(tmp_path, line + "\n")
+        code = main(["simulate", str(dataset_dir), str(profile), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{line.partition('=')[0]} must" in capsys.readouterr().err
 
     def test_missing_profile_exit_code(self, dataset_dir, tmp_path):
         assert main(
@@ -681,6 +769,15 @@ class TestConfigErrors:
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
         assert "cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--stride", "1e-12"), ("--stride", "1e-300"),
+                                             ("--image-size", "99999999999x512")])
+    def test_oversized_anchor_grid_exit_code(self, dataset_dir, tmp_path, capsys, flag, value):
+        # Rejected before the grid is allocated.
+        argv = ["coverage", str(dataset_dir), flag, value, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "grid cells" in err and value.partition("x")[0] in err
 
     def test_bad_input_size_names_its_flag(self, tmp_path, capsys):
         assert main(["rf", "zf", "--input-size", "80", "--out", str(tmp_path / "o")]) == 1

@@ -1,5 +1,8 @@
 import ast
+import importlib
 import math
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -354,6 +357,17 @@ class TestOneReader:
             "    p.open(mode='x').write(t)\n"
         )
         assert [where for where, _ in _file_reads(source)] == ["a", "b", "c", "d"]
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # A deleted function must leave no stale name in any __all__.
+        modules = [scaledet] + [importlib.import_module(f"scaledet.{info.name}")
+                                for info in pkgutil.iter_modules(scaledet.__path__)]
+        exported = [(module.__name__, name) for module in modules
+                    for name in getattr(module, "__all__", ())]
+        assert len({module for module, _ in exported}) >= 8
+        assert [(m, name) for m, name in exported if not hasattr(sys.modules[m], name)] == []
 
 
 class TestFolds:

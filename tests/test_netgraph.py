@@ -3,6 +3,7 @@ import pytest
 
 from scaledet.errors import IncompatibleMergeError, ParseError
 from scaledet.netgraph import (
+    LayerSpec,
     NetGraph,
     analyze,
     builtin_arch,
@@ -90,7 +91,55 @@ def random_graph(rng: np.random.Generator) -> tuple[NetGraph, str]:
     return parse_arch("\n".join(lines)), final
 
 
+# One arch text per ParseError message of parse_arch, with the exact text.
+PARSE_ERRORS = [
+    ("input in channels=3\nconv c1 k=x s=1 p=1 c=8 from in", "line 2: k='x' is not an integer"),
+    ("input in channels=0", "line 1: channels must be >= 1, got 0"),
+    ("input in channels=3\npool p1 k=2 s=2 p=-1 from in", "line 2: p must be >= 0, got -1"),
+    ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 stray from in",
+     "line 2: expected key=value, got 'stray'"),
+    ("input in channels=3\nconv c1 k=3 k=3 s=1 p=1 c=8 from in", "line 2: duplicate key 'k'"),
+    ("input in channels=3\n\nupsample u1 from in", "line 3: unknown layer kind 'upsample'"),
+    ("input in channels=3\nconv", "line 2: missing layer name"),
+    ("input in channels=3\ninput in channels=3", "line 2: duplicate layer name 'in'"),
+    ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8", "line 2: missing 'from' clause"),
+    ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 from", "line 2: 'from' names no layers"),
+    ("input in channels=3\npool p1 s=2 from in", "line 2: pool layer requires k="),
+    ("input in channels=3\nconcat m from in", "line 2: concat needs at least 2 inputs"),
+    ("input in channels=3\nresadd m from in,in", "line 2: repeated input name in 'from' clause"),
+    ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 q=1 from in", "line 2: unexpected keys ['q']"),
+    ("# nothing\n\n", "empty architecture description"),
+    ("conv c1 k=3 s=1 p=1 c=8 from in", "expected exactly one input layer, found 0"),
+    ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 from in,x",
+     "line 2: layer 'c1' references undefined layer 'x'"),
+    ("input in channels=3\nconv a k=3 s=1 p=1 c=8 from b\nconv b k=3 s=1 p=1 c=8 from a",
+     "cycle detected involving layers ['a', 'b']"),
+]
+
+
 class TestParsing:
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS)
+    def test_error_message(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_arch(text)
+        assert str(excinfo.value) == message
+
+    def test_cycle_names_the_cycle(self):
+        # c is stuck behind the cycle but is not part of it.
+        with pytest.raises(ParseError) as excinfo:
+            parse_arch(
+                "input in channels=3\n"
+                "conv a k=3 s=1 p=1 c=8 from b\n"
+                "conv b k=3 s=1 p=1 c=8 from a\n"
+                "conv c k=3 s=1 p=1 c=8 from b"
+            )
+        assert str(excinfo.value) == "cycle detected involving layers ['a', 'b']"
+
+    def test_pool_padding_defaults_to_zero(self):
+        g = parse_arch("input in channels=3\npool p1 k=2 s=2 from in")
+        assert g.layers["p1"] == LayerSpec(name="p1", kind="pool", kernel=2, stride=2, padding=0,
+                                           inputs=("in",))
+
     def test_one_conv(self):
         g = parse_arch("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 from in")
         assert len(g) == 2
@@ -208,9 +257,48 @@ class TestReceptiveField:
         with pytest.raises(IncompatibleMergeError, match="strides differ"):
             receptive_field(g, "c1")
 
+    def test_non_positive_dims_raise(self):
+        # At 4x4 the input shrinks to nothing at pool1 and again at pool2;
+        # zf has no merge node.
+        g = parse_arch(builtin_arch("zf"))
+        with pytest.raises(IncompatibleMergeError) as excinfo:
+            receptive_field(g, "conv1", (4, 4))
+        assert str(excinfo.value) == "layer 'pool1' output dims (0, 0) are not positive"
+        infos, findings = analyze(g, (4, 4))
+        assert [(f.node, f.ok) for f in findings] == [("pool1", False), ("pool2", False)]
+        assert infos["pool1"].spatial_dims == (1, 1)
+
+    def test_analyze_reports_what_receptive_field_raises(self):
+        g = parse_arch(
+            "input in channels=3\n"
+            "conv a k=3 s=2 p=1 c=8 from in\n"
+            "conv b k=3 s=1 p=1 c=4 from in\n"
+            "resadd m from a,b"
+        )
+        infos, [f] = analyze(g, (64, 64))
+        assert not f.ok and f.node == "m"
+        assert f.message.split("; ") == [
+            "merge 'm': branch strides differ ([2, 1])",
+            "merge 'm': branch spatial dims differ ([(32, 32), (64, 64)])",
+            "resadd 'm': branch channels differ ([4, 8])",
+        ]
+        assert infos["m"].rf_set == frozenset({3})
+        with pytest.raises(IncompatibleMergeError) as excinfo:
+            receptive_field(g, "a", (64, 64))
+        assert str(excinfo.value) == "merge 'm': branch strides differ ([2, 1])"
+
+    def test_resadd_channel_mismatch_does_not_raise(self):
+        g = parse_arch(
+            "input in channels=3\n"
+            "conv a k=3 s=1 p=1 c=8 from in\n"
+            "conv b k=3 s=1 p=1 c=4 from in\n"
+            "resadd m from a,b"
+        )
+        assert receptive_field(g, "m", (64, 64)).channels == 8
+
     def test_stride_multiplicative_and_merge_invariant(self):
         g = parse_arch(builtin_arch("zf_combin"))
-        infos = analyze(g)
+        infos, _ = analyze(g)
         for name, spec in g.layers.items():
             if spec.kind in ("conv", "pool"):
                 src = infos[spec.inputs[0]]
@@ -222,7 +310,7 @@ class TestReceptiveField:
 
     def test_merge_rf_set_is_branch_union(self):
         g = parse_arch(builtin_arch("zf_combin"))
-        infos = analyze(g)
+        infos, _ = analyze(g)
         for name, spec in g.layers.items():
             if spec.kind in ("concat", "resadd"):
                 union = frozenset().union(*(infos[s].rf_set for s in spec.inputs))
@@ -293,13 +381,13 @@ class TestValidation:
 
     def test_spatial_dims_formula(self):
         g = parse_arch(builtin_arch("zf"))
-        infos = analyze(g, (1392, 512))
+        infos, _ = analyze(g, (1392, 512))
         assert infos["conv1"].spatial_dims == (696, 256)
         assert infos["conv5"].spatial_dims == (86, 31)
 
     def test_offset_tracks_padding(self):
         g = parse_arch(builtin_arch("zf"))
-        infos = analyze(g)
+        infos, _ = analyze(g)
         # Same-padding conv1 keeps the input offset; the unpadded pool
         # shifts by (k-1)/2 * jump = 1 * 2.
         assert infos["conv1"].offset == 0.5
