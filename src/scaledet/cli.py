@@ -16,6 +16,8 @@ byte-identical outputs.
 Exit codes: 0 success, 1 usage/config error, 2 input parse error,
 3 internal invariant violation. A config file, profile or folds manifest that
 cannot be read is a config error; any other unreadable input a parse error.
+Every artifact is written by ``datasets.write_output`` (UTF-8, ``\n`` line
+ends); an output file or directory that cannot be written is a config error.
 
 The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
 """
@@ -23,7 +25,6 @@ The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -35,6 +36,7 @@ from . import datasets as datasets_mod
 from . import evaluation as eval_mod
 from . import netgraph as netgraph_mod
 from . import svgplot
+from .datasets import write_output
 from .errors import ConfigError, InvalidBoxError, ParseError
 from .simulate import parse_profile, read_key_values, simulate as run_detector
 
@@ -92,21 +94,13 @@ def _boolean(text: str, name: str) -> bool:
     return text.lower() == "true"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _record(value, parse) -> str:
     """A resolved setting as ``run_config.txt`` writes it."""
     if parse is _numbers and value is not None:
-        return ",".join(map(_fmt, value))
+        return ",".join(map(repr, value))
     if parse is _size:
         return "%dx%d" % value
-    return _fmt(value)
+    return "" if value is None else str(value)
 
 
 # --------------------------------------------------------------- settings ----
@@ -144,15 +138,8 @@ def _settings(args) -> tuple[Path, dict]:
 
 def _write_run_config(out_dir: Path, settings: dict) -> None:
     parsers = {key: parse for key, _, parse, _, _ in SETTINGS[settings["subcommand"]][2]}
-    lines = [f"{key}={_record(settings[key], parsers.get(key))}" for key in sorted(settings)]
-    (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_output(out_dir / "run_config.txt", "".join(
+        f"{key}={_record(settings[key], parsers.get(key))}\n" for key in sorted(settings)))
 
 
 def _load_dataset(s: dict) -> list[datasets_mod.ImageAnnotations]:
@@ -177,15 +164,12 @@ def cmd_stats(args) -> int:
     stats = datasets_mod.compute_stats(
         annotations, class_filter=s["class_filter"], bin_edges=s["bins"], image_count=len(images)
     )
-    rows = [
-        [name, _fmt(lo), _fmt(hi), count]
-        for name, lo, hi, count in datasets_mod.stats_csv_rows(stats)
-    ]
-    _write_csv(out_dir / "stats.csv", ["histogram_name", "bin_lo", "bin_hi", "count"], rows)
+    write_output(out_dir / "stats.csv", datasets_mod.stats_csv_rows(stats),
+                 ["histogram_name", "bin_lo", "bin_hi", "count"])
     for name in ("width", "height", "sqrt_area", "aspect"):
         hist = getattr(stats, f"{name}_histogram")
-        svg = svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts)
-        (out_dir / f"{name}_histogram.svg").write_text(svg, encoding="utf-8")
+        write_output(out_dir / f"{name}_histogram.svg",
+                     svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts))
     _write_run_config(out_dir, s)
     modal = stats.width_histogram.modal_bin()
     print(f"images: {stats.image_count}")
@@ -213,22 +197,21 @@ def cmd_coverage(args) -> int:
                              class_filter=s["class_filter"])
         for config in families
     ]
-    _write_csv(out_dir / "coverage.csv",
-               ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"],
-               [[_fmt(r.threshold), _fmt(r.bucket_lo), _fmt(r.bucket_hi), r.matched, r.total,
-                 _fmt(r.recall)] for r in report.rows])
-    _write_csv(out_dir / "attribution.csv",
-               ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"],
-               [[_fmt(a.gt_width), _fmt(a.best_scale), _fmt(a.best_ratio), _fmt(a.best_iou),
-                 a.image_id] for a in report.attribution])
+    write_output(out_dir / "coverage.csv",
+                 ([r.threshold, r.bucket_lo, r.bucket_hi, r.matched, r.total, r.recall]
+                  for r in report.rows),
+                 ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"])
+    write_output(out_dir / "attribution.csv",
+                 ([a.gt_width, a.best_scale, a.best_ratio, a.best_iou, a.image_id]
+                  for a in report.attribution),
+                 ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"])
     if alt:
-        _write_csv(out_dir / "delta.csv",
-                   ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
-                    "delta"],
-                   [[_fmt(a.threshold), _fmt(a.bucket_lo), _fmt(a.bucket_hi), _fmt(a.recall),
-                     _fmt(b.recall),
-                     _fmt(None if a.recall is None or b.recall is None else b.recall - a.recall)]
-                    for a, b in zip(report.rows, alt[0].rows)])
+        write_output(out_dir / "delta.csv",
+                     ([a.threshold, a.bucket_lo, a.bucket_hi, a.recall, b.recall,
+                       None if a.recall is None or b.recall is None else b.recall - a.recall]
+                      for a, b in zip(report.rows, alt[0].rows)),
+                     ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
+                      "delta"])
     _write_run_config(out_dir, s)
     for t in report.thresholds:
         recall = report.overall_recall(t)
@@ -266,15 +249,13 @@ def cmd_rf(args) -> int:
     rows = []
     for name in graph.topo_order:
         info = infos[name]
-        out_w, out_h = info.spatial_dims or (None, None)
         rows.append([name, info.receptive_field, info.cumulative_stride,
-                     "|".join(str(r) for r in sorted(info.rf_set)),
-                     _fmt(info.channels), _fmt(out_w), _fmt(out_h)])
-    _write_csv(out_dir / "rf.csv",
-               ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"], rows)
+                     "|".join(str(r) for r in sorted(info.rf_set)), info.channels,
+                     *(info.spatial_dims or (None, None))])
+    write_output(out_dir / "rf.csv", rows,
+                 ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"])
     findings_text = "\n".join(("ok  " if f.ok else "BAD ") + f.message for f in findings)
-    (out_dir / "findings.txt").write_text((findings_text or "no merge nodes") + "\n",
-                                          encoding="utf-8")
+    write_output(out_dir / "findings.txt", (findings_text or "no merge nodes") + "\n")
     _write_run_config(out_dir, {**s, "arch": arch_label})
     report_layers = [probe] if probe else graph.sinks()
     for name in report_layers:
@@ -304,20 +285,15 @@ def cmd_eval(args) -> int:
         mode=mode, bucket_edges=s["buckets"],
     )
 
-    _write_csv(out_dir / "pr.csv", ["recall", "precision"],
-               [[_fmt(r), _fmt(p)] for r, p in report.pr_points])
-    _write_csv(
-        out_dir / "ap.csv",
-        ["scope", "bucket_lo", "bucket_hi", "ap", "tp", "fp", "total_gt"],
-        [["overall", "", "", _fmt(report.ap), report.tp, report.fp, report.total_gt]]
-        + [["bucket", _fmt(b.bucket_lo), _fmt(b.bucket_hi), _fmt(b.ap), b.tp, b.fp, b.total_gt]
-           for b in report.per_bucket],
-    )
-    (out_dir / "pr.svg").write_text(
-        svgplot.line_chart(f"PR curve ({class_name}, IoU {report.iou_threshold:g})",
-                           report.pr_points),
-        encoding="utf-8",
-    )
+    write_output(out_dir / "pr.csv", report.pr_points, ["recall", "precision"])
+    write_output(out_dir / "ap.csv",
+                 [["overall", None, None, report.ap, report.tp, report.fp, report.total_gt]]
+                 + [["bucket", b.bucket_lo, b.bucket_hi, b.ap, b.tp, b.fp, b.total_gt]
+                    for b in report.per_bucket],
+                 ["scope", "bucket_lo", "bucket_hi", "ap", "tp", "fp", "total_gt"])
+    write_output(out_dir / "pr.svg",
+                 svgplot.line_chart(f"PR curve ({class_name}, IoU {report.iou_threshold:g})",
+                                    report.pr_points))
 
     fold_lines = []
     if s["folds"] is not None:
@@ -327,14 +303,12 @@ def cmd_eval(args) -> int:
             raise ParseError(f"{Path(s['folds']).name}: no folds")
         images_per_fold = Counter(mapping.values())
         fold_reports = eval_mod.split_report(report, gts, mapping)
-        fold_rows = [
-            [fold_id, _fmt(r.ap), r.tp, r.fp, r.total_gt, images_per_fold[fold_id]]
-            for fold_id, r in fold_reports.items()
-        ]
         agg = eval_mod.aggregate_folds([r.ap for r in fold_reports.values()])
-        fold_rows.append(["mean", _fmt(agg.mean), "", "", "", ""])
-        _write_csv(out_dir / "folds.csv", ["fold_id", "ap", "tp", "fp", "total_gt", "images"],
-                   fold_rows)
+        fold_rows = [[fold_id, r.ap, r.tp, r.fp, r.total_gt, images_per_fold[fold_id]]
+                     for fold_id, r in fold_reports.items()]
+        fold_rows.append(["mean", agg.mean, None, None, None, None])
+        write_output(out_dir / "folds.csv", fold_rows,
+                     ["fold_id", "ap", "tp", "fp", "total_gt", "images"])
         fold_lines.append(
             f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
             f"max={agg.maximum!r} stddev={agg.stddev!r}"

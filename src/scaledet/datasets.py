@@ -19,6 +19,8 @@ concurrently and statistics merge associatively. Every input file of the
 toolkit is read by ``read_input``: UTF-8, with any failure to read (missing,
 a directory, not UTF-8) raised as one error naming the file.
 ``read_csv_rows`` adds the header and column checks of the CSV inputs.
+Every output file is written by ``write_output``: UTF-8 with ``\n`` line
+ends, and a file that cannot be written is a ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,7 @@ __all__ = [
     "KITTI_IMAGE_H",
     "read_input",
     "read_csv_rows",
+    "write_output",
     "parse_kitti_label",
     "parse_voc_xml",
     "check_edges",
@@ -150,6 +154,25 @@ def read_csv_rows(path, header, error=ParseError):
         raise ParseError(f"{name}: {exc}") from None
 
 
+def write_output(path, content, header=None) -> None:
+    """Write the output file ``path`` as UTF-8 with ``\n`` line ends.
+
+    ``content`` is text, or with ``header`` the CSV rows to stream under it;
+    ``csv.writer`` formats each cell (None as empty, a float as its repr).
+    A file that cannot be written (a directory in its place, no permission,
+    a NUL byte in the path) raises ConfigError naming the file.
+    """
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if header is None:
+                fh.write(content)
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(chain([header], content))
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot write ({reason})") from None
+
+
 def _num(fields: list[str], idx: int, lineno: int) -> float:
     try:
         return float(fields[idx])
@@ -227,6 +250,9 @@ def parse_voc_xml(text: str, image_id: str | None = None) -> tuple[float, float,
         raise ParseError("missing <size> element")
     image_w = _xml_float(size, "width", "size")
     image_h = _xml_float(size, "height", "size")
+    for tag, value in (("width", image_w), ("height", image_h)):
+        if not 0 < value < math.inf:
+            raise ParseError(f"size: <{tag}> must be positive and finite, got {value!r}")
     if image_id is None:
         fname = root.findtext("filename") or ""
         image_id = Path(fname).stem if fname else ""
@@ -328,14 +354,13 @@ def compute_stats(
     annotations,
     class_filter: str | None = None,
     bin_edges=DEFAULT_WIDTH_BIN_EDGES,
-    aspect_bin_edges=DEFAULT_ASPECT_BIN_EDGES,
     image_count: int | None = None,
 ) -> DatasetStats:
     """Histogram widths, heights, sqrt-areas, and h/w aspects.
 
-    ``bin_edges`` applies to the three pixel-valued histograms; aspect gets
-    its own edges. When ``image_count`` is None it falls back to the number
-    of distinct source images among the annotations.
+    ``bin_edges`` applies to the three pixel-valued histograms; aspect uses
+    ``DEFAULT_ASPECT_BIN_EDGES``. When ``image_count`` is None it falls back
+    to the number of distinct source images among the annotations.
     """
     annotations = list(annotations)
     per_class = Counter(a.class_name for a in annotations)
@@ -354,7 +379,7 @@ def compute_stats(
         width_histogram=make_histogram(widths, bin_edges),
         height_histogram=make_histogram(heights, bin_edges),
         sqrt_area_histogram=make_histogram(sqrt_areas, bin_edges),
-        aspect_histogram=make_histogram(aspects, aspect_bin_edges),
+        aspect_histogram=make_histogram(aspects, DEFAULT_ASPECT_BIN_EDGES),
         per_class=dict(sorted(per_class.items())),
         image_count=image_count,
         annotation_count=len(kept),

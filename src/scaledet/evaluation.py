@@ -24,7 +24,6 @@ curve and the legacy "11-point" average) are available.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Annotation, check_edges, read_csv_rows
+from .datasets import Annotation, check_edges, read_csv_rows, write_output
 from .errors import ConfigError, ParseError
 from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou
 
@@ -414,15 +413,9 @@ def aggregate_folds(per_fold_ap: list[float]) -> FoldAggregate:
 def write_detections_csv(path, dets: list[Detection]) -> None:
     """Write detections in canonical order (image asc, score desc, box)."""
     ordered = sorted(dets, key=lambda d: (d.image_id,) + d.sort_key())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DETECTIONS_CSV_HEADER)
-        for d in ordered:
-            b = d.box
-            writer.writerow(
-                [d.image_id, d.class_name, repr(float(b.x1)), repr(float(b.y1)),
-                 repr(float(b.x2)), repr(float(b.y2)), repr(float(d.score))]
-            )
+    rows = ([d.image_id, d.class_name, *map(float, d.box.as_tuple()), float(d.score)]
+            for d in ordered)
+    write_output(path, rows, DETECTIONS_CSV_HEADER)
 
 
 def read_detections_csv(path) -> list[Detection]:

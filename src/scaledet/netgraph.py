@@ -144,8 +144,8 @@ def parse_arch(text: str) -> NetGraph:
     """Parse a layer-graph description.
 
     Raises :class:`ParseError` naming the offending line for unknown kinds,
-    duplicate names, dangling input references, cycles, or a missing or
-    non-unique input layer.
+    duplicate names, wrong input counts, dangling input references, cycles,
+    or a missing or non-unique input layer.
     """
     layers: dict[str, LayerSpec] = {}
     lines: dict[str, int] = {}
@@ -204,6 +204,8 @@ def parse_arch(text: str) -> NetGraph:
                 raise ParseError(
                     f"line {lines[name]}: layer {name!r} references undefined layer {src!r}"
                 )
+        if spec.kind in ("conv", "pool") and len(spec.inputs) > 1:
+            raise ParseError(f"line {lines[name]}: {spec.kind} takes exactly one input")
 
     sorter = TopologicalSorter({name: spec.inputs for name, spec in layers.items()})
     try:

@@ -79,8 +79,8 @@ def bar_chart(title: str, bin_edges, counts) -> str:
     return "\n".join(parts) + "\n"
 
 
-def line_chart(title: str, points, x_label: str = "recall", y_label: str = "precision") -> str:
-    """Line chart over the unit square, e.g. a precision-recall curve."""
+def line_chart(title: str, points) -> str:
+    """Line chart over the unit square: a precision-recall curve."""
     plot_w = _W - _MARGIN_L - _MARGIN_R
     plot_h = _H - _MARGIN_T - _MARGIN_B
     parts = _header(title)
@@ -110,12 +110,12 @@ def line_chart(title: str, points, x_label: str = "recall", y_label: str = "prec
         )
     parts.append(
         f'<text x="{_f(sx(0.5))}" y="{_H - 12}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{escape(x_label)}</text>'
+        'font-family="sans-serif">recall</text>'
     )
     parts.append(
         f'<text x="14" y="{_f(sy(0.5))}" text-anchor="middle" font-size="11" '
         f'font-family="sans-serif" transform="rotate(-90 14 {_f(sy(0.5))})">'
-        f"{escape(y_label)}</text>"
+        "precision</text>"
     )
     pts = list(points)
     if pts:

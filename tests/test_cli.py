@@ -686,6 +686,18 @@ class TestInputFiles:
         assert "images: 2" in out
         assert "skipped:" in err and "000001.txt: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("subcommand", ["stats", "coverage"])
+    def test_voc_size_nan_exit_code(self, tmp_path, capsys, subcommand):
+        write_input_files(tmp_path)
+        (tmp_path / "voc" / "000124.xml").write_text(VOC_XML.replace("<width>500<", "<width>nan<"))
+        argv = [subcommand, str(tmp_path / "voc"), "--format", "voc", "--class", "car",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "000124.xml: size: <width> must be positive and finite, got nan" in (
+            capsys.readouterr().err)
+        assert main(argv + ["--skip-bad"]) == 0
+        assert "skipped: 000124.xml" in capsys.readouterr().err
+
     def test_oversized_csv_field_exit_code(self, tmp_path, capsys):
         write_input_files(tmp_path)
         assert run_on_input(tmp_path, "detections",
@@ -708,6 +720,44 @@ class TestInputFiles:
         write_input_files(root)
         code = run_on_input(root, kind, content)
         assert code in (0, 1, 2), (kind, content, capsys.readouterr().err)
+
+
+# Every artifact of each subcommand, and arguments under which it writes them all.
+OUTPUTS = {
+    "stats": (["stats", "@kitti"], ["stats.csv", "width_histogram.svg", "height_histogram.svg",
+                                    "sqrt_area_histogram.svg", "aspect_histogram.svg"]),
+    "coverage": (["coverage", "@kitti", "--compare", "32,64"],
+                 ["coverage.csv", "attribution.csv", "delta.csv"]),
+    "rf": (["rf", "zf"], ["rf.csv", "findings.txt"]),
+    "eval": (["eval", "@kitti", "@dets.csv", "--folds", "@folds.csv"],
+             ["pr.csv", "ap.csv", "pr.svg", "folds.csv"]),
+    "simulate": (["simulate", "@kitti", "@profile.txt"], ["detections.csv"]),
+}
+
+
+def run_with_outputs(root: Path, subcommand: str) -> int:
+    write_input_files(root)
+    argv = OUTPUTS[subcommand][0]
+    return main([str(root / a[1:]) if a.startswith("@") else a for a in argv]
+                + ["--out", str(root / "out")])
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("subcommand", sorted(OUTPUTS))
+    def test_outputs_are_listed(self, tmp_path, subcommand):
+        assert run_with_outputs(tmp_path, subcommand) == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert written == sorted(OUTPUTS[subcommand][1] + ["run_config.txt"])
+
+    @pytest.mark.parametrize("subcommand, artifact", [
+        (sub, name) for sub, (_, names) in OUTPUTS.items() for name in names + ["run_config.txt"]
+    ])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, subcommand, artifact):
+        # A directory in the artifact's place is a config error naming the file once.
+        (tmp_path / "out" / artifact).mkdir(parents=True)
+        assert run_with_outputs(tmp_path, subcommand) == 1
+        err = capsys.readouterr().err
+        assert f"{artifact}: cannot write" in err and err.count(artifact) == 1, err
 
 
 class TestConfigErrors:

@@ -24,6 +24,7 @@ from scaledet.datasets import (
     read_input,
     split_folds,
     stats_csv_rows,
+    write_output,
 )
 from scaledet.errors import ConfigError, ParseError
 from scaledet.geometry import Box
@@ -121,6 +122,16 @@ class TestVocParsing:
         xml = "<annotation><size><width>10</width><height>20</height></size></annotation>"
         w, h, anns = parse_voc_xml(xml)
         assert (w, h, anns) == (10.0, 20.0, [])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("tag", ["width", "height"])
+    def test_size_not_positive_and_finite_rejected(self, tag, value):
+        old = {"width": "<width>500<", "height": "<height>375<"}[tag]
+        xml = VOC_XML.replace(old, f"<{tag}>{value}<")
+        with pytest.raises(ParseError) as info:
+            parse_voc_xml(xml)
+        assert str(info.value) == (
+            f"size: <{tag}> must be positive and finite, got {float(value)!r}")
 
     def test_truncated_xml_rejected(self):
         with pytest.raises(ParseError, match="invalid XML"):
@@ -303,19 +314,24 @@ class TestReaders:
         assert str(info.value) == message
 
 
-def _file_reads(source: str) -> list[tuple[str, int]]:
+def _file_calls(source: str, access: str) -> list[tuple[str, int]]:
     """(innermost enclosing function, line) of every call in ``source`` that
-    reads a file: ``open`` in a read mode, ``read_text`` or ``read_bytes``."""
+    reads a file (``access="read"``: ``open`` in a read mode, ``read_text``,
+    ``read_bytes``) or writes one (``"write"``: ``open`` in a write mode,
+    ``write_text``, ``write_bytes``)."""
 
-    def is_read(call: ast.Call) -> bool:
+    def access_of(call: ast.Call) -> str | None:
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("read_text", "read_bytes", "write_text", "write_bytes"):
+            return name.partition("_")[0]
         if name != "open":
-            return name in ("read_text", "read_bytes")
+            return None
         # open() reads unless it is given a mode with "w", "a" or "x".
         strings = [n.value for n in (*call.args, *(k.value for k in call.keywords))
                    if isinstance(n, ast.Constant) and isinstance(n.value, str)]
-        return not any(s and set(s) <= set("rwxabt+") and set(s) & set("wax") for s in strings)
+        writes = any(s and set(s) <= set("rwxabt+") and set(s) & set("wax") for s in strings)
+        return "write" if writes else "read"
 
     found: list[tuple[str, int]] = []
 
@@ -328,7 +344,7 @@ def _file_reads(source: str) -> list[tuple[str, int]]:
             self.where = outer
 
         def visit_Call(self, node):
-            if is_read(node):
+            if access_of(node) == access:
                 found.append((self.where, node.lineno))
             self.generic_visit(node)
 
@@ -344,7 +360,7 @@ class TestOneReader:
     def test_only_read_input_reads_files(self):
         src = Path(scaledet.__file__).parent
         reads = [(f.name, where, line) for f in sorted(src.glob("*.py"))
-                 for where, line in _file_reads(f.read_text(encoding="utf-8"))]
+                 for where, line in _file_calls(f.read_text(encoding="utf-8"), "read")]
         assert {(name, where) for name, where, _ in reads} == self.ALLOWED, reads
 
     def test_guard_sees_reads_and_skips_writes(self):
@@ -356,7 +372,50 @@ class TestOneReader:
             "def e(p, t):\n    open(p, 'w', newline='').write(t)\n    p.write_text(t)\n"
             "    p.open(mode='x').write(t)\n"
         )
-        assert [where for where, _ in _file_reads(source)] == ["a", "b", "c", "d"]
+        assert [where for where, _ in _file_calls(source, "read")] == ["a", "b", "c", "d"]
+
+
+class TestOneWriter:
+    # Every output file goes through datasets.write_output.
+    ALLOWED = {("datasets.py", "write_output")}
+
+    def test_only_write_output_writes_files(self):
+        src = Path(scaledet.__file__).parent
+        writes = [(f.name, where, line) for f in sorted(src.glob("*.py"))
+                  for where, line in _file_calls(f.read_text(encoding="utf-8"), "write")]
+        assert {(name, where) for name, where, _ in writes} == self.ALLOWED, writes
+
+    def test_guard_sees_writes_and_skips_reads(self):
+        source = (
+            "def a(p, rows):\n    with open(p, 'w', newline='') as fh:\n"
+            "        csv.writer(fh).writerows(rows)\n"
+            "def b(p, t):\n    p.write_text(t, encoding='utf-8')\n"
+            "def c(p, b):\n    p.write_bytes(b)\n"
+            "def d(p):\n    return p.open(mode='x')\n"
+            "def e(p):\n    return open(p, 'a+')\n"
+            "def f(p):\n    open(p).read()\n    p.read_text()\n    open(p, 'rb').read()\n"
+            "    fh.write('x')\n"
+        )
+        assert [where for where, _ in _file_calls(source, "write")] == ["a", "b", "c", "d", "e"]
+
+
+class TestWriter:
+    def test_csv_cells_and_text(self, tmp_path):
+        write_output(tmp_path / "a.csv", iter([(None, 0.1, 1, "x,y"), [math.inf, "é"]]),
+                     ("h1", "h2", "h3", "h4"))
+        assert (tmp_path / "a.csv").read_bytes() == (
+            'h1,h2,h3,h4\n,0.1,1,"x,y"\ninf,é\n'.encode())
+        write_output(tmp_path / "a.txt", "k=v\nw=é\n")
+        assert (tmp_path / "a.txt").read_bytes() == "k=v\nw=é\n".encode()
+
+    @pytest.mark.parametrize("name, reason", [("dir.txt", "Is a directory"),
+                                              ("absent/a.txt", "No such file"),
+                                              ("nul\x00.txt", "embedded null byte")])
+    def test_failure_is_config_error_naming_the_file(self, tmp_path, name, reason):
+        (tmp_path / "dir.txt").mkdir()
+        with pytest.raises(ConfigError, match=reason) as info:
+            write_output(tmp_path / name, "x\n")
+        assert str(info.value).count(name) == 1
 
 
 class TestExports:

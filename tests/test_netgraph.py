@@ -106,6 +106,8 @@ PARSE_ERRORS = [
     ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 from", "line 2: 'from' names no layers"),
     ("input in channels=3\npool p1 s=2 from in", "line 2: pool layer requires k="),
     ("input in channels=3\nconcat m from in", "line 2: concat needs at least 2 inputs"),
+    ("input in channels=3\nconv a k=3 s=1 p=1 c=8 from in\nconv b k=5 s=1 p=2 c=8 from in,a",
+     "line 3: conv takes exactly one input"),
     ("input in channels=3\nresadd m from in,in", "line 2: repeated input name in 'from' clause"),
     ("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 q=1 from in", "line 2: unexpected keys ['q']"),
     ("# nothing\n\n", "empty architecture description"),
