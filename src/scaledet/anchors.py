@@ -318,13 +318,10 @@ class GtAttribution:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    config: AnchorConfig
     thresholds: tuple[float, ...]
-    bucket_edges: tuple[float, ...]
     rows: tuple[CoverageRow, ...]
     attribution: tuple[GtAttribution, ...]
     anchors_per_image: float
-    image_count: int
     total_gt: int
 
     def overall_recall(self, threshold: float) -> float | None:
@@ -441,12 +438,9 @@ def coverage(
             )
 
     return CoverageReport(
-        config=config,
         thresholds=thresholds,
-        bucket_edges=edges,
         rows=tuple(rows),
         attribution=attribution,
         anchors_per_image=(sum(anchor_counts) / len(anchor_counts)) if anchor_counts else 0.0,
-        image_count=len(dataset),
         total_gt=len(gts),
     )

@@ -242,7 +242,9 @@ def cmd_rf(args) -> int:
 
     probe = s["probe"]
     if probe is not None and probe not in graph.layers:
-        graph = netgraph_mod.with_probe_window(graph, probe_name=probe)
+        if probe != netgraph_mod.PROBE_NAME:
+            raise ConfigError(f"--probe: {arch_label} has no layer {probe!r}")
+        graph = netgraph_mod.with_probe_window(graph)
 
     infos, findings = netgraph_mod.analyze(graph, s["input_size"])
 
@@ -279,10 +281,20 @@ def cmd_eval(args) -> int:
     images = _load_dataset(s)
     gts = [a for image in images for a in image.annotations]
     dets = eval_mod.read_detections_csv(s["detections_csv"])
+    folds = None
+    if s["folds"] is not None:
+        folds, name = {}, Path(s["folds"]).name
+        rows = datasets_mod.read_csv_rows(s["folds"], ("image_id", "fold_id"), ConfigError)
+        for lineno, (image_id, fold_id) in rows:
+            if image_id in folds:
+                raise ParseError(f"{name}: line {lineno}: image {image_id!r} listed twice")
+            folds[image_id] = fold_id
+        if not folds:
+            raise ParseError(f"{name}: no folds")
     class_name, mode = s["class_name"], s["mode"]
     report = eval_mod.evaluate_detections(
         dets, gts, class_name=class_name, iou_threshold=s.pop("iou"),
-        mode=mode, bucket_edges=s["buckets"],
+        mode=mode, bucket_edges=s["buckets"], folds=folds,
     )
 
     write_output(out_dir / "pr.csv", report.pr_points, ["recall", "precision"])
@@ -295,31 +307,22 @@ def cmd_eval(args) -> int:
                  svgplot.line_chart(f"PR curve ({class_name}, IoU {report.iou_threshold:g})",
                                     report.pr_points))
 
-    fold_lines = []
-    if s["folds"] is not None:
-        rows = datasets_mod.read_csv_rows(s["folds"], ("image_id", "fold_id"), ConfigError)
-        mapping = {image_id: fold_id for _, (image_id, fold_id) in rows}
-        if not mapping:
-            raise ParseError(f"{Path(s['folds']).name}: no folds")
-        images_per_fold = Counter(mapping.values())
-        fold_reports = eval_mod.split_report(report, gts, mapping)
-        agg = eval_mod.aggregate_folds([r.ap for r in fold_reports.values()])
+    if folds is not None:
+        images_per_fold = Counter(folds.values())
+        agg = eval_mod.aggregate_folds([r.ap for _, r in report.per_fold])
         fold_rows = [[fold_id, r.ap, r.tp, r.fp, r.total_gt, images_per_fold[fold_id]]
-                     for fold_id, r in fold_reports.items()]
+                     for fold_id, r in report.per_fold]
         fold_rows.append(["mean", agg.mean, None, None, None, None])
         write_output(out_dir / "folds.csv", fold_rows,
                      ["fold_id", "ap", "tp", "fp", "total_gt", "images"])
-        fold_lines.append(
-            f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
-            f"max={agg.maximum!r} stddev={agg.stddev!r}"
-        )
 
     _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
     if report.zero_gt:
         print("warning: no ground truth for this class; AP defined as 0", file=sys.stderr)
-    for line in fold_lines:
-        print(line)
+    if folds is not None:
+        print(f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
+              f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")
     return EXIT_OK
 
@@ -386,7 +389,7 @@ SETTINGS = {
         ("arch", "arch", _text, None, "architecture file path or builtin name (e.g. zf)"),
         ("input_size", "--input-size", _size, (1392, 512), "WxH input size (default 1392x512)"),
         ("probe", "--probe", _text, None,
-         "layer to report; 'rpn_window' appends a 3x3 window probe"),
+         "layer to report; 'rpn_window' appends a 3x3 window probe, any other must exist"),
         _OUT,
     )),
     "eval": (cmd_eval, "evaluate a detections CSV against ground truth", _DATASET + (

@@ -15,7 +15,7 @@ each ground-truth box of their image is computed once (``iou_matrix``
 arithmetic), keeping the pairs at or above the threshold. A width bucket
 only changes which ground truth is ignored, so bucketed AP re-runs the greedy
 assignment over those candidate pairs alone; folds split the images, so a
-fold's labels are a slice of the one overall matching (``split_report``).
+fold's labels are a slice of the one overall matching.
 
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -52,7 +53,6 @@ __all__ = [
     "average_precision",
     "scale_bucketed_ap",
     "evaluate_detections",
-    "split_report",
     "aggregate_folds",
     "read_detections_csv",
     "write_detections_csv",
@@ -294,6 +294,7 @@ class EvalReport:
     total_gt: int
     zero_gt: bool
     matches: tuple[tuple[Detection, str], ...]  # every detection with its label, in score order
+    per_fold: tuple[tuple[str, EvalReport], ...] = ()  # (fold id, report), by fold id
 
 
 def scale_bucketed_ap(
@@ -330,13 +331,14 @@ def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
     return results
 
 
-def _report(class_name, iou_threshold, mode, matches, total_gt, per_bucket=()) -> EvalReport:
+def _report(settings, matches, total_gt, per_bucket=(), per_fold=()) -> EvalReport:
+    """The report of one scope; ``settings`` is (class name, IoU threshold, AP mode)."""
     flags = tp_fp_sequence(matches)
     tp = sum(flags)
     points = pr_curve(flags, total_gt)
-    return EvalReport(class_name, iou_threshold, mode, tuple(points),
-                      _ap_of_curve(points, total_gt, mode), per_bucket, tp, len(flags) - tp,
-                      total_gt, total_gt == 0, tuple(matches))
+    return EvalReport(*settings, tuple(points), _ap_of_curve(points, total_gt, settings[2]),
+                      per_bucket, tp, len(flags) - tp, total_gt, total_gt == 0, tuple(matches),
+                      per_fold)
 
 
 def evaluate_detections(
@@ -346,12 +348,16 @@ def evaluate_detections(
     iou_threshold: float | None = None,
     mode: str = "all-point",
     bucket_edges=None,
+    folds: dict[str, str] | None = None,
 ) -> EvalReport:
-    """Full single-class evaluation: PR curve, AP, and optional bucket APs.
+    """Full single-class evaluation: PR curve, AP, and optional bucket and fold APs.
 
     Detections and counted ground truth are restricted to ``class_name``;
     DontCare regions of any class stay in play as ignore regions. The
-    buckets reuse the candidate pairs of the overall matching.
+    buckets reuse the candidate pairs of the overall matching. ``folds``
+    maps image ids to fold ids; matching is per image, so each fold's
+    report, equal to this evaluation without buckets on the fold's images,
+    is a slice of the overall labels.
     """
     if iou_threshold is None:
         iou_threshold = default_iou_threshold(class_name)
@@ -361,28 +367,18 @@ def evaluate_detections(
     per_bucket: tuple[BucketAP, ...] = ()
     if bucket_edges is not None:
         per_bucket = tuple(_bucket_aps(matches.matching, bucket_edges, mode))
-    total_gt = sum(1 for g in class_gts if not g.is_dontcare)
-    return _report(class_name, iou_threshold, mode, matches, total_gt, per_bucket)
-
-
-def split_report(report: EvalReport, gts: list[Annotation], fold_of: dict[str, str]) -> dict:
-    """Per-fold reports sliced from ``report``, keyed by fold id in sorted order.
-
-    ``fold_of`` maps image ids to fold ids; ``gts`` is what ``report`` was
-    computed from. Matching is per image, so each fold's report, equal to
-    ``evaluate_detections`` without buckets on the fold's images, is a
-    slice of ``report.matches``.
-    """
-    matches: dict[str, list] = {fold: [] for fold in sorted(set(fold_of.values()))}
-    total_gt = dict.fromkeys(matches, 0)
-    for match in report.matches:
-        if match[0].image_id in fold_of:
-            matches[fold_of[match[0].image_id]].append(match)
-    for g in gts:
-        if g.source_image in fold_of and g.class_name == report.class_name and not g.is_dontcare:
-            total_gt[fold_of[g.source_image]] += 1
-    settings = (report.class_name, report.iou_threshold, report.mode)
-    return {fold: _report(*settings, m, total_gt[fold]) for fold, m in matches.items()}
+    gt_images = [g.source_image for g in class_gts if not g.is_dontcare]
+    settings = (class_name, iou_threshold, mode)
+    per_fold = ()
+    if folds:
+        fold_matches: dict[str, list] = {fold: [] for fold in sorted(set(folds.values()))}
+        for match in matches:
+            if match[0].image_id in folds:
+                fold_matches[folds[match[0].image_id]].append(match)
+        fold_gt = Counter(folds.get(image) for image in gt_images)
+        per_fold = tuple((fold, _report(settings, m, fold_gt[fold]))
+                         for fold, m in fold_matches.items())
+    return _report(settings, matches, len(gt_images), per_bucket, per_fold)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,10 @@ __all__ = [
     "receptive_field",
     "validate_variant",
     "with_probe_window",
+    "PROBE_NAME",
 ]
 
+PROBE_NAME = "rpn_window"  # the layer ``with_probe_window`` appends
 _MERGE_KINDS = ("concat", "resadd")
 # Integer keys of each layer kind, in the order they are checked:
 # (key, LayerSpec field, minimum). A pool's p defaults to 0.
@@ -366,18 +368,18 @@ def validate_variant(graph: NetGraph, input_w: int, input_h: int) -> list[Findin
     return analyze(graph, (int(input_w), int(input_h)))[1]
 
 
-def with_probe_window(graph: NetGraph, probe_name: str = "rpn_window") -> NetGraph:
+def with_probe_window(graph: NetGraph) -> NetGraph:
     """Return a copy of the graph with a 3 x 3, 256-channel sliding-window
     layer appended to its single sink, mirroring a proposal head's first
     convolution."""
-    if probe_name in graph.layers:
-        raise ParseError(f"graph already has a layer named {probe_name!r}")
+    if PROBE_NAME in graph.layers:
+        raise ParseError(f"graph already has a layer named {PROBE_NAME!r}")
     sinks = graph.sinks()
     if len(sinks) != 1:
         raise ParseError(f"probe needs a single sink layer, graph has {sinks}")
     layers = dict(graph.layers)
-    layers[probe_name] = LayerSpec(
-        name=probe_name,
+    layers[PROBE_NAME] = LayerSpec(
+        name=PROBE_NAME,
         kind="conv",
         kernel=3,
         stride=1,
@@ -386,5 +388,5 @@ def with_probe_window(graph: NetGraph, probe_name: str = "rpn_window") -> NetGra
         inputs=(sinks[0],),
     )
     return NetGraph(
-        layers=layers, input_name=graph.input_name, topo_order=graph.topo_order + (probe_name,)
+        layers=layers, input_name=graph.input_name, topo_order=graph.topo_order + (PROBE_NAME,)
     )

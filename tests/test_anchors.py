@@ -106,9 +106,8 @@ def dense_coverage(config, dataset, thresholds, buckets=DEFAULT_WIDTH_BIN_EDGES)
                       (i == 0 and a.gt_width < lo) for a in attribution]
             rows.append(CoverageRow(t, lo, hi, sum(h and n for h, n in zip(hits, inside)),
                                     sum(inside)))
-    return CoverageReport(config, tuple(thresholds), tuple(buckets), tuple(rows),
-                          tuple(attribution), sum(counts) / len(counts), len(dataset),
-                          len(attribution))
+    return CoverageReport(tuple(thresholds), tuple(rows), tuple(attribution),
+                          sum(counts) / len(counts), len(attribution))
 
 
 class TestShapes:

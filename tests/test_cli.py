@@ -218,6 +218,18 @@ class TestRfCommand:
         assert by_layer["rpn_window"][1] == "171"
         assert by_layer["rpn_window"][2] == "16"
 
+    def test_unknown_probe_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "rf"
+        assert main(["rf", "zf", "--probe", "conv9", "--out", str(out)]) == 1
+        assert "builtin:zf has no layer 'conv9'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_probe_of_a_graph_layer_adds_no_row(self, tmp_path, capsys):
+        assert main(["rf", "zf", "--out", str(tmp_path / "plain")]) == 0
+        assert main(["rf", "zf", "--probe", "conv5", "--out", str(tmp_path / "rf")]) == 0
+        assert "conv5: rf=139 stride=16" in capsys.readouterr().out
+        assert read_csv(tmp_path / "rf" / "rf.csv") == read_csv(tmp_path / "plain" / "rf.csv")
+
     def test_zf_res_rf_set(self, tmp_path, capsys):
         out = tmp_path / "rf"
         assert main(["rf", "zf_res", "--out", str(out)]) == 0
@@ -748,6 +760,23 @@ class TestOutputFiles:
         assert run_with_outputs(tmp_path, subcommand) == 0
         written = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert written == sorted(OUTPUTS[subcommand][1] + ["run_config.txt"])
+
+    @pytest.mark.parametrize("manifest, code, message", [
+        (None, 1, "folds.csv"),
+        (b"image_id,fold_id\n", 2, "folds.csv: no folds"),
+        (b"image_id,fold_id\n000000,a\n000000,b\n000001,b\n", 2,
+         "folds.csv: line 3: image '000000' listed twice"),
+    ], ids=["missing", "header-only", "repeated-image"])
+    def test_failed_eval_writes_nothing(self, tmp_path, capsys, manifest, code, message):
+        # Every input is read before the first artifact is written.
+        write_input_files(tmp_path)
+        (tmp_path / "folds.csv").unlink()
+        if manifest is not None:
+            (tmp_path / "folds.csv").write_bytes(manifest)
+        assert main(["eval", str(tmp_path / "kitti"), str(tmp_path / "dets.csv"),
+                     "--folds", str(tmp_path / "folds.csv"), "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, artifact", [
         (sub, name) for sub, (_, names) in OUTPUTS.items() for name in names + ["run_config.txt"]

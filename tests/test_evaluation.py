@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from scaledet.evaluation import (
     pr_curve,
     read_detections_csv,
     scale_bucketed_ap,
-    split_report,
     tp_fp_sequence,
     write_detections_csv,
 )
@@ -305,13 +305,14 @@ class TestMatchingKernel:
     @settings(max_examples=200, deadline=None)
     def test_fold_slices_equal_fold_evaluation(self, dets, gts, threshold, folds, mode, cls):
         fold_of = {image: f for image, f in zip(DET_IMAGES + ["d"], folds) if f is not None}
-        report = evaluate_detections(dets, gts, cls, threshold, mode)
+        report = evaluate_detections(dets, gts, cls, threshold, mode, folds=fold_of)
         assert [d for d, _ in report.matches] == sorted(
             [d for d in dets if d.class_name == cls], key=Detection.sort_key
         )
-        split = split_report(report, gts, fold_of)
-        assert list(split) == sorted(set(fold_of.values()))
-        for fold, fold_report in split.items():
+        assert dataclasses.replace(report, per_fold=()) == evaluate_detections(
+            dets, gts, cls, threshold, mode)
+        assert [fold for fold, _ in report.per_fold] == sorted(set(fold_of.values()))
+        for fold, fold_report in report.per_fold:
             images = {image for image, f in fold_of.items() if f == fold}
             assert fold_report == evaluate_detections(
                 [d for d in dets if d.image_id in images],
