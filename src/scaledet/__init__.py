@@ -13,8 +13,6 @@ from .anchors import (
     CoverageReport,
     anchor_shapes,
     coverage,
-    match_gt,
-    tile_anchors,
 )
 from .datasets import (
     Annotation,
@@ -37,7 +35,7 @@ from .evaluation import (
     nms,
     scale_bucketed_ap,
 )
-from .geometry import Box, BoxDelta, clip_box, decode_delta, encode_delta, iou
+from .geometry import Box, iou
 from .netgraph import (
     NetGraph,
     RFInfo,
@@ -54,7 +52,6 @@ __all__ = [
     "AnchorConfig",
     "Annotation",
     "Box",
-    "BoxDelta",
     "ConfigError",
     "CoverageReport",
     "DatasetStats",
@@ -71,16 +68,12 @@ __all__ = [
     "anchor_shapes",
     "average_precision",
     "builtin_arch",
-    "clip_box",
     "compute_stats",
     "coverage",
-    "decode_delta",
-    "encode_delta",
     "evaluate_detections",
     "iou",
     "load_dataset",
     "match_detections",
-    "match_gt",
     "nms",
     "parse_arch",
     "parse_kitti_label",
@@ -90,6 +83,5 @@ __all__ = [
     "scale_bucketed_ap",
     "simulate",
     "split_folds",
-    "tile_anchors",
     "validate_variant",
 ]

@@ -1,4 +1,4 @@
-"""Anchor families: generation, tiling, ground-truth matching, and coverage.
+"""Anchor families: generation and ground-truth coverage.
 
 An anchor family is the cross product of scales and aspect ratios. "Scale"
 means the square root of the anchor area (a scale-128 anchor covers 128^2
@@ -7,10 +7,10 @@ pixels regardless of ratio) and ratios are h/w values, so the classic
 ratios-minor.
 
 Anchors tile the image on a regular grid with one family instance centered
-at ``((i + 0.5) * stride, (j + 0.5) * stride)`` per cell. Matching and
-coverage run on the unclipped geometry by default so border effects do not
-silently distort IoU; ``allow_border=False`` instead discards every anchor
-whose extent leaves the image.
+at ``((i + 0.5) * stride, (j + 0.5) * stride)`` per cell. Coverage runs on
+the unclipped geometry by default so border effects do not silently distort
+IoU; ``allow_border=False`` instead discards every anchor whose extent
+leaves the image.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 
 from .datasets import DEFAULT_WIDTH_BIN_EDGES, ImageAnnotations, bin_index, check_edges
 from .errors import ConfigError
-from .geometry import Box, boxes_to_array, iou_matrix
+from .geometry import Box, boxes_to_array
+# Unused here; scalebench's tracer test still patches anchors.iou_matrix.
+from .geometry import iou_matrix  # noqa: F401
 
 __all__ = [
     "AnchorConfig",
@@ -30,8 +32,6 @@ __all__ = [
     "GtAttribution",
     "CoverageReport",
     "anchor_shapes",
-    "tile_anchors",
-    "match_gt",
     "coverage",
     "SCALES_BASELINE",
     "SCALES_EXTENDED",
@@ -120,11 +120,6 @@ class _Axis:
     def kept_count(self) -> np.ndarray:
         return np.maximum(self.last - self.first + 1, 0)
 
-    def kept_mask(self) -> np.ndarray:
-        """(cells, k): is cell ``i`` kept for shape ``s``?"""
-        cells = np.arange(self.cells)[:, None]
-        return (cells >= self.first) & (cells <= self.last)
-
     def windows(self, g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per (box, shape), the first cell and the cell count of its window.
 
@@ -192,34 +187,6 @@ class _AnchorGrid:
         return int((self.x.kept_count * self.y.kept_count).sum())
 
 
-def tile_anchors(config: AnchorConfig, image_w: float, image_h: float) -> list[Box]:
-    """Tile the anchor family over an image.
-
-    Grid cells are row-major (y outer, x inner) with the full family per
-    cell. With ``allow_border=True`` out-of-image anchors are clipped to the
-    image (and dropped only if clipping empties them); with
-    ``allow_border=False`` any anchor extending beyond the image is
-    discarded. The kept-all count is grid cells x k.
-    """
-    grid = _AnchorGrid(config, float(image_w), float(image_h))
-    x, y = grid.x, grid.y
-    boxes = np.empty((y.cells, x.cells, config.k, 4), dtype=np.float64)
-    boxes[..., 0] = x.lo.T[None, :, :]
-    boxes[..., 1] = y.lo.T[:, None, :]
-    boxes[..., 2] = x.hi.T[None, :, :]
-    boxes[..., 3] = y.hi.T[:, None, :]
-    if not config.allow_border:
-        boxes = boxes[y.kept_mask()[:, None, :] & x.kept_mask()[None, :, :]]
-    else:
-        boxes = boxes.reshape(-1, 4)
-        boxes[:, 0] = np.maximum(boxes[:, 0], 0.0)
-        boxes[:, 1] = np.maximum(boxes[:, 1], 0.0)
-        boxes[:, 2] = np.minimum(boxes[:, 2], float(image_w))
-        boxes[:, 3] = np.minimum(boxes[:, 3], float(image_h))
-        boxes = boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])]
-    return [Box(*row) for row in boxes]
-
-
 # Ground-truth boxes per batch of the best-anchor search. Each step holds
 # arrays of batch x window cells of one shape on one axis, so this bounds
 # the working set (under 1 MB per array on a KITTI-size image).
@@ -268,23 +235,6 @@ def _best_anchors(grid: _AnchorGrid, gt: np.ndarray) -> tuple[np.ndarray, np.nda
     first_kept = (grid.y.first[kept] * nx + grid.x.first[kept]) * k + kept
     best_shape[best_iou == 0.0] = kept[np.argmin(first_kept)]
     return best_iou, best_shape
-
-
-def match_gt(anchors: list[Box], gts) -> list[tuple[int, float]]:
-    """For each ground-truth box, the argmax-IoU anchor index and its IoU.
-
-    Ties break toward the lowest anchor index; with no anchors every GT gets
-    ``(-1, 0.0)``. ``gts`` may hold Annotations or plain Boxes.
-    """
-    gt_boxes = [g.box if hasattr(g, "box") else g for g in gts]
-    if not gt_boxes:
-        return []
-    if not anchors:
-        return [(-1, 0.0) for _ in gt_boxes]
-    ious = iou_matrix(boxes_to_array(anchors), boxes_to_array(gt_boxes))  # (A, G)
-    best_idx = np.argmax(ious, axis=0)
-    best_iou = ious[best_idx, np.arange(len(gt_boxes))]
-    return [(int(i), float(v)) for i, v in zip(best_idx, best_iou)]
 
 
 @dataclass(frozen=True)
@@ -340,10 +290,10 @@ def coverage(
 ) -> CoverageReport:
     """Best-anchor recall over a dataset, overall and per width bucket.
 
-    Matching runs against the unclipped anchor tiling (or the border-filtered
-    one when the config says so). DontCare regions never count as ground
-    truth. Thresholds must lie in (0, 1]; buckets follow the open-ended
-    binning used by the dataset statistics.
+    The search runs against the unclipped anchor tiling (or the
+    border-filtered one when the config says so). DontCare regions never
+    count as ground truth. Thresholds must lie in (0, 1]; buckets follow the
+    open-ended binning used by the dataset statistics.
 
     The best anchor of each box comes from a windowed search of the grid
     rather than an IoU matrix over every tiled anchor. For one anchor shape
@@ -358,7 +308,7 @@ def coverage(
     the lowest tiling index ``(j * nx + i) * k + s``, and a box that no
     anchor overlaps attributed to the first kept anchor's shape.
     The boxes of all images of one size are searched together, in fixed
-    batches. ``match_gt``, which takes arbitrary anchor lists, stays dense.
+    batches.
 
     Raises:
         ConfigError: on bad thresholds or buckets, or when an image with

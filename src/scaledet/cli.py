@@ -318,9 +318,17 @@ def cmd_eval(args) -> int:
 
     _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
+    zero_gt = "no ground truth for this class; AP defined as 0"
     if report.zero_gt:
-        print("warning: no ground truth for this class; AP defined as 0", file=sys.stderr)
+        print(f"warning: {zero_gt}", file=sys.stderr)
     if folds is not None:
+        for fold_id, r in report.per_fold:
+            if r.total_gt == 0:
+                print(f"warning: fold {fold_id!r}: {zero_gt}", file=sys.stderr)
+        unknown = len(folds.keys() - {image.image_id for image in images})
+        if unknown:
+            print(f"warning: {unknown} folds manifest image id(s) not in the dataset",
+                  file=sys.stderr)
         print(f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
               f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")

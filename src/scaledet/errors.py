@@ -2,7 +2,7 @@
 
 
 class InvalidBoxError(ValueError):
-    """Box or delta with non-finite components or non-positive extent."""
+    """Box with non-finite coordinates or non-positive extent."""
 
 
 class ParseError(ValueError):

@@ -21,13 +21,9 @@ from .errors import InvalidBoxError
 
 __all__ = [
     "Box",
-    "BoxDelta",
     "iou",
     "iou_matrix",
     "paired_iou",
-    "encode_delta",
-    "decode_delta",
-    "clip_box",
     "boxes_to_array",
 ]
 
@@ -78,26 +74,6 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
-class BoxDelta:
-    """Anchor-relative regression target.
-
-    ``tx``/``ty`` are center offsets in units of the anchor size; ``tw``/``th``
-    are natural-log scale factors. All four must be finite because decoding
-    exponentiates ``tw``/``th``.
-    """
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self) -> None:
-        comps = (self.tx, self.ty, self.tw, self.th)
-        if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in comps):
-            raise InvalidBoxError(f"delta components must be finite numbers, got {comps}")
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0.0 when they are disjoint.
 
@@ -146,49 +122,6 @@ def paired_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=inter > 0.0)
     return out
-
-
-def encode_delta(anchor: Box, target: Box) -> BoxDelta:
-    """Encode ``target`` relative to ``anchor`` in center/log-size form.
-
-    tx = (cx_t - cx_a) / w_a,  tw = ln(w_t / w_a), and likewise for y/h.
-    """
-    return BoxDelta(
-        tx=(target.cx - anchor.cx) / anchor.width,
-        ty=(target.cy - anchor.cy) / anchor.height,
-        tw=math.log(target.width / anchor.width),
-        th=math.log(target.height / anchor.height),
-    )
-
-
-def decode_delta(anchor: Box, delta: BoxDelta) -> Box:
-    """Exact inverse of :func:`encode_delta`.
-
-    Raises:
-        InvalidBoxError: if the decoded box degenerates, which requires an
-            extreme ``tw``/``th`` whose exponential under- or overflows.
-    """
-    cx = anchor.cx + delta.tx * anchor.width
-    cy = anchor.cy + delta.ty * anchor.height
-    w = anchor.width * math.exp(delta.tw)
-    h = anchor.height * math.exp(delta.th)
-    return Box.from_center(cx, cy, w, h)
-
-
-def clip_box(b: Box, image_w: float, image_h: float) -> Box | None:
-    """Intersect ``b`` with the image rectangle [0, image_w] x [0, image_h].
-
-    Returns None when the intersection is empty or degenerate.
-    """
-    if image_w <= 0 or image_h <= 0:
-        raise InvalidBoxError(f"image dimensions must be positive, got {(image_w, image_h)}")
-    x1 = max(b.x1, 0.0)
-    y1 = max(b.y1, 0.0)
-    x2 = min(b.x2, float(image_w))
-    y2 = min(b.y2, float(image_h))
-    if x2 <= x1 or y2 <= y1:
-        return None
-    return Box(x1, y1, x2, y2)
 
 
 def boxes_to_array(boxes) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from importlib import resources
 
-from .errors import IncompatibleMergeError, ParseError
+from .errors import ConfigError, IncompatibleMergeError, ParseError
 
 __all__ = [
     "LayerSpec",
@@ -371,12 +371,13 @@ def validate_variant(graph: NetGraph, input_w: int, input_h: int) -> list[Findin
 def with_probe_window(graph: NetGraph) -> NetGraph:
     """Return a copy of the graph with a 3 x 3, 256-channel sliding-window
     layer appended to its single sink, mirroring a proposal head's first
-    convolution."""
+    convolution. Raises ConfigError when the graph has several sinks or
+    already has a layer of that name."""
     if PROBE_NAME in graph.layers:
-        raise ParseError(f"graph already has a layer named {PROBE_NAME!r}")
+        raise ConfigError(f"graph already has a layer named {PROBE_NAME!r}")
     sinks = graph.sinks()
     if len(sinks) != 1:
-        raise ParseError(f"probe needs a single sink layer, graph has {sinks}")
+        raise ConfigError(f"probe needs a single sink layer, graph has {sinks}")
     layers = dict(graph.layers)
     layers[PROBE_NAME] = LayerSpec(
         name=PROBE_NAME,

@@ -16,32 +16,10 @@ from scaledet.anchors import (
     GtAttribution,
     anchor_shapes,
     coverage,
-    match_gt,
-    tile_anchors,
 )
 from scaledet.datasets import DEFAULT_WIDTH_BIN_EDGES, Annotation, ImageAnnotations
 from scaledet.errors import ConfigError
-from scaledet.geometry import Box, boxes_to_array, iou, iou_matrix
-
-
-def exhaustive_match(anchors, gt_boxes):
-    """Oracle: O(|A|*|G|) scan with scalar IoU, lowest-index tie-break.
-
-    The all-zero-IoU case still yields index 0: every anchor ties and the
-    lowest index wins.
-    """
-    out = []
-    for gt in gt_boxes:
-        if not anchors:
-            out.append((-1, 0.0))
-            continue
-        best_idx, best_iou = 0, iou(anchors[0], gt)
-        for idx, anchor in enumerate(anchors[1:], start=1):
-            value = iou(anchor, gt)
-            if value > best_iou:
-                best_idx, best_iou = idx, value
-        out.append((best_idx, float(best_iou)))
-    return out
+from scaledet.geometry import Box, boxes_to_array, iou_matrix
 
 
 def dense_best_anchors(config, image_w, image_h, gt_boxes):
@@ -170,75 +148,15 @@ class TestShapes:
 
 
 class TestTiling:
-    def test_single_cell(self):
-        cfg = AnchorConfig(scales=(16.0,), ratios=(1.0,), stride=16.0)
-        out = tile_anchors(cfg, 16, 16)
-        assert out == [Box(0.0, 0.0, 16.0, 16.0)]
-        assert (out[0].cx, out[0].cy) == (8.0, 8.0)
-
     def test_kitti_frame_count(self):
         cfg = AnchorConfig(scales=SCALES_EXTENDED, ratios=RATIOS_DEFAULT, stride=16.0)
-        out = tile_anchors(cfg, 1392, 512)
-        assert len(out) == 87 * 32 * 15
+        report = coverage(cfg, [ImageAnnotations("000000", 1392.0, 512.0)])
+        assert report.anchors_per_image == 87 * 32 * 15
 
     def test_grid_cells_times_k(self):
         cfg = AnchorConfig(scales=(32.0, 64.0), ratios=RATIOS_DEFAULT, stride=16.0)
-        out = tile_anchors(cfg, 100, 60)  # 7 x 4 cells
-        assert len(out) == 7 * 4 * cfg.k
-
-    def test_border_drop_matches_brute_force(self):
-        cfg_keep = AnchorConfig(scales=(32.0, 96.0), ratios=RATIOS_DEFAULT, stride=16.0,
-                                allow_border=True)
-        cfg_drop = AnchorConfig(scales=(32.0, 96.0), ratios=RATIOS_DEFAULT, stride=16.0,
-                                allow_border=False)
-        w, h = 160, 96
-        kept = tile_anchors(cfg_drop, w, h)
-        # Oracle: regenerate the unclipped tiling by hand and filter.
-        shapes = anchor_shapes(cfg_keep)
-        survivors = []
-        for j in range(math.ceil(h / 16)):
-            for i in range(math.ceil(w / 16)):
-                cx, cy = (i + 0.5) * 16, (j + 0.5) * 16
-                for sw, sh in shapes:
-                    box = Box.from_center(cx, cy, sw, sh)
-                    if box.x1 >= 0 and box.y1 >= 0 and box.x2 <= w and box.y2 <= h:
-                        survivors.append(box)
-        assert kept == survivors
-        assert 0 < len(kept) < len(tile_anchors(cfg_keep, w, h))
-
-    def test_clipping_keeps_border_anchors_inside_image(self):
-        cfg = AnchorConfig(scales=(256.0,), ratios=(1.0,), stride=16.0)
-        for box in tile_anchors(cfg, 64, 64):
-            assert 0 <= box.x1 < box.x2 <= 64
-            assert 0 <= box.y1 < box.y2 <= 64
-
-
-class TestMatching:
-    def test_exact_anchor_hit(self):
-        anchors = tile_anchors(AnchorConfig(scales=(32.0,), ratios=(1.0,)), 128, 128)
-        gt = anchors[5]
-        [(idx, value)] = match_gt(anchors, [gt])
-        assert idx == 5
-        assert value == 1.0
-
-    def test_empty_anchor_list(self):
-        assert match_gt([], [Box(0, 0, 10, 10)]) == [(-1, 0.0)]
-
-    def test_empty_gt_list(self):
-        assert match_gt([Box(0, 0, 10, 10)], []) == []
-
-    def test_matches_exhaustive_oracle(self):
-        rng = np.random.default_rng(11)
-        cfg = AnchorConfig(scales=(32.0, 64.0, 128.0), ratios=RATIOS_DEFAULT, stride=16.0)
-        anchors = tile_anchors(cfg, 320, 256)
-        gts = []
-        for _ in range(200):
-            w = rng.uniform(8, 200)
-            h = rng.uniform(8, 200)
-            x1 = rng.uniform(-20, 320 - w)
-            y1 = rng.uniform(-20, 256 - h)
-            gts.append(Box(x1, y1, x1 + w, y1 + h))
-        assert match_gt(anchors, gts) == exhaustive_match(anchors, gts)
+        report = coverage(cfg, [ImageAnnotations("000000", 100.0, 60.0)])  # 7 x 4 cells
+        assert report.anchors_per_image == 7 * 4 * cfg.k
 
 
 def _image_of_boxes(boxes, image_id="000000", dims=(1392.0, 512.0)):

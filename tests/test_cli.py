@@ -224,6 +224,19 @@ class TestRfCommand:
         assert "builtin:zf has no layer 'conv9'" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_probe_window_on_two_sinks_exit_code(self, tmp_path, capsys):
+        # A well-formed arch with two sinks: plain rf runs, the window probe cannot apply.
+        arch = tmp_path / "fork.arch"
+        arch.write_text("input in channels=3\n"
+                        "conv a k=3 s=1 p=1 c=8 from in\n"
+                        "conv b k=5 s=1 p=2 c=8 from in\n")
+        assert main(["rf", str(arch), "--out", str(tmp_path / "plain")]) == 0
+        out = tmp_path / "rf"
+        assert main(["rf", str(arch), "--probe", "rpn_window", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "'a'" in err and "'b'" in err
+        assert list(out.iterdir()) == []
+
     def test_probe_of_a_graph_layer_adds_no_row(self, tmp_path, capsys):
         assert main(["rf", "zf", "--out", str(tmp_path / "plain")]) == 0
         assert main(["rf", "zf", "--probe", "conv5", "--out", str(tmp_path / "rf")]) == 0
@@ -402,6 +415,23 @@ class TestSimulateAndEval:
             assert [ap, tp, fp, total_gt, n_images] == [
                 repr(want.ap), str(want.tp), str(want.fp), str(want.total_gt), str(len(fold))
             ]
+
+    def test_fold_without_ground_truth_warns(self, tmp_path, capsys):
+        d = tmp_path / "one"
+        write_kitti_dataset(d, synthetic_vehicle_dataset(seed=31, n_images=1))
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+        manifest = tmp_path / "folds.csv"
+        manifest.write_text("image_id,fold_id\n000000,a\nnot_an_image,b\n")
+        eval_out = tmp_path / "eval"
+        assert main(["eval", str(d), str(dets), "--folds", str(manifest),
+                     "--out", str(eval_out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: fold 'b': no ground truth for this class; AP defined as 0",
+            "warning: 1 folds manifest image id(s) not in the dataset",
+        ]
+        assert read_csv(eval_out / "folds.csv")[2] == ["b", "0.0", "0", "0", "0", "1"]
 
     def test_header_only_folds_manifest_exit_code(self, dataset_dir, tmp_path, capsys):
         profile = self._profile(tmp_path, "detect_prob=0:1\nseed=1\n")

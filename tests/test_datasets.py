@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -427,6 +428,32 @@ class TestExports:
                     for name in getattr(module, "__all__", ())]
         assert len({module for module, _ in exported}) >= 8
         assert [(m, name) for m, name in exported if not hasattr(sys.modules[m], name)] == []
+
+    def test_every_export_has_a_user(self):
+        # An exported name must be read somewhere in src/ besides its own
+        # definition, or be documented: README "Library use" or the
+        # acceptance tests.
+        src = Path(scaledet.__file__).parent
+        used = set()
+        for f in src.glob("*.py"):
+            if f.name != "__init__.py":
+                for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        library_use = readme.partition("## Library use")[2].partition("\n## ")[0]
+        acceptance = (root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+        documented = set(re.findall(r"\w+", library_use + acceptance))
+        assert library_use
+        unused = []
+        for info in pkgutil.iter_modules(scaledet.__path__):
+            module = importlib.import_module(f"scaledet.{info.name}")
+            unused += [(info.name, name) for name in getattr(module, "__all__", ())
+                       if name not in used | documented]
+        assert unused == []
 
 
 class TestFolds:

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from scaledet.errors import InvalidBoxError
 from scaledet.geometry import (
     Box,
-    BoxDelta,
     boxes_to_array,
-    clip_box,
-    decode_delta,
-    encode_delta,
     iou,
     iou_matrix,
     paired_iou,
@@ -154,68 +150,3 @@ class TestIoU:
                             boxes_to_array([b for _, b in pairs]))
         assert values.shape == (len(pairs),)
         assert values.tolist() == [iou(a, b) for a, b in pairs]
-
-
-class TestDeltas:
-    def test_identity_encoding(self):
-        b = Box(12.0, 30.0, 80.0, 66.0)
-        assert encode_delta(b, b) == BoxDelta(0.0, 0.0, 0.0, 0.0)
-
-    def test_hand_worked_example(self):
-        d = encode_delta(Box(0, 0, 100, 100), Box(0, 0, 200, 200))
-        assert d.tx == pytest.approx(0.5, abs=1e-12)
-        assert d.ty == pytest.approx(0.5, abs=1e-12)
-        assert d.tw == pytest.approx(math.log(2), abs=1e-12)
-        assert d.th == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_decode_identity(self):
-        b = Box(12.0, 30.0, 80.0, 66.0)
-        assert decode_delta(b, BoxDelta(0, 0, 0, 0)) == b
-
-    def test_decode_hand_worked_example(self):
-        out = decode_delta(Box(0, 0, 100, 100), BoxDelta(0.5, 0.5, math.log(2), math.log(2)))
-        for got, want in zip(out.as_tuple(), (0, 0, 200, 200)):
-            assert got == pytest.approx(want, abs=1e-9)
-
-    @given(float_boxes(), float_boxes())
-    @settings(max_examples=300, deadline=None)
-    def test_round_trip(self, anchor, target):
-        decoded = decode_delta(anchor, encode_delta(anchor, target))
-        for got, want in zip(decoded.as_tuple(), target.as_tuple()):
-            assert got == pytest.approx(want, abs=1e-9)
-
-    def test_round_trip_bulk(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            x, y = rng.uniform(-100, 100, 2)
-            w, h = rng.uniform(0.5, 300, 2)
-            anchor = Box(x, y, x + w, y + h)
-            tx, ty = rng.uniform(-100, 100, 2)
-            tw, th = rng.uniform(0.5, 300, 2)
-            target = Box(tx, ty, tx + tw, ty + th)
-            decoded = decode_delta(anchor, encode_delta(anchor, target))
-            for got, want in zip(decoded.as_tuple(), target.as_tuple()):
-                assert got == pytest.approx(want, abs=1e-9)
-
-    def test_nonfinite_delta_rejected(self):
-        with pytest.raises(InvalidBoxError):
-            BoxDelta(0.0, 0.0, math.inf, 0.0)
-
-    def test_underflowing_decode_raises(self):
-        with pytest.raises(InvalidBoxError):
-            decode_delta(Box(0, 0, 10, 10), BoxDelta(0, 0, -800.0, 0))
-
-
-class TestClip:
-    def test_interior_box_unchanged(self):
-        assert clip_box(Box(10, 10, 50, 50), 100, 100) == Box(10, 10, 50, 50)
-
-    def test_corner_clamp(self):
-        assert clip_box(Box(-20, -20, 50, 50), 100, 100) == Box(0, 0, 50, 50)
-
-    def test_fully_outside_is_none(self):
-        assert clip_box(Box(120, 120, 200, 200), 100, 100) is None
-
-    def test_bad_image_dims(self):
-        with pytest.raises(InvalidBoxError):
-            clip_box(Box(0, 0, 1, 1), 0, 10)
