@@ -321,14 +321,16 @@ def cmd_eval(args) -> int:
     zero_gt = "no ground truth for this class; AP defined as 0"
     if report.zero_gt:
         print(f"warning: {zero_gt}", file=sys.stderr)
-    if folds is not None:
-        for fold_id, r in report.per_fold:
-            if r.total_gt == 0:
-                print(f"warning: fold {fold_id!r}: {zero_gt}", file=sys.stderr)
-        unknown = len(folds.keys() - {image.image_id for image in images})
-        if unknown:
-            print(f"warning: {unknown} folds manifest image id(s) not in the dataset",
+    for fold_id, r in report.per_fold:
+        if r.total_gt == 0:
+            print(f"warning: fold {fold_id!r}: {zero_gt}", file=sys.stderr)
+    known = {image.image_id for image in images}
+    for source, ids in (("detection", {d.image_id for d in dets}),
+                        ("folds manifest", set(folds or ()))):
+        if ids - known:
+            print(f"warning: {len(ids - known)} {source} image id(s) not in the dataset",
                   file=sys.stderr)
+    if folds is not None:
         print(f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
               f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")

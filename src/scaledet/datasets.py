@@ -116,12 +116,13 @@ class ImageAnnotations:
 def read_input(path, error=ParseError) -> str:
     """Text of the input file ``path``, decoded as UTF-8 with newlines kept as written.
 
-    A file that cannot be read (missing, a directory, a NUL byte in the
-    path) or is not UTF-8 raises ``error`` naming the file. The CLI passes
-    ConfigError for the inputs that configure a run.
+    A leading byte-order mark is dropped. A file that cannot be read
+    (missing, a directory, a NUL byte in the path) or is not UTF-8 raises
+    ``error`` naming the file. The CLI passes ConfigError for the inputs
+    that configure a run.
     """
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (OSError, ValueError) as exc:

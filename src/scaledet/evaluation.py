@@ -10,12 +10,13 @@ dropped from the tally entirely.
 Equal-score detections are ordered by content (image id, then coordinates),
 never by input position, so shuffling the input cannot change any label.
 
-Matching runs once per image: detections are sorted once and their IoU with
+One matching object, the list ``match_detections`` returns, holds the labels
+and the arrays of every scope: detections are sorted once and their IoU with
 each ground-truth box of their image is computed once (``iou_matrix``
-arithmetic), keeping the pairs at or above the threshold. A width bucket
-only changes which ground truth is ignored, so bucketed AP re-runs the greedy
-assignment over those candidate pairs alone; folds split the images, so a
-fold's labels are a slice of the one overall matching.
+arithmetic), keeping the pairs at or above the threshold. A width bucket only
+changes which ground truth is ignored, so bucketed AP re-runs the greedy
+assignment over those pairs alone; a fold masks the overall labels to its
+images. One routine scores the labels of any scope: PR points, AP, TP, FP.
 
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,7 +48,6 @@ __all__ = [
     "default_iou_threshold",
     "nms",
     "match_detections",
-    "tp_fp_sequence",
     "pr_curve",
     "average_precision",
     "scale_bucketed_ap",
@@ -117,10 +116,12 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     return kept
 
 
-class _Matching:
-    """Candidate pairs of one matching run, labelled per ignore mask.
+class _Matching(list):
+    """``match_detections`` output: ``(detection, label)`` in score order.
 
-    ``dets`` holds the detections in score order; the candidates are the
+    It keeps the arrays that every scope scores from: the image code of each
+    detection and ground-truth box, the DontCare flags, the ground-truth
+    boxes and the label ``code`` of each detection. The candidates are the
     same-image (detection, ground truth) pairs with IoU at or above the
     threshold, as flat arrays ordered by detection, then ground-truth index.
     The threshold is above 0, so a detection can only claim, or be absorbed
@@ -128,45 +129,54 @@ class _Matching:
     order picks the box that a scan of all its image's boxes would.
     """
 
-    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float):
+    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float,
+                 ignore_mask: list[bool] | None = None):
         if not 0 < iou_threshold <= 1:
             raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
-        self.dets, self.gts = sorted(dets, key=Detection.sort_key), gts
+        if ignore_mask is not None and len(ignore_mask) != len(gts):
+            raise ValueError("ignore_mask length must equal the number of ground-truth boxes")
+        dets = sorted(dets, key=Detection.sort_key)
         ids: dict[str, int] = {}
-        gt_image = np.array([ids.setdefault(g.source_image, len(ids)) for g in gts], dtype=np.intp)
-        det_image = np.array([ids.setdefault(d.image_id, len(ids)) for d in self.dets], dtype=np.intp)
-        by_image = np.argsort(gt_image, kind="stable")
-        per_image = np.bincount(gt_image, minlength=len(ids))
+        self.gt_image, self.det_image = (
+            np.array([ids.setdefault(image, len(ids)) for image in column], dtype=np.intp)
+            for column in ([g.source_image for g in gts], [d.image_id for d in dets]))
+        self.images = list(ids)  # image id of each code
+        self.dontcare = np.array([g.is_dontcare for g in gts], dtype=bool)
+        by_image = np.argsort(self.gt_image, kind="stable")
+        per_image = np.bincount(self.gt_image, minlength=len(ids))
         first = np.cumsum(per_image) - per_image  # of each image's run in by_image
-        det_boxes = boxes_to_array([d.box for d in self.dets])
-        gt_boxes = boxes_to_array([g.box for g in gts])
+        det_boxes = boxes_to_array([d.box for d in dets])
+        self.gt_boxes = boxes_to_array([g.box for g in gts])
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        for lo in range(0, len(self.dets), _PAIR_BATCH):
-            image = det_image[lo : lo + _PAIR_BATCH]
+        for lo in range(0, len(dets), _PAIR_BATCH):
+            image = self.det_image[lo : lo + _PAIR_BATCH]
             n = per_image[image]
             det = np.repeat(np.arange(lo, lo + len(image)), n)
             gt = by_image[np.repeat(first[image] - (np.cumsum(n) - n), n) + np.arange(len(det))]
-            value = paired_iou(det_boxes[det], gt_boxes[gt])
+            value = paired_iou(det_boxes[det], self.gt_boxes[gt])
             keep = value >= iou_threshold
             parts.append((det[keep], gt[keep], value[keep]))
         self.det, self.gt, self.iou = (np.concatenate(column) for column in zip(*parts))
         # The scalar ``iou`` defines matching; a candidate whose vectorized IoU
         # differs from it in any bit would mean the arithmetic has drifted.
-        if len(self.det) and iou(self.dets[self.det[0]].box, gts[self.gt[0]].box) != self.iou[0]:
+        if len(self.det) and iou(dets[self.det[0]].box, gts[self.gt[0]].box) != self.iou[0]:
             raise AssertionError("paired_iou disagrees with geometry.iou")
+        ignore = self.dontcare if ignore_mask is None else np.array(ignore_mask, dtype=bool)
+        self.code = self.labels(ignore)
+        super().__init__(zip(dets, [_LABELS[c] for c in self.code.tolist()]))
 
     def labels(self, ignore: np.ndarray) -> np.ndarray:
-        """Label codes of ``dets`` when the ground truth flagged in ``ignore`` is ignored."""
+        """Label codes, in score order, when the ground truth flagged in ``ignore`` is ignored."""
         absorbs = ignore[self.gt]
-        fallback = np.full(len(self.dets), _FP, dtype=np.int8)
+        fallback = np.full(len(self.det_image), _FP, dtype=np.int8)
         fallback[self.det[absorbs]] = _IGNORED
         code = fallback.copy()
         det, gt, value = self.det[~absorbs], self.gt[~absorbs], self.iou[~absorbs]
         code[det] = _TP
         # A box that is the candidate of one detection only is free on its
         # turn: only detections with a shared box need the greedy scan.
-        shared = np.zeros(len(self.dets), dtype=bool)
-        shared[det[np.bincount(gt, minlength=len(self.gts))[gt] > 1]] = True
+        shared = np.zeros(len(self.det_image), dtype=bool)
+        shared[det[np.bincount(gt, minlength=len(self.gt_image))[gt] > 1]] = True
         pick = shared[det]
         taken: set[int] = set()
         pairs = zip(det[pick].tolist(), gt[pick].tolist(), value[pick].tolist())
@@ -182,14 +192,6 @@ class _Matching:
         return code
 
 
-class _Matches(list):
-    """``match_detections`` output that keeps the matching it came from."""
-
-    def __init__(self, matching: _Matching, ignore: np.ndarray):
-        super().__init__(zip(matching.dets, [_LABELS[c] for c in matching.labels(ignore).tolist()]))
-        self.matching = matching
-
-
 def match_detections(
     dets: list[Detection],
     gts: list[Annotation],
@@ -203,17 +205,7 @@ def match_detections(
     detections without reward or penalty; it defaults to the DontCare flags.
     Ground truth and detections are paired within the same image only.
     """
-    matching = _Matching(dets, gts, iou_threshold)
-    if ignore_mask is None:
-        ignore_mask = [g.is_dontcare for g in gts]
-    if len(ignore_mask) != len(gts):
-        raise ValueError("ignore_mask length must equal the number of ground-truth boxes")
-    return _Matches(matching, np.array(ignore_mask, dtype=bool))
-
-
-def tp_fp_sequence(matches: list[tuple[Detection, str]]) -> list[bool]:
-    """Score-ordered TP flags with ignored detections dropped."""
-    return [label == TP for _, label in matches if label != IGNORED]
+    return _Matching(dets, gts, iou_threshold, ignore_mask)
 
 
 def pr_curve(tp_flags: list[bool], total_gt: int) -> list[tuple[float, float]]:
@@ -269,6 +261,13 @@ def _ap_of_curve(points: list[tuple[float, float]], total_gt: int, mode: str) ->
     return ap
 
 
+def _score(code: np.ndarray, total_gt: int, mode: str):
+    """PR points, AP, TP and FP of score-ordered label codes; ignored ones are dropped."""
+    flags = (code[code != _IGNORED] == _TP).tolist()
+    points, tp = pr_curve(flags, total_gt), sum(flags)
+    return points, _ap_of_curve(points, total_gt, mode), tp, len(flags) - tp
+
+
 @dataclass(frozen=True)
 class BucketAP:
     """Per-bucket result; ``ap`` is None when the bucket holds no ground truth."""
@@ -315,30 +314,17 @@ def scale_bucketed_ap(
 
 def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
     edges = check_edges(bucket_edges)
-    widths = np.array([g.box.width for g in matching.gts], dtype=np.float64)
-    dontcare = np.array([g.is_dontcare for g in matching.gts], dtype=bool)
+    widths = matching.gt_boxes[:, 2] - matching.gt_boxes[:, 0]
     results: list[BucketAP] = []
     for lo, hi in zip(edges, edges[1:]):
-        ignore = dontcare | (widths < lo) | (widths >= hi)
+        ignore = matching.dontcare | (widths < lo) | (widths >= hi)
         total_gt = len(ignore) - int(ignore.sum())
         if total_gt == 0:
             results.append(BucketAP(lo, hi, None, 0, 0, 0))
             continue
-        code = matching.labels(ignore)
-        flags = (code[code != _IGNORED] == _TP).tolist()
-        ap, tp = average_precision(flags, total_gt, mode), sum(flags)
-        results.append(BucketAP(lo, hi, ap, tp, len(flags) - tp, total_gt))
+        ap, tp, fp = _score(matching.labels(ignore), total_gt, mode)[1:]
+        results.append(BucketAP(lo, hi, ap, tp, fp, total_gt))
     return results
-
-
-def _report(settings, matches, total_gt, per_bucket=(), per_fold=()) -> EvalReport:
-    """The report of one scope; ``settings`` is (class name, IoU threshold, AP mode)."""
-    flags = tp_fp_sequence(matches)
-    tp = sum(flags)
-    points = pr_curve(flags, total_gt)
-    return EvalReport(*settings, tuple(points), _ap_of_curve(points, total_gt, settings[2]),
-                      per_bucket, tp, len(flags) - tp, total_gt, total_gt == 0, tuple(matches),
-                      per_fold)
 
 
 def evaluate_detections(
@@ -357,28 +343,32 @@ def evaluate_detections(
     buckets reuse the candidate pairs of the overall matching. ``folds``
     maps image ids to fold ids; matching is per image, so each fold's
     report, equal to this evaluation without buckets on the fold's images,
-    is a slice of the overall labels.
+    masks the overall labels to the fold's detections and ground truth.
     """
     if iou_threshold is None:
         iou_threshold = default_iou_threshold(class_name)
     class_dets = [d for d in dets if d.class_name == class_name]
     class_gts = [g for g in gts if g.class_name == class_name or g.is_dontcare]
-    matches = match_detections(class_dets, class_gts, iou_threshold)
-    per_bucket: tuple[BucketAP, ...] = ()
-    if bucket_edges is not None:
-        per_bucket = tuple(_bucket_aps(matches.matching, bucket_edges, mode))
-    gt_images = [g.source_image for g in class_gts if not g.is_dontcare]
-    settings = (class_name, iou_threshold, mode)
+    matching = match_detections(class_dets, class_gts, iou_threshold)
+    counted = ~matching.dontcare
+
+    def report(det_mask, gt_mask, per_bucket=(), per_fold=()) -> EvalReport:
+        total_gt = int(np.count_nonzero(gt_mask & counted))
+        points, ap, tp, fp = _score(matching.code[det_mask], total_gt, mode)
+        return EvalReport(class_name, iou_threshold, mode, tuple(points), ap, per_bucket, tp, fp,
+                          total_gt, total_gt == 0, tuple(compress(matching, det_mask)), per_fold)
+
+    per_bucket = () if bucket_edges is None else tuple(_bucket_aps(matching, bucket_edges, mode))
     per_fold = ()
     if folds:
-        fold_matches: dict[str, list] = {fold: [] for fold in sorted(set(folds.values()))}
-        for match in matches:
-            if match[0].image_id in folds:
-                fold_matches[folds[match[0].image_id]].append(match)
-        fold_gt = Counter(folds.get(image) for image in gt_images)
-        per_fold = tuple((fold, _report(settings, m, fold_gt[fold]))
-                         for fold, m in fold_matches.items())
-    return _report(settings, matches, len(gt_images), per_bucket, per_fold)
+        names = sorted(set(folds.values()))
+        index = {name: k for k, name in enumerate(names)}
+        fold = np.array([index[folds[image]] if image in folds else -1  # -1: in no fold
+                         for image in matching.images], dtype=np.intp)
+        det_fold, gt_fold = fold[matching.det_image], fold[matching.gt_image]
+        per_fold = tuple((name, report(det_fold == k, gt_fold == k))
+                         for k, name in enumerate(names))
+    return report(np.ones(len(matching), bool), np.ones(len(counted), bool), per_bucket, per_fold)
 
 
 @dataclass(frozen=True)

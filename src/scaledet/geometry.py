@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle with strictly positive width and height."""
+    """Axis-aligned rectangle with strictly positive, finite width and height."""
 
     x1: float
     y1: float
@@ -45,6 +45,9 @@ class Box:
             raise InvalidBoxError(
                 f"degenerate box: need x2 > x1 and y2 > y1, got {coords}"
             )
+        # Finite corners can still span an infinite width, height or area.
+        if not math.isfinite((self.x2 - self.x1) * (self.y2 - self.y1)):
+            raise InvalidBoxError(f"box extent must be finite, got {coords}")
 
     @property
     def width(self) -> float:

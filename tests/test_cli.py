@@ -452,6 +452,28 @@ class TestSimulateAndEval:
         err = capsys.readouterr().err
         assert "dets.csv: line 3" in err and "finite" in err
 
+    def test_infinite_extent_box_exit_code(self, dataset_dir, tmp_path, capsys):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n"
+                        "000000,Car,0,0,10,10,0.5\n000001,Car,-1e308,0,1e308,10,0.5\n")
+        out = tmp_path / "eval"
+        assert main(["eval", str(dataset_dir), str(dets), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dets.csv: line 3" in err and "extent" in err
+        assert list(out.iterdir()) == []
+
+    def test_detections_on_unknown_images_warn(self, dataset_dir, tmp_path, capsys):
+        # "1" is not the dataset image "000001"; both rows are scored as FPs.
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n"
+                        "1,Car,0,0,10,10,0.5\n1,Car,5,5,20,20,0.4\n")
+        out = tmp_path / "eval"
+        assert main(["eval", str(dataset_dir), str(dets), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["warning: 1 detection image id(s) not in the dataset"]
+        assert "AP (all-point, IoU 0.7): 0.0" in captured.out
+        assert read_csv(out / "ap.csv")[1][4:6] == ["0", "2"]
+
     def test_seed_override_changes_output(self, dataset_dir, tmp_path):
         profile = self._profile(tmp_path, "detect_prob=0:0.5\nseed=1\n")
         out_a = tmp_path / "a"

@@ -28,7 +28,9 @@ from scaledet.datasets import (
     write_output,
 )
 from scaledet.errors import ConfigError, ParseError
+from scaledet.evaluation import read_detections_csv
 from scaledet.geometry import Box
+from scaledet.simulate import read_key_values
 
 
 class TestKittiParsing:
@@ -75,6 +77,12 @@ class TestKittiParsing:
         fields = KITTI_LINE.split()
         fields[6] = fields[4]  # x2 == x1
         with pytest.raises(ParseError, match="line 1"):
+            parse_kitti_label(" ".join(fields), "x")
+
+    def test_infinite_extent_rejected(self):
+        fields = KITTI_LINE.split()
+        fields[4], fields[6] = "-1e308", "1e308"
+        with pytest.raises(ParseError, match="line 1: .*extent"):
             parse_kitti_label(" ".join(fields), "x")
 
     def test_dontcare_kept_and_flagged(self):
@@ -295,6 +303,24 @@ class TestReaders:
         with pytest.raises(error, match=reason) as info:
             read_input(tmp_path / name, error)
         assert str(info.value).count(name) == 1
+
+    @pytest.mark.parametrize("name, text, read", [
+        ("000000.txt", KITTI_FILE_MIXED + "\n", lambda d: load_dataset(d, "kitti")),
+        ("d.csv", "image_id,class,x1,y1,x2,y2,score\n000000,Car,1,2,30,40,0.5\n",
+         lambda d: read_detections_csv(d / "d.csv")),
+        ("run.cfg", "scales=64,128\nthresholds=0.5\n",
+         lambda d: read_key_values(read_input(d / "run.cfg", ConfigError), "run.cfg",
+                                   {"scales", "thresholds"})),
+    ], ids=["label", "detections", "config"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, name, text, read):
+        # A label file, a detections CSV and a --config file.
+        results = []
+        for prefix in ("", "\ufeff"):
+            d = tmp_path / f"bom{len(prefix)}"
+            d.mkdir()
+            (d / name).write_text(prefix + text, encoding="utf-8")
+            results.append(read(d))
+        assert results[0] == results[1] and results[0]
 
     def test_read_csv_rows(self, tmp_path):
         (tmp_path / "m.csv").write_text('a,b\n1,2\n\n3,"4\n5"\n')

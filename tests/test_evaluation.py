@@ -22,7 +22,6 @@ from scaledet.evaluation import (
     pr_curve,
     read_detections_csv,
     scale_bucketed_ap,
-    tp_fp_sequence,
     write_detections_csv,
 )
 from scaledet.geometry import Box, iou
@@ -287,7 +286,8 @@ class TestMatchingKernel:
             if total_gt == 0:
                 want.append((lo, hi, None, 0, 0, 0))
                 continue
-            flags = tp_fp_sequence(matching_oracle(dets, gts, threshold, ignore))
+            matches = matching_oracle(dets, gts, threshold, ignore)
+            flags = [label == TP for _, label in matches if label != IGNORED]
             want.append((lo, hi, average_precision(flags, total_gt), sum(flags),
                          len(flags) - sum(flags), total_gt))
         got = scale_bucketed_ap(dets, gts, edges, threshold)
@@ -300,7 +300,7 @@ class TestMatchingKernel:
         )
 
     @given(detections, ground_truth, THRESHOLDS,
-           st.lists(st.sampled_from(["f0", "f1", None]), min_size=4, max_size=4),
+           st.lists(st.sampled_from(["f0", "f1", "", None]), min_size=4, max_size=4),
            st.sampled_from(["all-point", "11-point"]), st.sampled_from(["Car", "Van", "DontCare"]))
     @settings(max_examples=200, deadline=None)
     def test_fold_slices_equal_fold_evaluation(self, dets, gts, threshold, folds, mode, cls):
@@ -435,7 +435,7 @@ class TestBucketedAP:
                 dets.append(det(x1 + 1, 10, x1 + w, 9 + w / 2, float(rng.random()),
                                 image=f"i{i % 4}"))
         [bucket] = scale_bucketed_ap(dets, gts, (0, math.inf), 0.5)
-        flags = tp_fp_sequence(match_detections(dets, gts, 0.5))
+        flags = [label == TP for _, label in match_detections(dets, gts, 0.5) if label != IGNORED]
         assert bucket.ap == average_precision(flags, len(gts), "all-point")
 
     def test_perfect_detections_both_buckets(self):

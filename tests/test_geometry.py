@@ -89,6 +89,13 @@ class TestBox:
         with pytest.raises(InvalidBoxError):
             Box(math.nan, 0, 10, 10)
 
+    @pytest.mark.parametrize("coords", [(-1e308, 0, 1e308, 10), (0, -1e308, 10, 1e308),
+                                        (0, 0, 1e200, 1e200)])
+    def test_infinite_extent_rejected(self, coords):
+        # Finite corners whose width, height or area overflows to inf.
+        with pytest.raises(InvalidBoxError, match="extent"):
+            Box(*coords)
+
 
 class TestIoU:
     def test_identity(self):

@@ -7,10 +7,11 @@ from conftest import synthetic_vehicle_dataset
 from scaledet.datasets import Annotation, ImageAnnotations
 from scaledet.errors import ConfigError
 from scaledet.evaluation import (
+    IGNORED,
+    TP,
     evaluate_detections,
     match_detections,
     scale_bucketed_ap,
-    tp_fp_sequence,
 )
 from scaledet.geometry import Box
 from scaledet.simulate import DetectorProfile, parse_profile, simulate
@@ -100,7 +101,7 @@ class TestSimulate:
         dets = simulate(vehicle_dataset, BLIND)
         assert dets  # Poisson(3) over 40 images fires
         gts = [a for i in vehicle_dataset for a in i.annotations]
-        flags = tp_fp_sequence(match_detections(dets, gts, 0.5))
+        flags = [label == TP for _, label in match_detections(dets, gts, 0.5) if label != IGNORED]
         assert not any(flags)
         assert evaluate_detections(dets, gts, class_name="Car").ap == 0.0
 
@@ -176,7 +177,8 @@ class TestSimulate:
             recalls = []
             for profile in (low, high):
                 dets = simulate(dataset, dataclasses.replace(profile, seed=seed))
-                flags = tp_fp_sequence(match_detections(dets, gts, 0.5))
+                matches = match_detections(dets, gts, 0.5)
+                flags = [label == TP for _, label in matches if label != IGNORED]
                 recalls.append(sum(flags) / len(gts))
             if recalls[1] > recalls[0]:
                 wins += 1
