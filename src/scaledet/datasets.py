@@ -5,7 +5,8 @@ Two input formats are supported:
 * KITTI object labels: one ``.txt`` per image, each non-empty line carrying
   15+ whitespace-separated fields
   (type, truncated, occluded, alpha, bbox x1/y1/x2/y2, 3 dimensions,
-  3 location, rotation_y, optional score).
+  3 location, rotation_y, optional score). Every field after the type must
+  be numeric; alpha and the fields after the box are checked but not kept.
 * VOC annotations: one XML per image with ``size/width``, ``size/height``
   and ``object/name`` + ``object/bndbox`` children. VOC's 1-based inclusive
   corners are normalized into the continuous convention by subtracting 1
@@ -82,9 +83,9 @@ class Annotation:
 
     ``truncated`` is a ratio in [0,1] for KITTI and a 0/1 flag for VOC;
     ``occluded`` is KITTI's small-integer level and doubles as VOC's
-    ``difficult`` flag. ``extras`` carries KITTI's remaining numeric fields
-    (alpha, 3 dimensions, 3 location, rotation_y, optional score) untouched
-    so a parsed line can be serialized back verbatim.
+    ``difficult`` flag. KITTI's other fields (alpha, 3 dimensions,
+    3 location, rotation_y, optional score) are checked as numeric at parse
+    time but not kept: nothing in a 2D pipeline reads them.
     """
 
     class_name: str
@@ -92,7 +93,6 @@ class Annotation:
     truncated: float = 0.0
     occluded: int = 0
     source_image: str = ""
-    extras: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.class_name:
@@ -174,52 +174,46 @@ def write_output(path, content, header=None) -> None:
         raise ConfigError(f"{path}: cannot write ({reason})") from None
 
 
-def _num(fields: list[str], idx: int, lineno: int) -> float:
-    try:
-        return float(fields[idx])
-    except ValueError:
-        raise ParseError(
-            f"line {lineno}: field {idx + 1} ({fields[idx]!r}) is not numeric"
-        ) from None
-
-
 def parse_kitti_label(text: str, image_id: str) -> list[Annotation]:
     """Parse the contents of one KITTI label file.
 
-    Every non-empty line must carry at least 15 whitespace-separated fields;
-    "DontCare" lines are kept and flagged via ``class_name``. Raises
-    :class:`ParseError` with the offending line number on malformed input,
-    including degenerate bounding boxes.
+    Every non-empty line must carry at least 15 whitespace-separated fields,
+    all numeric after the class name; "DontCare" lines are kept and flagged
+    via ``class_name``. Raises :class:`ParseError` with the offending line
+    number on malformed input, including degenerate bounding boxes; of
+    several non-numeric fields, the first is named.
     """
     annotations: list[Annotation] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) < 15:
             raise ParseError(f"line {lineno}: expected at least 15 fields, got {len(fields)}")
-        class_name = fields[0]
-        truncated = _num(fields, 1, lineno)
-        occluded = _num(fields, 2, lineno)
+        try:
+            truncated, occluded, _, x1, y1, x2, y2, *_ = map(float, fields[1:])
+        except ValueError:
+            for k, token in enumerate(fields[1:], start=2):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ParseError(
+                        f"line {lineno}: field {k} ({token!r}) is not numeric"
+                    ) from None
+            raise
         if not math.isfinite(occluded):
             raise ParseError(f"line {lineno}: field 3 ({fields[2]!r}) is not finite")
-        coords = tuple(_num(fields, i, lineno) for i in (4, 5, 6, 7))
         try:
-            box = Box(*coords)
+            box = Box(x1, y1, x2, y2)
         except InvalidBoxError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        extras = (_num(fields, 3, lineno),) + tuple(
-            _num(fields, i, lineno) for i in range(8, len(fields))
-        )
         annotations.append(
             Annotation(
-                class_name=class_name,
+                class_name=fields[0],
                 box=box,
                 truncated=truncated,
                 occluded=int(occluded),
                 source_image=image_id,
-                extras=extras,
             )
         )
     return annotations

@@ -129,12 +129,9 @@ class _Matching(list):
     order picks the box that a scan of all its image's boxes would.
     """
 
-    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float,
-                 ignore_mask: list[bool] | None = None):
+    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float):
         if not 0 < iou_threshold <= 1:
             raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
-        if ignore_mask is not None and len(ignore_mask) != len(gts):
-            raise ValueError("ignore_mask length must equal the number of ground-truth boxes")
         dets = sorted(dets, key=Detection.sort_key)
         ids: dict[str, int] = {}
         self.gt_image, self.det_image = (
@@ -161,8 +158,7 @@ class _Matching(list):
         # differs from it in any bit would mean the arithmetic has drifted.
         if len(self.det) and iou(dets[self.det[0]].box, gts[self.gt[0]].box) != self.iou[0]:
             raise AssertionError("paired_iou disagrees with geometry.iou")
-        ignore = self.dontcare if ignore_mask is None else np.array(ignore_mask, dtype=bool)
-        self.code = self.labels(ignore)
+        self.code = self.labels(self.dontcare)
         super().__init__(zip(dets, [_LABELS[c] for c in self.code.tolist()]))
 
     def labels(self, ignore: np.ndarray) -> np.ndarray:
@@ -193,33 +189,22 @@ class _Matching(list):
 
 
 def match_detections(
-    dets: list[Detection],
-    gts: list[Annotation],
-    iou_threshold: float,
-    ignore_mask: list[bool] | None = None,
+    dets: list[Detection], gts: list[Annotation], iou_threshold: float
 ) -> list[tuple[Detection, str]]:
     """Label every detection TP, FP, or IGNORED.
 
     Detections are processed in descending score order (sorted defensively
-    by content). ``ignore_mask`` marks ground truth that can absorb
-    detections without reward or penalty; it defaults to the DontCare flags.
-    Ground truth and detections are paired within the same image only.
+    by content). DontCare ground truth absorbs detections without reward or
+    penalty; the returned matching's ``labels`` relabels against any other
+    ignore set. Ground truth and detections are paired within the same
+    image only.
     """
-    return _Matching(dets, gts, iou_threshold, ignore_mask)
+    return _Matching(dets, gts, iou_threshold)
 
 
 def pr_curve(tp_flags: list[bool], total_gt: int) -> list[tuple[float, float]]:
     """(recall, precision) after each detection, ordered by ascending recall."""
-    points: list[tuple[float, float]] = []
-    tp = fp = 0
-    for flag in tp_flags:
-        if flag:
-            tp += 1
-        else:
-            fp += 1
-        recall = tp / total_gt if total_gt > 0 else 0.0
-        points.append((recall, tp / (tp + fp)))
-    return points
+    return _score(np.where(tp_flags, _TP, _FP), total_gt, "all-point")[0]
 
 
 def average_precision(tp_flags: list[bool], total_gt: int, mode: str = "all-point") -> float:
@@ -230,42 +215,39 @@ def average_precision(tp_flags: list[bool], total_gt: int, mode: str = "all-poin
     With ``total_gt == 0`` the AP is defined as 0 (callers flag the
     degenerate denominator).
     """
-    return _ap_of_curve(pr_curve(tp_flags, total_gt), total_gt, mode)
+    _check_mode(mode)
+    return _score(np.where(tp_flags, _TP, _FP), total_gt, mode)[1]
 
 
-def _ap_of_curve(points: list[tuple[float, float]], total_gt: int, mode: str) -> float:
+def _check_mode(mode: str) -> None:
     if mode not in ("all-point", "11-point"):
         raise ConfigError(f"unknown AP mode {mode!r}")
-    if total_gt < 0:
-        raise ValueError(f"total_gt must be >= 0, got {total_gt}")
-    if total_gt == 0 or not points:
-        return 0.0
-    if mode == "11-point":
-        total = 0.0
-        for t in range(11):
-            threshold = t / 10
-            best = max((p for r, p in points if r >= threshold), default=0.0)
-            total += best
-        return total / 11
-
-    recalls = [0.0] + [r for r, _ in points]
-    precisions = [0.0] + [p for _, p in points]
-    recalls.append(1.0)
-    precisions.append(0.0)
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    ap = 0.0
-    for i in range(1, len(recalls)):
-        if recalls[i] != recalls[i - 1]:
-            ap += (recalls[i] - recalls[i - 1]) * precisions[i]
-    return ap
 
 
 def _score(code: np.ndarray, total_gt: int, mode: str):
-    """PR points, AP, TP and FP of score-ordered label codes; ignored ones are dropped."""
-    flags = (code[code != _IGNORED] == _TP).tolist()
-    points, tp = pr_curve(flags, total_gt), sum(flags)
-    return points, _ap_of_curve(points, total_gt, mode), tp, len(flags) - tp
+    """PR points, AP, TP and FP of score-ordered label codes; ignored ones are dropped.
+
+    Recall and precision come from one running TP count. The precision
+    envelope is a right-to-left running max over the points framed by
+    (0, 0) and (1, 0). The AP sums are running (``cumsum``) sums, left to
+    right, so they round as a plain loop does.
+    """
+    if total_gt < 0:
+        raise ValueError(f"total_gt must be >= 0, got {total_gt}")
+    running_tp = np.cumsum(code[code != _IGNORED] == _TP)
+    n = len(running_tp)
+    recall = running_tp / total_gt if total_gt > 0 else np.zeros(n)
+    precision = running_tp / np.arange(1, n + 1)
+    points = list(zip(recall.tolist(), precision.tolist()))
+    tp = int(running_tp[-1]) if n else 0
+    if total_gt == 0 or n == 0:
+        return points, 0.0, tp, n - tp
+    envelope = np.maximum.accumulate(np.concatenate((precision, [0.0]))[::-1])[::-1]
+    if mode == "11-point":
+        terms = envelope[np.searchsorted(recall, np.arange(11) / 10)]
+        return points, float(np.cumsum(terms)[-1]) / 11, tp, n - tp
+    steps = np.diff(np.concatenate(([0.0], recall, [1.0])))
+    return points, float(np.cumsum(steps * envelope)[-1]), tp, n - tp
 
 
 @dataclass(frozen=True)
@@ -309,6 +291,7 @@ def scale_bucketed_ap(
     are neither rewarded nor penalized, keeping buckets independent. Buckets
     without ground truth report ``ap=None`` rather than 0.
     """
+    _check_mode(mode)
     return _bucket_aps(_Matching(dets, gts, iou_threshold), bucket_edges, mode)
 
 
@@ -345,6 +328,7 @@ def evaluate_detections(
     report, equal to this evaluation without buckets on the fold's images,
     masks the overall labels to the fold's detections and ground truth.
     """
+    _check_mode(mode)
     if iou_threshold is None:
         iou_threshold = default_iou_threshold(class_name)
     class_dets = [d for d in dets if d.class_name == class_name]

@@ -52,28 +52,23 @@ def synthetic_vehicle_dataset(
 
 
 def kitti_label_line(annotation: Annotation) -> str:
-    """Serialize an annotation back to the 15(+)-field label line.
+    """Serialize an annotation to a 15-field label line.
 
     Floats are written with ``repr`` so reparsing the line reproduces an
-    identical Annotation. Requires KITTI-shaped ``extras``.
+    identical Annotation; alpha and the 3D fields, which are not kept, are 0.
     """
-    if len(annotation.extras) < 8:
-        raise ValueError(
-            f"annotation lacks the 8 trailing numeric fields needed for a label line "
-            f"(got {len(annotation.extras)} extras)"
-        )
     b = annotation.box
     fields = [
         annotation.class_name,
         repr(float(annotation.truncated)),
         str(int(annotation.occluded)),
-        repr(float(annotation.extras[0])),
+        "0",
         repr(float(b.x1)),
         repr(float(b.y1)),
         repr(float(b.x2)),
         repr(float(b.y2)),
     ]
-    fields.extend(repr(float(v)) for v in annotation.extras[1:])
+    fields.extend(["0"] * 7)
     return " ".join(fields)
 
 

@@ -33,6 +33,14 @@ from scaledet.geometry import Box
 from scaledet.simulate import read_key_values
 
 
+def _not_numeric(token):
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
 class TestKittiParsing:
     def test_single_line(self):
         anns = parse_kitti_label(KITTI_LINE, "000000")
@@ -43,8 +51,6 @@ class TestKittiParsing:
         assert a.truncated == 0.0
         assert a.occluded == 0
         assert a.source_image == "000000"
-        # alpha + 3 dims + 3 location + rotation_y
-        assert a.extras == (-1.58, 1.65, 1.67, 3.64, -0.65, 1.71, 46.70, -1.59)
 
     def test_empty_file(self):
         assert parse_kitti_label("", "x") == []
@@ -91,8 +97,27 @@ class TestKittiParsing:
         assert anns[2].is_dontcare
 
     def test_detection_style_16th_field(self):
-        anns = parse_kitti_label(KITTI_LINE + " 0.87", "x")
-        assert anns[0].extras[-1] == 0.87
+        assert parse_kitti_label(KITTI_LINE + " 0.87", "x") == parse_kitti_label(KITTI_LINE, "x")
+
+    @given(st.integers(1, 15), st.text(st.characters(blacklist_categories=("Z", "C")),
+                                       min_size=1, max_size=8).filter(_not_numeric),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_non_numeric_field_named(self, index, token, scored):
+        # Column ``index + 1`` of a 15-field line, or of a 16-field one
+        # (always when the fault is in the 16th field).
+        fields = (KITTI_LINE + " 0.87").split()[: max(15 + scored, index + 1)]
+        fields[index] = token
+        with pytest.raises(ParseError) as info:
+            parse_kitti_label("\n" + " ".join(fields), "x")
+        assert str(info.value) == f"line 2: field {index + 1} ({token!r}) is not numeric"
+
+    def test_first_non_numeric_field_named(self):
+        # Alpha (field 4) precedes the box; the box coordinate is not named.
+        fields = KITTI_LINE.split()
+        fields[3], fields[4], fields[9] = "alpha", "left", "h"
+        with pytest.raises(ParseError, match=r"^line 1: field 4 \('alpha'\) is not numeric$"):
+            parse_kitti_label(" ".join(fields), "x")
 
     def test_round_trip(self):
         for ann in parse_kitti_label(KITTI_FILE_MIXED, "img"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scaledet.datasets import Annotation
@@ -24,6 +24,7 @@ from scaledet.evaluation import (
     scale_bucketed_ap,
     write_detections_csv,
 )
+from scaledet.evaluation import _LABELS as LABELS
 from scaledet.geometry import Box, iou
 
 
@@ -114,6 +115,44 @@ ground_truth = st.lists(
               st.sampled_from(GT_IMAGES)),
     max_size=10,
 )
+
+
+def pr_curve_oracle(tp_flags, total_gt):
+    """Reference PR points: one running TP/FP count per detection."""
+    points = []
+    tp = fp = 0
+    for flag in tp_flags:
+        if flag:
+            tp += 1
+        else:
+            fp += 1
+        recall = tp / total_gt if total_gt > 0 else 0.0
+        points.append((recall, tp / (tp + fp)))
+    return points
+
+
+def ap_oracle(points, total_gt, mode):
+    """Reference AP of PR points, summed left to right.
+
+    The explicit ``+=`` loops fix the rounding the implementation must
+    reproduce bit for bit (``sum`` of floats is compensated from Python 3.12).
+    """
+    if total_gt == 0 or not points:
+        return 0.0
+    if mode == "11-point":
+        total = 0.0
+        for t in range(11):
+            total += max((p for r, p in points if r >= t / 10), default=0.0)
+        return total / 11
+    recalls = [0.0] + [r for r, _ in points] + [1.0]
+    precisions = [0.0] + [p for _, p in points] + [0.0]
+    for i in range(len(precisions) - 2, -1, -1):
+        precisions[i] = max(precisions[i], precisions[i + 1])
+    ap = 0.0
+    for i in range(1, len(recalls)):
+        if recalls[i] != recalls[i - 1]:
+            ap += (recalls[i] - recalls[i - 1]) * precisions[i]
+    return ap
 
 
 def riemann_ap(points, resolution=1e-4):
@@ -270,10 +309,12 @@ class TestMatchingKernel:
     @given(detections, ground_truth, THRESHOLDS, st.data())
     @settings(max_examples=300, deadline=None)
     def test_match_equals_oracle(self, dets, gts, threshold, data):
-        mask = data.draw(st.none() | st.lists(st.booleans(), min_size=len(gts),
-                                              max_size=len(gts)))
-        got = match_detections(dets, gts, threshold, ignore_mask=mask)
-        assert list(got) == matching_oracle(dets, gts, threshold, ignore_mask=mask)
+        mask = data.draw(st.lists(st.booleans(), min_size=len(gts), max_size=len(gts)))
+        got = match_detections(dets, gts, threshold)
+        assert list(got) == matching_oracle(dets, gts, threshold)
+        relabeled = [LABELS[c] for c in got.labels(np.array(mask, dtype=bool))]
+        want = matching_oracle(dets, gts, threshold, ignore_mask=mask)
+        assert relabeled == [label for _, label in want]
 
     @given(detections, ground_truth, THRESHOLDS,
            st.sampled_from([(0, math.inf), (0, 5, 10, math.inf), (0, 8, 10.5), (3, 6, 9)]))
@@ -421,6 +462,25 @@ class TestAveragePrecision:
         with pytest.raises(ConfigError):
             average_precision([True], 1, "coco")
 
+    @given(st.lists(st.booleans(), max_size=40), st.integers(0, 45),
+           st.sampled_from(["all-point", "11-point"]))
+    @example([], 0, "all-point")
+    @example([], 3, "11-point")
+    @example([True, False], 0, "11-point")
+    @example([True, True, False, True], 2, "all-point")  # more TPs than ground truth
+    @settings(max_examples=400, deadline=None)
+    def test_equals_loop_oracle_bit_for_bit(self, flags, total_gt, mode):
+        # total_gt ranges over 0 and below the TP count as well as above it.
+        points = pr_curve_oracle(flags, total_gt)
+        assert pr_curve(flags, total_gt) == points
+        assert average_precision(flags, total_gt, mode) == ap_oracle(points, total_gt, mode)
+
+    def test_negative_total_gt_rejected(self):
+        with pytest.raises(ValueError):
+            pr_curve([True], -1)
+        with pytest.raises(ValueError):
+            average_precision([True], -1)
+
 
 class TestBucketedAP:
     def test_single_bucket_equals_plain_ap(self):
@@ -452,6 +512,14 @@ class TestBucketedAP:
         small, large = scale_bucketed_ap(dets, gts, (0, 128, math.inf), 0.5)
         assert small.ap == 0.0 and small.fp == 0
         assert large.ap == 1.0
+
+    @pytest.mark.parametrize("gts", [[], [gt(0, 0, 40, 20)]])
+    def test_bad_mode_rejected_before_matching(self, gts):
+        dets = [det(0, 0, 40, 20, 0.9)]
+        with pytest.raises(ConfigError, match="unknown AP mode 'coco'"):
+            scale_bucketed_ap(dets, gts, (0, 64, 128), 0.5, mode="coco")
+        with pytest.raises(ConfigError, match="unknown AP mode 'coco'"):
+            evaluate_detections(dets, gts, mode="coco", iou_threshold=2.0)
 
     def test_empty_bucket_undefined(self):
         gts = [gt(0, 0, 40, 20)]
