@@ -142,16 +142,18 @@ def _write_run_config(out_dir: Path, settings: dict) -> None:
         f"{key}={_record(settings[key], parsers.get(key))}\n" for key in sorted(settings)))
 
 
-def _load_dataset(s: dict) -> list[datasets_mod.ImageAnnotations]:
+def _load_dataset(s: dict, table: bool = False):
+    """The dataset as ImageAnnotations, or with ``table`` as one LabelTable."""
     image_w, image_h = s["image_size"]
-    images, skipped = datasets_mod.load_dataset(
+    load = datasets_mod.load_label_table if table else datasets_mod.load_dataset
+    loaded, skipped = load(
         s["dataset_dir"], s["format"], image_w=image_w, image_h=image_h, skip_bad=s["skip_bad"]
     )
     for message in skipped:
         print(f"skipped: {message}", file=sys.stderr)
-    if not images:
+    if not (loaded.image_ids if table else loaded):
         raise ParseError(f"no parseable annotation files in {s['dataset_dir']}")
-    return images
+    return loaded
 
 
 # ---------------------------------------------------------------- stats ----
@@ -278,9 +280,8 @@ def cmd_rf(args) -> int:
 
 def cmd_eval(args) -> int:
     out_dir, s = _settings(args)
-    images = _load_dataset(s)
-    gts = [a for image in images for a in image.annotations]
-    dets = eval_mod.read_detections_csv(s["detections_csv"])
+    labels = _load_dataset(s, table=True)
+    dets = eval_mod.read_detection_table(s["detections_csv"])
     folds = None
     if s["folds"] is not None:
         folds, name = {}, Path(s["folds"]).name
@@ -292,8 +293,8 @@ def cmd_eval(args) -> int:
         if not folds:
             raise ParseError(f"{name}: no folds")
     class_name, mode = s["class_name"], s["mode"]
-    report = eval_mod.evaluate_detections(
-        dets, gts, class_name=class_name, iou_threshold=s.pop("iou"),
+    report = eval_mod.evaluate_tables(
+        dets, labels, class_name=class_name, iou_threshold=s.pop("iou"),
         mode=mode, bucket_edges=s["buckets"], folds=folds,
     )
 
@@ -324,8 +325,8 @@ def cmd_eval(args) -> int:
     for fold_id, r in report.per_fold:
         if r.total_gt == 0:
             print(f"warning: fold {fold_id!r}: {zero_gt}", file=sys.stderr)
-    known = {image.image_id for image in images}
-    for source, ids in (("detection", {d.image_id for d in dets}),
+    known = set(labels.image_ids)
+    for source, ids in (("detection", set(dets.image_ids)),
                         ("folds manifest", set(folds or ()))):
         if ids - known:
             print(f"warning: {len(ids - known)} {source} image id(s) not in the dataset",

@@ -15,6 +15,12 @@ Two input formats are supported:
 "DontCare" regions are parsed and kept (flagged through ``class_name``) but
 excluded from statistics; evaluation treats them as ignore regions.
 
+A directory loads as one ``LabelTable`` (``load_label_table``): columns
+with one row per object. KITTI lines are split and converted in one pass
+and checked as arrays; a file that fails a check is parsed again by
+``parse_kitti_label``, which raises the per-line message. ``load_dataset``
+is the object edge: one ``ImageAnnotations`` per file, built from the table.
+
 Parsers are pure functions on input text, so per-file parsing can run
 concurrently and statistics merge associatively. Every input file of the
 toolkit is read by ``read_input``: UTF-8, with any failure to read (missing,
@@ -34,11 +40,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .geometry import Box
+from .geometry import Box, boxes_to_array, valid_boxes
 
 __all__ = [
     "Annotation",
@@ -62,6 +69,8 @@ __all__ = [
     "compute_stats",
     "stats_csv_rows",
     "load_dataset",
+    "load_label_table",
+    "LabelTable",
     "split_folds",
 ]
 
@@ -122,7 +131,8 @@ def read_input(path, error=ParseError) -> str:
     that configure a run.
     """
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
     except (OSError, ValueError) as exc:
@@ -396,48 +406,119 @@ def stats_csv_rows(stats: DatasetStats) -> list[tuple[str, float, float, int]]:
     return rows
 
 
-def _load_image(file: Path, fmt: str, image_w: float, image_h: float) -> ImageAnnotations:
-    text = read_input(file)
-    try:
-        if fmt == "voc":
-            image_w, image_h, anns = parse_voc_xml(text, file.stem)
-        else:
-            anns = parse_kitti_label(text, file.stem)
-    except ParseError as exc:
-        raise ParseError(f"{file.name}: {exc}") from None
-    return ImageAnnotations(file.stem, image_w, image_h, tuple(anns))
+class LabelTable(NamedTuple):
+    """The labels of one directory as columns, one row per object, in file and line order."""
+
+    image_ids: list[str]  # of each loaded file, in name order
+    sizes: list[tuple[float, float]]  # (image_w, image_h) of each loaded file
+    image: np.ndarray  # index into image_ids of each row
+    classes: list[str]
+    boxes: np.ndarray  # float64 [n, 4]: x1, y1, x2, y2
+    truncated: list[float]
+    occluded: list[float]  # as parsed; Annotation keeps int() of it
 
 
-def load_dataset(
-    path,
-    fmt: str,
-    image_w: float = KITTI_IMAGE_W,
-    image_h: float = KITTI_IMAGE_H,
-    skip_bad: bool = False,
-) -> tuple[list[ImageAnnotations], list[str]]:
-    """Load every annotation file of format ``fmt`` under ``path``, sorted by name.
+def _kitti_columns(texts: list[str]):
+    """File index, class, box, truncation and occlusion of each label line of ``texts``,
+    and whether the line passes the checks of ``parse_kitti_label``.
+
+    Raises ValueError when a field after the class is not numeric.
+    """
+    owner, classes, first, chunks, tokens = [], [], [], [], []
+    done = 0  # tokens converted into chunks; first: of each line's fields among all tokens
+    for k, text in enumerate(texts):
+        for fields in map(str.split, text.splitlines()):
+            if fields:
+                owner.append(k)
+                classes.append(fields[0])
+                first.append(done + len(tokens))
+                # A line of fewer than 15 fields reads as NaNs, which fail the occlusion check.
+                tokens += fields[1:] if len(fields) >= 15 else ("nan",) * 14
+        if len(tokens) >= 1 << 16:  # convert in chunks: the strings take far more memory
+            chunks.append(np.array(tokens, dtype=np.float64))
+            done, tokens = done + len(tokens), []
+    values = np.concatenate([*chunks, np.array(tokens, dtype=np.float64)])
+    columns = values[np.array(first, dtype=np.intp)[:, None] + np.arange(7)]
+    occluded, boxes = columns[:, 1], columns[:, 3:]
+    ok = np.isfinite(occluded) & valid_boxes(boxes)
+    return owner, classes, boxes, columns[:, 0].tolist(), occluded.tolist(), ok
+
+
+def load_label_table(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float = KITTI_IMAGE_H,
+                     skip_bad: bool = False) -> tuple[LabelTable, list[str]]:
+    """Load every annotation file of format ``fmt`` under ``path``, by name, as one LabelTable.
 
     ``fmt`` is ``"kitti"`` (``*.txt`` label files, all of size ``image_w`` x
     ``image_h``) or ``"voc"`` (``*.xml`` files, which carry their size).
-    Returns ``(images, skipped)``. A file that cannot be read or parsed
-    raises ParseError naming it, unless ``skip_bad`` is set, in which case
-    its message goes to ``skipped`` and loading goes on.
+    Returns ``(table, skipped)``. A file that cannot be read or parsed
+    raises ParseError naming it (the first such file by name), unless
+    ``skip_bad`` is set, in which case its message goes to ``skipped`` and
+    the file is left out. KITTI lines are checked as columns; a file that
+    fails a check is parsed again by ``parse_kitti_label`` for its message.
     """
     if fmt not in ("kitti", "voc"):
         raise ConfigError(f"unknown dataset format {fmt!r} (expected 'kitti' or 'voc')")
     directory = Path(path)
     if not directory.is_dir():
         raise ParseError(f"not a directory: {directory}")
-    images: list[ImageAnnotations] = []
-    skipped: list[str] = []
-    for file in sorted(directory.glob("*.txt" if fmt == "kitti" else "*.xml")):
+    files = sorted((p.name, str(p)) for p in directory.glob("*.txt" if fmt == "kitti" else "*.xml"))
+    ids = [name[:-4] or name for name, _ in files]  # Path.stem: a bare ".txt" keeps its name
+    sizes = [(image_w, image_h)] * len(files)
+    texts, errors = [], {}  # errors: file index -> message
+    for k, (_, file) in enumerate(files):
         try:
-            images.append(_load_image(file, fmt, image_w, image_h))
+            texts.append(read_input(file))
         except ParseError as exc:
-            if not skip_bad:
-                raise
-            skipped.append(str(exc))
-    return images, skipped
+            texts.append("")
+            errors[k] = str(exc)
+    if fmt == "voc":
+        anns = []  # (file index, annotation)
+        for k in [k for k in range(len(files)) if k not in errors]:
+            try:
+                w, h, parsed = parse_voc_xml(texts[k], ids[k])
+            except ParseError as exc:
+                errors[k] = f"{files[k][0]}: {exc}"
+                continue
+            sizes[k] = (w, h)
+            anns += [(k, a) for a in parsed]
+        owner = [k for k, _ in anns]
+        columns = ([a.class_name for _, a in anns], boxes_to_array([a.box for _, a in anns]),
+                   [a.truncated for _, a in anns], [a.occluded for _, a in anns])
+    else:
+        try:
+            owner, *columns, ok = _kitti_columns(texts)
+            suspects = sorted({owner[i] for i in np.flatnonzero(~ok)})
+        except ValueError:
+            suspects = range(len(texts))
+        for k in suspects:
+            try:
+                parse_kitti_label(texts[k], ids[k])
+            except ParseError as exc:
+                errors[k] = f"{files[k][0]}: {exc}"
+        if suspects:
+            texts = ["" if k in errors else text for k, text in enumerate(texts)]
+            owner, *columns, ok = _kitti_columns(texts)
+            if not ok.all():
+                raise AssertionError("a label line fails the column checks but parses")
+    if errors and not skip_bad:
+        raise ParseError(errors[min(errors)])
+    kept = [k for k in range(len(files)) if k not in errors]
+    table = LabelTable([ids[k] for k in kept], [sizes[k] for k in kept],
+                       np.searchsorted(kept, owner), *columns)
+    return table, [errors[k] for k in sorted(errors)]
+
+
+def load_dataset(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float = KITTI_IMAGE_H,
+                 skip_bad: bool = False) -> tuple[list[ImageAnnotations], list[str]]:
+    """``load_label_table`` as objects: ``(images, skipped)``, one ImageAnnotations per file."""
+    table, skipped = load_label_table(path, fmt, image_w, image_h, skip_bad)
+    sources = [table.image_ids[i] for i in table.image.tolist()]
+    anns = [Annotation(cls, Box(*box), truncated, int(occluded), source)
+            for cls, box, truncated, occluded, source in zip(
+                table.classes, table.boxes.tolist(), table.truncated, table.occluded, sources)]
+    ends = np.cumsum(np.bincount(table.image, minlength=len(table.image_ids))).tolist()
+    return [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
+            in zip(table.image_ids, table.sizes, [0] + ends, ends)], skipped
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,21 @@ dropped from the tally entirely.
 Equal-score detections are ordered by content (image id, then coordinates),
 never by input position, so shuffling the input cannot change any label.
 
-One matching object, the list ``match_detections`` returns, holds the labels
-and the arrays of every scope: detections are sorted once and their IoU with
-each ground-truth box of their image is computed once (``iou_matrix``
-arithmetic), keeping the pairs at or above the threshold. A width bucket only
-changes which ground truth is ignored, so bucketed AP re-runs the greedy
-assignment over those pairs alone; a fold masks the overall labels to its
-images. One routine scores the labels of any scope: PR points, AP, TP, FP.
+One matching object, built from columns, holds the labels and the arrays of
+every scope: detections are sorted once (one ``lexsort`` in the order of
+``Detection.sort_key``) and their IoU with each ground-truth box of their
+image is computed once (``iou_matrix`` arithmetic), keeping the pairs at or
+above the threshold. A width bucket only changes which ground truth is
+ignored, so bucketed AP re-runs the greedy assignment over those pairs
+alone; a fold masks the overall labels to its images. One routine scores the
+labels of any scope: PR points, AP, TP, FP.
+
+``scaledet eval`` runs on columns end to end: ``read_detection_table``
+reads a detections CSV into a ``DetectionTable`` and ``evaluate_tables``
+scores it against a ``LabelTable``. ``read_detections_csv``,
+``match_detections`` and ``evaluate_detections`` are the object edge over
+the same core: they turn ``Detection`` and ``Annotation`` lists into
+columns, or columns into objects.
 
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR
@@ -28,15 +36,17 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import Annotation, check_edges, read_csv_rows, write_output
+from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, check_edges, read_csv_rows,
+                       write_output)
 from .errors import ConfigError, ParseError
-from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou
+from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
 
 __all__ = [
     "Detection",
@@ -55,6 +65,9 @@ __all__ = [
     "aggregate_folds",
     "read_detections_csv",
     "write_detections_csv",
+    "DetectionTable",
+    "evaluate_tables",
+    "read_detection_table",
 ]
 
 TP = "tp"
@@ -116,50 +129,71 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     return kept
 
 
+class DetectionTable(NamedTuple):
+    """Detections as columns, one row per detection, in input order."""
+
+    image_ids: list[str]
+    classes: list[str]
+    boxes: np.ndarray  # float64 [n, 4]: x1, y1, x2, y2
+    scores: np.ndarray  # float64
+
+
+def _rank(values: list[str]) -> np.ndarray:
+    """Rank of each string in Python's order (numpy strings drop trailing NULs)."""
+    rank = {value: k for k, value in enumerate(sorted(set(values)))}
+    return np.array([rank[value] for value in values], dtype=np.intp)
+
+
 class _Matching(list):
-    """``match_detections`` output: ``(detection, label)`` in score order.
+    """One matching, from columns; ``match_detections`` fills the list with ``(detection, label)``.
 
     It keeps the arrays that every scope scores from: the image code of each
     detection and ground-truth box, the DontCare flags, the ground-truth
-    boxes and the label ``code`` of each detection. The candidates are the
-    same-image (detection, ground truth) pairs with IoU at or above the
-    threshold, as flat arrays ordered by detection, then ground-truth index.
-    The threshold is above 0, so a detection can only claim, or be absorbed
-    by, a candidate; a strict-``>`` scan of its untaken candidates in index
-    order picks the box that a scan of all its image's boxes would.
+    boxes, and the input row (``order``) and label ``code`` of each detection
+    in score order. The candidates are the same-image (detection, ground
+    truth) pairs with IoU at or above the threshold, as flat arrays ordered
+    by detection, then ground-truth index. The threshold is above 0, so a
+    detection can only claim, or be absorbed by, a candidate; a strict-``>``
+    scan of its untaken candidates in index order picks the box that a scan
+    of all its image's boxes would.
     """
 
-    def __init__(self, dets: list[Detection], gts: list[Annotation], iou_threshold: float):
+    def __init__(self, dets: DetectionTable, gt_ids: list[str], gt_image: np.ndarray,
+                 gt_boxes: np.ndarray, dontcare: np.ndarray, iou_threshold: float):
+        """Ground-truth row ``i`` is of image ``gt_ids[gt_image[i]]``; equal ids are one image."""
         if not 0 < iou_threshold <= 1:
             raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
-        dets = sorted(dets, key=Detection.sort_key)
         ids: dict[str, int] = {}
-        self.gt_image, self.det_image = (
-            np.array([ids.setdefault(image, len(ids)) for image in column], dtype=np.intp)
-            for column in ([g.source_image for g in gts], [d.image_id for d in dets]))
+        gt_code, det_code = (np.array([ids.setdefault(image, len(ids)) for image in column],
+                                      dtype=np.intp) for column in (gt_ids, dets.image_ids))
         self.images = list(ids)  # image id of each code
-        self.dontcare = np.array([g.is_dontcare for g in gts], dtype=bool)
+        # Detection.sort_key: score descending, then image id, corners and class.
+        # lexsort is stable, and ties -0.0 with 0.0 as Python does.
+        self.order = np.lexsort((_rank(dets.classes), *dets.boxes.T[::-1],
+                                 _rank(self.images)[det_code], -dets.scores))
+        self.gt_image, self.det_image = gt_code[gt_image], det_code[self.order]
+        self.dontcare = dontcare
         by_image = np.argsort(self.gt_image, kind="stable")
         per_image = np.bincount(self.gt_image, minlength=len(ids))
         first = np.cumsum(per_image) - per_image  # of each image's run in by_image
-        det_boxes = boxes_to_array([d.box for d in dets])
-        self.gt_boxes = boxes_to_array([g.box for g in gts])
+        det_boxes = dets.boxes[self.order]
+        self.gt_boxes = gt_boxes
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        for lo in range(0, len(dets), _PAIR_BATCH):
+        for lo in range(0, len(self.det_image), _PAIR_BATCH):
             image = self.det_image[lo : lo + _PAIR_BATCH]
             n = per_image[image]
             det = np.repeat(np.arange(lo, lo + len(image)), n)
             gt = by_image[np.repeat(first[image] - (np.cumsum(n) - n), n) + np.arange(len(det))]
-            value = paired_iou(det_boxes[det], self.gt_boxes[gt])
+            value = paired_iou(det_boxes[det], gt_boxes[gt])
             keep = value >= iou_threshold
             parts.append((det[keep], gt[keep], value[keep]))
         self.det, self.gt, self.iou = (np.concatenate(column) for column in zip(*parts))
         # The scalar ``iou`` defines matching; a candidate whose vectorized IoU
         # differs from it in any bit would mean the arithmetic has drifted.
-        if len(self.det) and iou(dets[self.det[0]].box, gts[self.gt[0]].box) != self.iou[0]:
+        if len(self.det) and iou(Box(*det_boxes[self.det[0]].tolist()),
+                                 Box(*gt_boxes[self.gt[0]].tolist())) != self.iou[0]:
             raise AssertionError("paired_iou disagrees with geometry.iou")
         self.code = self.labels(self.dontcare)
-        super().__init__(zip(dets, [_LABELS[c] for c in self.code.tolist()]))
 
     def labels(self, ignore: np.ndarray) -> np.ndarray:
         """Label codes, in score order, when the ground truth flagged in ``ignore`` is ignored."""
@@ -199,12 +233,21 @@ def match_detections(
     ignore set. Ground truth and detections are paired within the same
     image only.
     """
-    return _Matching(dets, gts, iou_threshold)
+    table = DetectionTable([d.image_id for d in dets], [d.class_name for d in dets],
+                           boxes_to_array([d.box for d in dets]),
+                           np.array([d.score for d in dets], dtype=np.float64))
+    matching = _Matching(table, [g.source_image for g in gts], np.arange(len(gts)),
+                         boxes_to_array([g.box for g in gts]),
+                         np.array([g.is_dontcare for g in gts], dtype=bool), iou_threshold)
+    matching.extend(zip([dets[i] for i in matching.order.tolist()],
+                        [_LABELS[c] for c in matching.code.tolist()]))
+    return matching
 
 
 def pr_curve(tp_flags: list[bool], total_gt: int) -> list[tuple[float, float]]:
     """(recall, precision) after each detection, ordered by ascending recall."""
-    return _score(np.where(tp_flags, _TP, _FP), total_gt, "all-point")[0]
+    recall, precision = _score(np.where(tp_flags, _TP, _FP), total_gt, "all-point")[:2]
+    return list(zip(recall.tolist(), precision.tolist()))
 
 
 def average_precision(tp_flags: list[bool], total_gt: int, mode: str = "all-point") -> float:
@@ -216,7 +259,7 @@ def average_precision(tp_flags: list[bool], total_gt: int, mode: str = "all-poin
     degenerate denominator).
     """
     _check_mode(mode)
-    return _score(np.where(tp_flags, _TP, _FP), total_gt, mode)[1]
+    return _score(np.where(tp_flags, _TP, _FP), total_gt, mode)[2]
 
 
 def _check_mode(mode: str) -> None:
@@ -225,7 +268,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _score(code: np.ndarray, total_gt: int, mode: str):
-    """PR points, AP, TP and FP of score-ordered label codes; ignored ones are dropped.
+    """Recall and precision arrays, AP, TP and FP of score-ordered codes; ignored ones drop.
 
     Recall and precision come from one running TP count. The precision
     envelope is a right-to-left running max over the points framed by
@@ -238,16 +281,15 @@ def _score(code: np.ndarray, total_gt: int, mode: str):
     n = len(running_tp)
     recall = running_tp / total_gt if total_gt > 0 else np.zeros(n)
     precision = running_tp / np.arange(1, n + 1)
-    points = list(zip(recall.tolist(), precision.tolist()))
     tp = int(running_tp[-1]) if n else 0
     if total_gt == 0 or n == 0:
-        return points, 0.0, tp, n - tp
+        return recall, precision, 0.0, tp, n - tp
     envelope = np.maximum.accumulate(np.concatenate((precision, [0.0]))[::-1])[::-1]
     if mode == "11-point":
         terms = envelope[np.searchsorted(recall, np.arange(11) / 10)]
-        return points, float(np.cumsum(terms)[-1]) / 11, tp, n - tp
+        return recall, precision, float(np.cumsum(terms)[-1]) / 11, tp, n - tp
     steps = np.diff(np.concatenate(([0.0], recall, [1.0])))
-    return points, float(np.cumsum(steps * envelope)[-1]), tp, n - tp
+    return recall, precision, float(np.cumsum(steps * envelope)[-1]), tp, n - tp
 
 
 @dataclass(frozen=True)
@@ -274,7 +316,6 @@ class EvalReport:
     fp: int
     total_gt: int
     zero_gt: bool
-    matches: tuple[tuple[Detection, str], ...]  # every detection with its label, in score order
     per_fold: tuple[tuple[str, EvalReport], ...] = ()  # (fold id, report), by fold id
 
 
@@ -292,7 +333,7 @@ def scale_bucketed_ap(
     without ground truth report ``ap=None`` rather than 0.
     """
     _check_mode(mode)
-    return _bucket_aps(_Matching(dets, gts, iou_threshold), bucket_edges, mode)
+    return _bucket_aps(match_detections(dets, gts, iou_threshold), bucket_edges, mode)
 
 
 def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
@@ -305,7 +346,7 @@ def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
         if total_gt == 0:
             results.append(BucketAP(lo, hi, None, 0, 0, 0))
             continue
-        ap, tp, fp = _score(matching.labels(ignore), total_gt, mode)[1:]
+        ap, tp, fp = _score(matching.labels(ignore), total_gt, mode)[2:]
         results.append(BucketAP(lo, hi, ap, tp, fp, total_gt))
     return results
 
@@ -328,19 +369,44 @@ def evaluate_detections(
     report, equal to this evaluation without buckets on the fold's images,
     masks the overall labels to the fold's detections and ground truth.
     """
-    _check_mode(mode)
-    if iou_threshold is None:
-        iou_threshold = default_iou_threshold(class_name)
+    iou_threshold = _threshold(class_name, iou_threshold, mode)
     class_dets = [d for d in dets if d.class_name == class_name]
     class_gts = [g for g in gts if g.class_name == class_name or g.is_dontcare]
     matching = match_detections(class_dets, class_gts, iou_threshold)
+    return _report(matching, class_name, iou_threshold, mode, bucket_edges, folds)
+
+
+def evaluate_tables(dets: DetectionTable, labels: LabelTable, class_name: str = "Car",
+                    iou_threshold: float | None = None, mode: str = "all-point",
+                    bucket_edges=None, folds: dict[str, str] | None = None) -> EvalReport:
+    """``evaluate_detections`` on the rows of two tables, building no per-box objects."""
+    iou_threshold = _threshold(class_name, iou_threshold, mode)
+    rows = np.flatnonzero([c == class_name for c in dets.classes])
+    dontcare = np.array([c == DONTCARE_CLASS for c in labels.classes], dtype=bool)
+    gt_rows = np.flatnonzero(np.array([c == class_name for c in labels.classes], bool) | dontcare)
+    class_dets = DetectionTable([dets.image_ids[i] for i in rows.tolist()],
+                                [class_name] * len(rows), dets.boxes[rows], dets.scores[rows])
+    matching = _Matching(class_dets, labels.image_ids, labels.image[gt_rows],
+                         labels.boxes[gt_rows], dontcare[gt_rows], iou_threshold)
+    return _report(matching, class_name, iou_threshold, mode, bucket_edges, folds)
+
+
+def _threshold(class_name: str, iou_threshold: float | None, mode: str) -> float:
+    """The matching IoU threshold, the class default when None, once ``mode`` is checked."""
+    _check_mode(mode)
+    return default_iou_threshold(class_name) if iou_threshold is None else iou_threshold
+
+
+def _report(matching: _Matching, class_name, iou_threshold, mode, bucket_edges, folds):
+    """The EvalReport of every scope of one class's matching."""
     counted = ~matching.dontcare
 
     def report(det_mask, gt_mask, per_bucket=(), per_fold=()) -> EvalReport:
         total_gt = int(np.count_nonzero(gt_mask & counted))
-        points, ap, tp, fp = _score(matching.code[det_mask], total_gt, mode)
-        return EvalReport(class_name, iou_threshold, mode, tuple(points), ap, per_bucket, tp, fp,
-                          total_gt, total_gt == 0, tuple(compress(matching, det_mask)), per_fold)
+        recall, precision, ap, tp, fp = _score(matching.code[det_mask], total_gt, mode)
+        points = tuple(zip(recall.tolist(), precision.tolist()))
+        return EvalReport(class_name, iou_threshold, mode, points, ap, per_bucket, tp, fp,
+                          total_gt, total_gt == 0, per_fold)
 
     per_bucket = () if bucket_edges is None else tuple(_bucket_aps(matching, bucket_edges, mode))
     per_fold = ()
@@ -352,7 +418,8 @@ def evaluate_detections(
         det_fold, gt_fold = fold[matching.det_image], fold[matching.gt_image]
         per_fold = tuple((name, report(det_fold == k, gt_fold == k))
                          for k, name in enumerate(names))
-    return report(np.ones(len(matching), bool), np.ones(len(counted), bool), per_bucket, per_fold)
+    return report(np.ones(len(matching.code), bool), np.ones(len(counted), bool),
+                  per_bucket, per_fold)
 
 
 @dataclass(frozen=True)
@@ -388,13 +455,33 @@ def write_detections_csv(path, dets: list[Detection]) -> None:
     write_output(path, rows, DETECTIONS_CSV_HEADER)
 
 
-def read_detections_csv(path) -> list[Detection]:
-    """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score)."""
-    dets: list[Detection] = []
+def read_detection_table(path) -> DetectionTable:
+    """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score) into columns.
+
+    The values are checked as columns. On any fault the file is read again
+    one ``Detection`` per row, so the first faulty line raises ParseError.
+    """
+    image_ids, classes, numbers = [], [], []
+    try:
+        for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
+            image_ids.append(row[0])
+            classes.append(row[1])
+            numbers += row[2:]
+        values = np.array(numbers, dtype=np.float64).reshape(-1, 5)
+        if (valid_boxes(values[:, :4]) & np.isfinite(values[:, 4])).all():
+            return DetectionTable(image_ids, classes, values[:, :4], values[:, 4])
+    except ValueError:  # ParseError included
+        pass
     for lineno, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
         try:
-            box = Box(float(row[2]), float(row[3]), float(row[4]), float(row[5]))
-            dets.append(Detection(row[0], row[1], box, float(row[6])))
+            Detection(row[0], row[1], Box(*map(float, row[2:6])), float(row[6]))
         except ValueError as exc:
             raise ParseError(f"{Path(path).name}: line {lineno}: {exc}") from None
-    return dets
+    raise AssertionError(f"{path}: a row fails the column checks but makes a Detection")
+
+
+def read_detections_csv(path) -> list[Detection]:
+    """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score)."""
+    t = read_detection_table(path)
+    return [Detection(*row) for row in zip(
+        t.image_ids, t.classes, (Box(*box) for box in t.boxes.tolist()), t.scores.tolist())]

@@ -25,6 +25,7 @@ __all__ = [
     "iou_matrix",
     "paired_iou",
     "boxes_to_array",
+    "valid_boxes",
 ]
 
 
@@ -38,15 +39,14 @@ class Box:
     y2: float
 
     def __post_init__(self) -> None:
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in coords):
-            raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
-        if self.x2 <= self.x1 or self.y2 <= self.y1:
-            raise InvalidBoxError(
-                f"degenerate box: need x2 > x1 and y2 > y1, got {coords}"
-            )
+        x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
+        for c in coords:
+            if not (isinstance(c, (int, float)) and math.isfinite(c)):
+                raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+        if x2 <= x1 or y2 <= y1:
+            raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
         # Finite corners can still span an infinite width, height or area.
-        if not math.isfinite((self.x2 - self.x1) * (self.y2 - self.y1)):
+        if not math.isfinite((x2 - x1) * (y2 - y1)):
             raise InvalidBoxError(f"box extent must be finite, got {coords}")
 
     @property
@@ -132,3 +132,11 @@ def boxes_to_array(boxes) -> np.ndarray:
     if not boxes:
         return np.zeros((0, 4), dtype=np.float64)
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
+
+
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Whether ``Box`` accepts each row of an (N, 4) float array, as a bool array."""
+    x1, y1, x2, y2 = boxes.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (np.isfinite(boxes).all(axis=1) & (x2 > x1) & (y2 > y1)
+                & np.isfinite((x2 - x1) * (y2 - y1)))

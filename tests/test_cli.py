@@ -13,6 +13,7 @@ from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
 from scaledet.cli import SETTINGS, main
 from scaledet.datasets import load_dataset
 from scaledet.evaluation import evaluate_detections, read_detections_csv
+from scaledet.geometry import Box
 from scaledet.simulate import _PROFILE_KEYS
 from scaledet.svgplot import bar_chart, line_chart
 
@@ -415,6 +416,30 @@ class TestSimulateAndEval:
             assert [ap, tp, fp, total_gt, n_images] == [
                 repr(want.ap), str(want.tp), str(want.fp), str(want.total_gt), str(len(fold))
             ]
+
+    def test_eval_builds_no_box_per_row(self, tmp_path, monkeypatch):
+        # Labels and detections are read and matched as columns: the Box
+        # objects eval builds do not grow with the label rows or detections.
+        profile = self._profile(tmp_path, "detect_prob=0:0.8\nfp_per_image=2\nseed=3\n")
+        built = []
+        for n_images in (4, 16):
+            labels, sim_out = tmp_path / f"labels{n_images}", tmp_path / f"sim{n_images}"
+            write_kitti_dataset(labels, synthetic_vehicle_dataset(seed=5, n_images=n_images))
+            assert main(["simulate", str(labels), str(profile), "--out", str(sim_out)]) == 0
+            count = 0
+            post_init = Box.__post_init__
+
+            def counted(box):
+                nonlocal count
+                count += 1
+                post_init(box)
+
+            monkeypatch.setattr(Box, "__post_init__", counted)
+            assert main(["eval", str(labels), str(sim_out / "detections.csv"),
+                         "--out", str(tmp_path / f"eval{n_images}")]) == 0
+            monkeypatch.undo()
+            built.append(count)
+        assert built[0] == built[1] <= 2
 
     def test_fold_without_ground_truth_warns(self, tmp_path, capsys):
         d = tmp_path / "one"

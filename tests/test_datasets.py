@@ -6,18 +6,22 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaledet
 from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, kitti_label_line
+from scaledet.cli import main
 from scaledet.datasets import (
     DEFAULT_WIDTH_BIN_EDGES,
     Annotation,
+    ImageAnnotations,
     check_edges,
     compute_stats,
     load_dataset,
+    load_label_table,
     make_histogram,
     parse_kitti_label,
     parse_voc_xml,
@@ -29,7 +33,7 @@ from scaledet.datasets import (
 )
 from scaledet.errors import ConfigError, ParseError
 from scaledet.evaluation import read_detections_csv
-from scaledet.geometry import Box
+from scaledet.geometry import Box, boxes_to_array
 from scaledet.simulate import read_key_values
 
 
@@ -263,6 +267,57 @@ class TestStats:
         assert math.isinf(DEFAULT_WIDTH_BIN_EDGES[-1])
 
 
+def per_file_loader(directory, skip_bad):
+    """Reference KITTI loader: read and parse each file in name order, one at a time."""
+    images, skipped = [], []
+    for file in sorted(directory.glob("*.txt")):
+        try:
+            text = read_input(file)
+            try:
+                anns = parse_kitti_label(text, file.stem)
+            except ParseError as exc:
+                raise ParseError(f"{file.name}: {exc}") from None
+        except ParseError as exc:
+            if not skip_bad:
+                raise
+            skipped.append(str(exc))
+            continue
+        images.append(ImageAnnotations(file.stem, 1392.0, 512.0, tuple(anns)))
+    return images, skipped
+
+
+# Field values that break a KITTI line in each way parse_kitti_label checks
+# (not numeric, a non-finite occlusion or corner, a degenerate box, an
+# infinite extent; x2 of the base line is 614.12), and values that only
+# Python's float reads ("1_0", an Arabic digit) or that must keep their sign.
+FIELD_VALUES = ["-0.0", "0", "1_0", "\u0663", "x", "1\x00", "nan", "inf", "-1e308", "1e308", "600"]
+
+
+@st.composite
+def label_line(draw):
+    fields = KITTI_LINE.split() + draw(st.sampled_from([[], ["0.87"], ["0.87", "x"]]))
+    fields[0] = draw(st.sampled_from(["Car", "DontCare", "Van", "0"]))
+    for _ in range(draw(st.integers(0, 2))):
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(FIELD_VALUES))
+    if draw(st.integers(0, 7)) == 0:
+        fields = fields[: draw(st.integers(0, 14))]
+    return draw(st.sampled_from([" ", "\t", "  "])).join(fields)
+
+
+@st.composite
+def label_file(draw):
+    """(name, bytes); None for a directory of that name."""
+    name = draw(st.sampled_from(["000000.txt", "000001.txt", "a.txt", ".txt", "..txt",
+                                 "b.xml", "c.TXT"]))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return name, None
+    if kind == 1:
+        return name, b"Car \xff\n"
+    lines = draw(st.lists(st.one_of(label_line(), st.just("")), max_size=4))
+    return name, "\n".join(lines).encode()
+
+
 class TestLoaders:
     def test_kitti_dir(self, kitti_dir):
         images, skipped = load_dataset(kitti_dir, "kitti")
@@ -311,6 +366,40 @@ class TestLoaders:
     def test_unknown_format(self, kitti_dir):
         with pytest.raises(ConfigError, match="unknown dataset format"):
             load_dataset(kitti_dir, "coco")
+
+    @given(st.lists(label_file(), max_size=6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_table_equals_per_file_loader(self, tmp_path_factory, files, skip_bad):
+        # Files of good and bad lines of every kind, unreadable files, dot
+        # files and a directory named like a label file, against the loader
+        # that reads and parses one file at a time.
+        d = tmp_path_factory.mktemp("labels")
+        for name, content in dict(files).items():
+            if content is None:
+                (d / name).mkdir()
+            else:
+                (d / name).write_bytes(content)
+        try:
+            want = per_file_loader(d, skip_bad)
+        except ParseError as exc:
+            for load in (load_label_table, load_dataset):
+                with pytest.raises(ParseError) as info:
+                    load(d, "kitti", skip_bad=skip_bad)
+                assert str(info.value) == str(exc)
+            assert main(["stats", str(d), "--out", str(d / "out")]) == 2
+            return
+        table, skipped = load_label_table(d, "kitti", skip_bad=skip_bad)
+        assert repr(load_dataset(d, "kitti", skip_bad=skip_bad)) == repr(want)  # NaN, -0.0
+        images, want_skipped = want
+        assert skipped == want_skipped
+        anns = [a for image in images for a in image.annotations]
+        assert table.image_ids == [image.image_id for image in images]
+        assert table.classes == [a.class_name for a in anns]
+        assert table.boxes.tobytes() == boxes_to_array([a.box for a in anns]).tobytes()
+        truncated = np.array([a.truncated for a in anns], dtype=float)
+        assert np.array(table.truncated, dtype=float).tobytes() == truncated.tobytes()
+        assert [int(v) for v in table.occluded] == [a.occluded for a in anns]
+        assert [table.image_ids[i] for i in table.image] == [a.source_image for a in anns]
 
 
 class TestReaders:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scaledet.datasets import Annotation
+from conftest import kitti_label_line
+from scaledet.cli import main
+from scaledet.datasets import Annotation, load_dataset, read_csv_rows
 from scaledet.errors import ConfigError, ParseError
 from scaledet.evaluation import (
+    DETECTIONS_CSV_HEADER,
     FP,
     IGNORED,
     TP,
@@ -20,12 +23,13 @@ from scaledet.evaluation import (
     match_detections,
     nms,
     pr_curve,
+    read_detection_table,
     read_detections_csv,
     scale_bucketed_ap,
     write_detections_csv,
 )
 from scaledet.evaluation import _LABELS as LABELS
-from scaledet.geometry import Box, iou
+from scaledet.geometry import Box, boxes_to_array, iou
 
 
 def det(x1, y1, x2, y2, score, image="i0", cls="Car"):
@@ -303,6 +307,11 @@ class TestMatching:
             assert shuffled == base  # identical content order, identical labels
 
 
+def _cells(*values):
+    """CSV cells as the writer formats them: a number as its repr, None as empty."""
+    return ["" if v is None else repr(v) for v in values]
+
+
 class TestMatchingKernel:
     """The candidate-pair kernel against the step-by-step oracle."""
 
@@ -347,8 +356,10 @@ class TestMatchingKernel:
     def test_fold_slices_equal_fold_evaluation(self, dets, gts, threshold, folds, mode, cls):
         fold_of = {image: f for image, f in zip(DET_IMAGES + ["d"], folds) if f is not None}
         report = evaluate_detections(dets, gts, cls, threshold, mode, folds=fold_of)
-        assert [d for d, _ in report.matches] == sorted(
-            [d for d in dets if d.class_name == cls], key=Detection.sort_key
+        class_dets = [d for d in dets if d.class_name == cls]
+        class_gts = [g for g in gts if g.class_name == cls or g.is_dontcare]
+        assert [d for d, _ in match_detections(class_dets, class_gts, threshold)] == sorted(
+            class_dets, key=Detection.sort_key
         )
         assert dataclasses.replace(report, per_fold=()) == evaluate_detections(
             dets, gts, cls, threshold, mode)
@@ -360,6 +371,53 @@ class TestMatchingKernel:
                 [g for g in gts if g.source_image in images],
                 cls, threshold, mode,
             )
+
+    @given(st.lists(st.builds(
+        Detection, st.sampled_from(["a", "a\x00", "b", ""]), st.sampled_from(["Car", "Car\x00"]),
+        st.sampled_from([Box(0.0, 0, 1, 1), Box(-0.0, 0, 1, 1), Box(0, -0.0, 1, 1),
+                         Box(0, 0, 2, 1)]),
+        st.sampled_from([0.5, 0.0, -0.0, 1])), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_score_order_is_sort_key_order(self, dets):
+        # Ties, -0.0 against 0.0, and ids and classes that differ only by a
+        # trailing NUL (numpy strings would drop it); equal keys keep input order.
+        got = [d for d, _ in match_detections(dets, [], 0.5)]
+        assert [id(d) for d in got] == [id(d) for d in sorted(dets, key=Detection.sort_key)]
+
+    @given(detections, ground_truth, THRESHOLDS, st.sampled_from(["all-point", "11-point"]),
+           st.sampled_from(["Car", "Van"]), st.lists(st.sampled_from(["f0", "f1"]), min_size=3,
+                                                   max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_cli_artifacts_equal_object_evaluation(self, tmp_path_factory, dets, gts, threshold,
+                                                   mode, cls, folds):
+        root = tmp_path_factory.mktemp("eval")
+        (root / "labels").mkdir()
+        for image in GT_IMAGES + ["e"]:  # "e": a label file with no objects
+            lines = [kitti_label_line(g) for g in gts if g.source_image == image]
+            (root / "labels" / f"{image}.txt").write_text("\n".join(lines))
+        write_detections_csv(root / "dets.csv", dets)
+        fold_of = dict(zip(DET_IMAGES, folds))
+        (root / "folds.csv").write_text(
+            "image_id,fold_id\n" + "".join(f"{i},{f}\n" for i, f in fold_of.items()))
+        edges = (0, 5, 10.5, math.inf)
+        assert main(["eval", str(root / "labels"), str(root / "dets.csv"), "--class", cls,
+                     "--iou", repr(threshold), "--mode", mode, "--buckets", "0,5,10.5,inf",
+                     "--folds", str(root / "folds.csv"), "--out", str(root / "out")]) == 0
+        images, _ = load_dataset(root / "labels", "kitti")
+        want = evaluate_detections(read_detections_csv(root / "dets.csv"),
+                                   [a for image in images for a in image.annotations],
+                                   cls, threshold, mode, edges, fold_of)
+        out = {name: list(read_csv_rows(root / "out" / name, header))
+               for name, header in (("pr.csv", ("recall", "precision")),
+                                    ("ap.csv", ("scope", "bucket_lo", "bucket_hi", "ap", "tp",
+                                                "fp", "total_gt")),
+                                    ("folds.csv", ("fold_id", "ap", "tp", "fp", "total_gt",
+                                                   "images")))}
+        assert [row for _, row in out["pr.csv"]] == [_cells(r, p) for r, p in want.pr_points]
+        assert [row[3:] for _, row in out["ap.csv"]] == [
+            _cells(r.ap, r.tp, r.fp, r.total_gt) for r in (want, *want.per_bucket)]
+        assert [row[:5] for _, row in out["folds.csv"]][:-1] == [
+            [fold, *_cells(r.ap, r.tp, r.fp, r.total_gt)] for fold, r in want.per_fold]
 
     @given(detections, st.sampled_from([0.25, 1 / 3, 0.5, 0.7]))
     @settings(max_examples=200, deadline=None)
@@ -391,7 +449,8 @@ class TestMatchingKernel:
         assert match_detections([], [], 0.5) == []
         assert match_detections([det(0, 0, 10, 10, 0.9)], [], 0.5)[0][1] == FP
         report = evaluate_detections([], [gt(0, 0, 10, 10)], bucket_edges=(0, math.inf))
-        assert (report.ap, report.tp, report.fp, report.matches) == (0.0, 0, 0, ())
+        assert (report.ap, report.tp, report.fp, report.pr_points) == (0.0, 0, 0, ())
+        assert match_detections([], [gt(0, 0, 10, 10)], 0.7) == []
 
 
 class TestAveragePrecision:
@@ -584,6 +643,35 @@ class TestFolds:
             aggregate_folds([0.5, 1.2])
 
 
+def per_row_reader(path):
+    """Reference detections reader: one Detection per row, in file order."""
+    dets = []
+    for lineno, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
+        try:
+            box = Box(float(row[2]), float(row[3]), float(row[4]), float(row[5]))
+            dets.append(Detection(row[0], row[1], box, float(row[6])))
+        except ValueError as exc:
+            raise ParseError(f"{path.name}: line {lineno}: {exc}") from None
+    return dets
+
+
+@st.composite
+def detection_row(draw):
+    """A detections CSV row, mostly good: FIELD_FAULTS in its values, or too few columns."""
+    fields = ["a", "Car", "0", "0", "10", "10", "0.5"]
+    fields[0] = draw(st.sampled_from(["a", "a\x00", '"b,c"', "d"]))
+    for _ in range(draw(st.integers(0, 2))):
+        fields[draw(st.integers(2, 6))] = draw(st.sampled_from(FIELD_FAULTS))
+    if draw(st.integers(0, 9)) == 0:
+        fields = fields[: draw(st.integers(1, 6))]
+    return ",".join(fields)
+
+
+# Values that make a detections row fail each check of Detection and Box, or
+# that only Python's float reads ("1_0"), plus -0.0 and large finite values.
+FIELD_FAULTS = ["x", "nan", "inf", "-0.0", "1_0", "1e308", "-1e308", "5", "20", ""]
+
+
 class TestDetectionsCsv:
     def test_round_trip(self, tmp_path):
         dets = [det(0.5, 1.25, 10.75, 20.0, 0.875), det(3, 4, 5, 6, 0.25, image="z9")]
@@ -603,3 +691,28 @@ class TestDetectionsCsv:
         path.write_text("image_id,class,x1,y1,x2,y2,score\ni0,Car,0,0,ten,10,0.5\n")
         with pytest.raises(ParseError, match="line 2"):
             read_detections_csv(path)
+
+    @given(st.lists(st.one_of(st.just(""), detection_row()), max_size=6),
+           st.sampled_from(["image_id,class,x1,y1,x2,y2,score", "image_id,class"]))
+    @settings(max_examples=300, deadline=None)
+    def test_table_equals_per_row_reader(self, tmp_path_factory, rows, header):
+        root = tmp_path_factory.mktemp("dets")
+        path = root / "dets.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        try:
+            want = per_row_reader(path)
+        except ParseError as exc:
+            for read in (read_detection_table, read_detections_csv):
+                with pytest.raises(ParseError) as info:
+                    read(path)
+                assert str(info.value) == str(exc)
+            (root / "labels").mkdir()
+            (root / "labels" / "a.txt").write_text(kitti_label_line(gt(0, 0, 10, 10, "a")))
+            assert main(["eval", str(root / "labels"), str(path), "--out", str(root / "o")]) == 2
+            return
+        table = read_detection_table(path)
+        assert read_detections_csv(path) == want
+        assert table.image_ids == [d.image_id for d in want]
+        assert table.classes == [d.class_name for d in want]
+        assert table.boxes.tobytes() == boxes_to_array([d.box for d in want]).tobytes()
+        assert table.scores.tobytes() == np.array([d.score for d in want], dtype=float).tobytes()

@@ -12,6 +12,7 @@ from scaledet.geometry import (
     iou,
     iou_matrix,
     paired_iou,
+    valid_boxes,
 )
 
 
@@ -95,6 +96,41 @@ class TestBox:
         # Finite corners whose width, height or area overflows to inf.
         with pytest.raises(InvalidBoxError, match="extent"):
             Box(*coords)
+
+    @given(st.lists(st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 1e200]),
+        st.integers(-3, 3), st.just(10**400), st.booleans(),
+        st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+        st.builds(np.int64, st.integers(-3, 3)), st.sampled_from(["1", None]),
+    ), min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_checks_equal_the_generator_form(self, coords):
+        # The checks, their order and their messages are those of the
+        # all(...) form they replace; valid_boxes agrees on float rows.
+        assert _outcome(Box, coords) == _outcome(_generator_box_check, coords)
+        if all(type(c) is float for c in coords):
+            accepted = _outcome(Box, coords) is None
+            assert bool(valid_boxes(np.array([coords]))[0]) == accepted
+
+
+def _generator_box_check(x1, y1, x2, y2):
+    """The box check as written before, with the generator inside all(...)."""
+    coords = (x1, y1, x2, y2)
+    if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in coords):
+        raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+    if x2 <= x1 or y2 <= y1:
+        raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
+    if not math.isfinite((x2 - x1) * (y2 - y1)):
+        raise InvalidBoxError(f"box extent must be finite, got {coords}")
+
+
+def _outcome(check, coords):
+    """None when ``check`` accepts ``coords``, else the type and text of what it raised."""
+    try:
+        check(*coords)
+    except Exception as exc:  # OverflowError and TypeError included
+        return type(exc), str(exc)
+    return None
 
 
 class TestIoU:
