@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .datasets import DEFAULT_WIDTH_BIN_EDGES, ImageAnnotations, bin_index, check_edges
+from .datasets import DEFAULT_WIDTH_BIN_EDGES, as_label_table, bin_index, check_edges
 from .errors import ConfigError
-from .geometry import Box, boxes_to_array
 # Unused here; scalebench's tracer test still patches anchors.iou_matrix.
 from .geometry import iou_matrix  # noqa: F401
 
@@ -67,6 +67,10 @@ class AnchorConfig:
             raise ConfigError(f"ratios must be non-empty, finite and positive, got {self.ratios}")
         if not _positive(self.stride):
             raise ConfigError(f"stride must be finite and positive, got {self.stride}")
+        for (w, h), (s, r) in zip(anchor_shapes(self), product(self.scales, self.ratios)):
+            if not math.isfinite(w * h):  # as for a Box, finite sides can span an infinite area
+                raise ConfigError(f"the anchor of scale {s!r} and ratio {r!r} is {w!r} x {h!r} "
+                                  "px, whose area is not finite")
 
     @property
     def k(self) -> int:
@@ -283,17 +287,18 @@ class CoverageReport:
 
 def coverage(
     config: AnchorConfig,
-    dataset: list[ImageAnnotations],
+    dataset,
     thresholds=(0.5, 0.7),
     buckets=DEFAULT_WIDTH_BIN_EDGES,
     class_filter: str | None = None,
 ) -> CoverageReport:
     """Best-anchor recall over a dataset, overall and per width bucket.
 
-    The search runs against the unclipped anchor tiling (or the
-    border-filtered one when the config says so). DontCare regions never
-    count as ground truth. Thresholds must lie in (0, 1]; buckets follow the
-    open-ended binning used by the dataset statistics.
+    ``dataset`` is a LabelTable or what ``as_label_table`` takes. The search
+    runs on the boxes of its counted rows (never DontCare), by image size,
+    against the unclipped anchor tiling (or the border-filtered one when the
+    config says so); anchors per image average over every image. Thresholds
+    must lie in (0, 1]; buckets follow the binning of the dataset statistics.
 
     The best anchor of each box comes from a windowed search of the grid
     rather than an IoU matrix over every tiled anchor. For one anchor shape
@@ -320,48 +325,46 @@ def coverage(
         raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thresholds}")
     edges = check_edges(buckets)
 
-    grids: dict[tuple[float, float], _AnchorGrid] = {}
-    anchor_counts: list[int] = []
-    gts: list[tuple[str, Box]] = []  # (image_id, box) in dataset order
-    by_size: dict[tuple[float, float], list[int]] = {}
-    for image in dataset:
-        size = (float(image.image_w), float(image.image_h))
-        if size not in grids:
-            grids[size] = _AnchorGrid(config, *size)
-        anchor_counts.append(grids[size].anchor_count)
-        for a in image.annotations:
-            if not a.is_dontcare and (class_filter is None or a.class_name == class_filter):
-                by_size.setdefault(size, []).append(len(gts))
-                gts.append((image.image_id, a.box))
+    table = as_label_table(dataset)
+    size_code: dict[tuple[float, float], int] = {}  # image size -> its grid, in first-seen order
+    image_size = np.array([size_code.setdefault((float(w), float(h)), len(size_code))
+                           for w, h in table.sizes], dtype=np.intp)
+    grids = [_AnchorGrid(config, *size) for size in size_code]
+    anchor_counts = [grids[k].anchor_count for k in image_size.tolist()]
+    counted = table.counted(class_filter)
+    gt, gt_image = table.boxes[counted], table.image[counted]
+    gt_size = image_size[gt_image]
 
-    iou_arr = np.zeros(len(gts), dtype=np.float64)
-    shape_arr = np.zeros(len(gts), dtype=np.int64)
-    for size, members in by_size.items():
-        grid = grids[size]
+    iou_arr = np.zeros(len(counted), dtype=np.float64)
+    shape_arr = np.zeros(len(counted), dtype=np.int64)
+    for k in dict.fromkeys(gt_size.tolist()):
+        grid = grids[k]
         if not grid.kept.any():
+            w, h = list(size_code)[k]
             raise ConfigError(
                 f"no anchor of scales {config.scales}, ratios {config.ratios}, stride "
-                f"{config.stride:g} fits inside a {size[0]:g}x{size[1]:g} image "
+                f"{config.stride:g} fits inside a {w:g}x{h:g} image "
                 "without crossing its border"
             )
+        members = np.flatnonzero(gt_size == k)
         for lo in range(0, len(members), _SEARCH_BATCH):
             batch = members[lo : lo + _SEARCH_BATCH]
-            iou_arr[batch], shape_arr[batch] = _best_anchors(
-                grid, boxes_to_array([gts[i][1] for i in batch])
-            )
+            iou_arr[batch], shape_arr[batch] = _best_anchors(grid, gt[batch])
 
+    widths = gt[:, 2] - gt[:, 0]
     n_ratios = len(config.ratios)
     attribution = tuple(
         GtAttribution(
-            image_id=image_id,
-            gt_width=box.width,
+            image_id=table.image_ids[image],
+            gt_width=width,
             best_scale=config.scales[s_idx // n_ratios],
             best_ratio=config.ratios[s_idx % n_ratios],
             best_iou=best,
         )
-        for (image_id, box), s_idx, best in zip(gts, shape_arr.tolist(), iou_arr.tolist())
+        for image, width, s_idx, best in zip(gt_image.tolist(), widths.tolist(),
+                                              shape_arr.tolist(), iou_arr.tolist())
     )
-    bucket_idx = bin_index([box.width for _, box in gts], edges)
+    bucket_idx = bin_index(widths, edges)
 
     rows: list[CoverageRow] = []
     for t in thresholds:
@@ -392,5 +395,5 @@ def coverage(
         rows=tuple(rows),
         attribution=attribution,
         anchors_per_image=(sum(anchor_counts) / len(anchor_counts)) if anchor_counts else 0.0,
-        total_gt=len(gts),
+        total_gt=len(counted),
     )

@@ -142,18 +142,17 @@ def _write_run_config(out_dir: Path, settings: dict) -> None:
         f"{key}={_record(settings[key], parsers.get(key))}\n" for key in sorted(settings)))
 
 
-def _load_dataset(s: dict, table: bool = False):
-    """The dataset as ImageAnnotations, or with ``table`` as one LabelTable."""
+def _load_dataset(s: dict):
+    """The dataset as one LabelTable; a skipped file is reported on stderr."""
     image_w, image_h = s["image_size"]
-    load = datasets_mod.load_label_table if table else datasets_mod.load_dataset
-    loaded, skipped = load(
+    table, skipped = datasets_mod.load_label_table(
         s["dataset_dir"], s["format"], image_w=image_w, image_h=image_h, skip_bad=s["skip_bad"]
     )
     for message in skipped:
         print(f"skipped: {message}", file=sys.stderr)
-    if not (loaded.image_ids if table else loaded):
+    if not table.image_ids:
         raise ParseError(f"no parseable annotation files in {s['dataset_dir']}")
-    return loaded
+    return table
 
 
 # ---------------------------------------------------------------- stats ----
@@ -161,11 +160,8 @@ def _load_dataset(s: dict, table: bool = False):
 
 def cmd_stats(args) -> int:
     out_dir, s = _settings(args)
-    images = _load_dataset(s)
-    annotations = [a for image in images for a in image.annotations]
-    stats = datasets_mod.compute_stats(
-        annotations, class_filter=s["class_filter"], bin_edges=s["bins"], image_count=len(images)
-    )
+    stats = datasets_mod.compute_stats(_load_dataset(s), class_filter=s["class_filter"],
+                                       bin_edges=s["bins"])
     write_output(out_dir / "stats.csv", datasets_mod.stats_csv_rows(stats),
                  ["histogram_name", "bin_lo", "bin_hi", "count"])
     for name in ("width", "height", "sqrt_area", "aspect"):
@@ -193,9 +189,9 @@ def cmd_coverage(args) -> int:
                                  allow_border=s["allow_border"])
         for scales in (s["scales"], s["compare"]) if scales is not None
     ]
-    images = _load_dataset(s)
+    labels = _load_dataset(s)
     report, *alt = [
-        anchors_mod.coverage(config, images, thresholds=s["thresholds"], buckets=s["buckets"],
+        anchors_mod.coverage(config, labels, thresholds=s["thresholds"], buckets=s["buckets"],
                              class_filter=s["class_filter"])
         for config in families
     ]
@@ -280,7 +276,7 @@ def cmd_rf(args) -> int:
 
 def cmd_eval(args) -> int:
     out_dir, s = _settings(args)
-    labels = _load_dataset(s, table=True)
+    labels = _load_dataset(s)
     dets = eval_mod.read_detection_table(s["detections_csv"])
     folds = None
     if s["folds"] is not None:
@@ -343,7 +339,7 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir, s = _settings(args)
-    images = _load_dataset(s)
+    images = datasets_mod.image_annotations(_load_dataset(s))
     profile = parse_profile(datasets_mod.read_input(s["profile"], ConfigError))
     if s["seed"] is not None:
         profile = dataclasses.replace(profile, seed=s["seed"])

@@ -6,20 +6,23 @@ Two input formats are supported:
   15+ whitespace-separated fields
   (type, truncated, occluded, alpha, bbox x1/y1/x2/y2, 3 dimensions,
   3 location, rotation_y, optional score). Every field after the type must
-  be numeric; alpha and the fields after the box are checked but not kept.
+  be numeric and the occlusion finite; only the type and the box are kept.
 * VOC annotations: one XML per image with ``size/width``, ``size/height``
   and ``object/name`` + ``object/bndbox`` children. VOC's 1-based inclusive
   corners are normalized into the continuous convention by subtracting 1
   from xmin/ymin, so a bndbox (100,100,200,200) becomes [99,99,200,200].
 
 "DontCare" regions are parsed and kept (flagged through ``class_name``) but
-excluded from statistics; evaluation treats them as ignore regions.
+excluded from statistics; evaluation treats them as ignore regions. VOC's
+``<truncated>`` and ``<difficult>`` must be integers but are not kept.
 
 A directory loads as one ``LabelTable`` (``load_label_table``): columns
 with one row per object. KITTI lines are split and converted in one pass
 and checked as arrays; a file that fails a check is parsed again by
-``parse_kitti_label``, which raises the per-line message. ``load_dataset``
-is the object edge: one ``ImageAnnotations`` per file, built from the table.
+``parse_kitti_label``, which raises the per-line message. Every subcommand
+runs on the table. Objects are the edge: ``image_annotations`` views a table
+as one ``ImageAnnotations`` per file (``load_dataset`` loads that view), and
+``as_label_table`` turns object lists into a table.
 
 Parsers are pure functions on input text, so per-file parsing can run
 concurrently and statistics merge associatively. Every input file of the
@@ -71,6 +74,8 @@ __all__ = [
     "load_dataset",
     "load_label_table",
     "LabelTable",
+    "as_label_table",
+    "image_annotations",
     "split_folds",
 ]
 
@@ -88,19 +93,10 @@ KITTI_IMAGE_H = 512.0
 
 @dataclass(frozen=True)
 class Annotation:
-    """One labeled object.
-
-    ``truncated`` is a ratio in [0,1] for KITTI and a 0/1 flag for VOC;
-    ``occluded`` is KITTI's small-integer level and doubles as VOC's
-    ``difficult`` flag. KITTI's other fields (alpha, 3 dimensions,
-    3 location, rotation_y, optional score) are checked as numeric at parse
-    time but not kept: nothing in a 2D pipeline reads them.
-    """
+    """One labeled object; a label's other fields are checked at parse time but not kept."""
 
     class_name: str
     box: Box
-    truncated: float = 0.0
-    occluded: int = 0
     source_image: str = ""
 
     def __post_init__(self) -> None:
@@ -201,7 +197,7 @@ def parse_kitti_label(text: str, image_id: str) -> list[Annotation]:
         if len(fields) < 15:
             raise ParseError(f"line {lineno}: expected at least 15 fields, got {len(fields)}")
         try:
-            truncated, occluded, _, x1, y1, x2, y2, *_ = map(float, fields[1:])
+            _, occluded, _, x1, y1, x2, y2, *_ = map(float, fields[1:])
         except ValueError:
             for k, token in enumerate(fields[1:], start=2):
                 try:
@@ -217,15 +213,7 @@ def parse_kitti_label(text: str, image_id: str) -> list[Annotation]:
             box = Box(x1, y1, x2, y2)
         except InvalidBoxError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        annotations.append(
-            Annotation(
-                class_name=fields[0],
-                box=box,
-                truncated=truncated,
-                occluded=int(occluded),
-                source_image=image_id,
-            )
-        )
+        annotations.append(Annotation(class_name=fields[0], box=box, source_image=image_id))
     return annotations
 
 
@@ -280,19 +268,11 @@ def parse_voc_xml(text: str, image_id: str | None = None) -> tuple[float, float,
         except InvalidBoxError as exc:
             raise ParseError(f"{context}: {exc}") from None
         try:
-            truncated = float(int(obj.findtext("truncated") or 0))
-            difficult = int(obj.findtext("difficult") or 0)
+            int(obj.findtext("truncated") or 0)
+            int(obj.findtext("difficult") or 0)
         except ValueError:
             raise ParseError(f"{context}: <truncated> and <difficult> must be integers") from None
-        annotations.append(
-            Annotation(
-                class_name=name,
-                box=box,
-                truncated=truncated,
-                occluded=difficult,
-                source_image=image_id,
-            )
-        )
+        annotations.append(Annotation(class_name=name, box=box, source_image=image_id))
     return image_w, image_h, annotations
 
 
@@ -355,38 +335,24 @@ class DatasetStats:
     annotation_count: int = 0
 
 
-def compute_stats(
-    annotations,
-    class_filter: str | None = None,
-    bin_edges=DEFAULT_WIDTH_BIN_EDGES,
-    image_count: int | None = None,
-) -> DatasetStats:
-    """Histogram widths, heights, sqrt-areas, and h/w aspects.
+def compute_stats(labels, class_filter: str | None = None,
+                  bin_edges=DEFAULT_WIDTH_BIN_EDGES) -> DatasetStats:
+    """Histogram widths, heights, sqrt-areas, and h/w aspects of ``labels``.
 
-    ``bin_edges`` applies to the three pixel-valued histograms; aspect uses
-    ``DEFAULT_ASPECT_BIN_EDGES``. When ``image_count`` is None it falls back
-    to the number of distinct source images among the annotations.
+    ``labels`` is a LabelTable or what ``as_label_table`` takes; ``image_count``
+    is its number of images. ``bin_edges`` applies to the three pixel-valued
+    histograms; aspect uses ``DEFAULT_ASPECT_BIN_EDGES``.
     """
-    annotations = list(annotations)
-    per_class = Counter(a.class_name for a in annotations)
-    kept = [
-        a
-        for a in annotations
-        if not a.is_dontcare and (class_filter is None or a.class_name == class_filter)
-    ]
-    if image_count is None:
-        image_count = len({a.source_image for a in annotations})
-    widths = [a.box.width for a in kept]
-    heights = [a.box.height for a in kept]
-    sqrt_areas = [math.sqrt(a.box.area) for a in kept]
-    aspects = [a.box.height / a.box.width for a in kept]
+    table = as_label_table(labels)
+    kept = table.boxes[table.counted(class_filter)]
+    widths, heights = kept[:, 2] - kept[:, 0], kept[:, 3] - kept[:, 1]
     return DatasetStats(
         width_histogram=make_histogram(widths, bin_edges),
         height_histogram=make_histogram(heights, bin_edges),
-        sqrt_area_histogram=make_histogram(sqrt_areas, bin_edges),
-        aspect_histogram=make_histogram(aspects, DEFAULT_ASPECT_BIN_EDGES),
-        per_class=dict(sorted(per_class.items())),
-        image_count=image_count,
+        sqrt_area_histogram=make_histogram(np.sqrt(widths * heights), bin_edges),
+        aspect_histogram=make_histogram(heights / widths, DEFAULT_ASPECT_BIN_EDGES),
+        per_class=dict(sorted(Counter(table.classes).items())),
+        image_count=len(table.image_ids),
         annotation_count=len(kept),
     )
 
@@ -414,13 +380,17 @@ class LabelTable(NamedTuple):
     image: np.ndarray  # index into image_ids of each row
     classes: list[str]
     boxes: np.ndarray  # float64 [n, 4]: x1, y1, x2, y2
-    truncated: list[float]
-    occluded: list[float]  # as parsed; Annotation keeps int() of it
+
+    def counted(self, class_filter: str | None = None) -> np.ndarray:
+        """Indices of the rows that count as ground truth: not DontCare, and of
+        ``class_filter`` when it is given."""
+        return np.flatnonzero([c != DONTCARE_CLASS and (class_filter is None or c == class_filter)
+                               for c in self.classes])
 
 
 def _kitti_columns(texts: list[str]):
-    """File index, class, box, truncation and occlusion of each label line of ``texts``,
-    and whether the line passes the checks of ``parse_kitti_label``.
+    """File index, class and box of each label line of ``texts``, and whether
+    the line passes the checks of ``parse_kitti_label``.
 
     Raises ValueError when a field after the class is not numeric.
     """
@@ -440,8 +410,7 @@ def _kitti_columns(texts: list[str]):
     values = np.concatenate([*chunks, np.array(tokens, dtype=np.float64)])
     columns = values[np.array(first, dtype=np.intp)[:, None] + np.arange(7)]
     occluded, boxes = columns[:, 1], columns[:, 3:]
-    ok = np.isfinite(occluded) & valid_boxes(boxes)
-    return owner, classes, boxes, columns[:, 0].tolist(), occluded.tolist(), ok
+    return owner, classes, boxes, np.isfinite(occluded) & valid_boxes(boxes)
 
 
 def load_label_table(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float = KITTI_IMAGE_H,
@@ -482,8 +451,7 @@ def load_label_table(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: fl
             sizes[k] = (w, h)
             anns += [(k, a) for a in parsed]
         owner = [k for k, _ in anns]
-        columns = ([a.class_name for _, a in anns], boxes_to_array([a.box for _, a in anns]),
-                   [a.truncated for _, a in anns], [a.occluded for _, a in anns])
+        columns = ([a.class_name for _, a in anns], boxes_to_array([a.box for _, a in anns]))
     else:
         try:
             owner, *columns, ok = _kitti_columns(texts)
@@ -512,13 +480,38 @@ def load_dataset(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float 
                  skip_bad: bool = False) -> tuple[list[ImageAnnotations], list[str]]:
     """``load_label_table`` as objects: ``(images, skipped)``, one ImageAnnotations per file."""
     table, skipped = load_label_table(path, fmt, image_w, image_h, skip_bad)
+    return image_annotations(table), skipped
+
+
+def image_annotations(table: LabelTable) -> list[ImageAnnotations]:
+    """The rows of ``table`` as objects: one ImageAnnotations per image, in table order."""
     sources = [table.image_ids[i] for i in table.image.tolist()]
-    anns = [Annotation(cls, Box(*box), truncated, int(occluded), source)
-            for cls, box, truncated, occluded, source in zip(
-                table.classes, table.boxes.tolist(), table.truncated, table.occluded, sources)]
+    anns = [Annotation(cls, Box(*box), source)
+            for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
     ends = np.cumsum(np.bincount(table.image, minlength=len(table.image_ids))).tolist()
     return [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
-            in zip(table.image_ids, table.sizes, [0] + ends, ends)], skipped
+            in zip(table.image_ids, table.sizes, [0] + ends, ends)]
+
+
+def as_label_table(labels) -> LabelTable:
+    """``labels`` as a LabelTable; a LabelTable passes through unchanged.
+
+    An ImageAnnotations list gives one image per item. An Annotation list
+    gives one image of the KITTI frame size per distinct ``source_image``.
+    """
+    if isinstance(labels, LabelTable):
+        return labels
+    labels = list(labels)
+    if all(isinstance(item, ImageAnnotations) for item in labels):
+        ids = [image.image_id for image in labels]
+        sizes = [(image.image_w, image.image_h) for image in labels]
+        rows = [(k, a) for k, image in enumerate(labels) for a in image.annotations]
+    else:
+        codes: dict[str, int] = {}
+        rows = [(codes.setdefault(a.source_image, len(codes)), a) for a in labels]
+        ids, sizes = list(codes), [(KITTI_IMAGE_W, KITTI_IMAGE_H)] * len(codes)
+    return LabelTable(ids, sizes, np.array([k for k, _ in rows], dtype=np.intp),
+                      [a.class_name for _, a in rows], boxes_to_array([a.box for _, a in rows]))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ ignored, so bucketed AP re-runs the greedy assignment over those pairs
 alone; a fold masks the overall labels to its images. One routine scores the
 labels of any scope: PR points, AP, TP, FP.
 
-``scaledet eval`` runs on columns end to end: ``read_detection_table``
-reads a detections CSV into a ``DetectionTable`` and ``evaluate_tables``
-scores it against a ``LabelTable``. ``read_detections_csv``,
-``match_detections`` and ``evaluate_detections`` are the object edge over
-the same core: they turn ``Detection`` and ``Annotation`` lists into
-columns, or columns into objects.
+Like every subcommand, ``scaledet eval`` runs on the ``LabelTable`` of its
+labels, and on columns end to end: ``read_detection_table`` reads a
+detections CSV into a ``DetectionTable`` and ``evaluate_tables`` scores it
+against the labels. ``read_detections_csv``, ``match_detections`` and
+``evaluate_detections`` are the object edge over the same core: they turn
+``Detection`` and ``Annotation`` lists into columns, or columns into objects.
 
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR

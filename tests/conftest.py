@@ -55,13 +55,14 @@ def kitti_label_line(annotation: Annotation) -> str:
     """Serialize an annotation to a 15-field label line.
 
     Floats are written with ``repr`` so reparsing the line reproduces an
-    identical Annotation; alpha and the 3D fields, which are not kept, are 0.
+    identical Annotation; truncation, occlusion, alpha and the 3D fields,
+    which are not kept, are 0.
     """
     b = annotation.box
     fields = [
         annotation.class_name,
-        repr(float(annotation.truncated)),
-        str(int(annotation.occluded)),
+        "0.0",
+        "0",
         "0",
         repr(float(b.x1)),
         repr(float(b.y1)),

@@ -140,6 +140,7 @@ class TestShapes:
             {"scales": (math.inf,)},
             {"ratios": (math.nan,)},
             {"stride": math.nan},
+            {"scales": (1e200,), "ratios": (1e300,)},  # finite scale, infinite anchor height
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
@@ -417,15 +417,20 @@ class TestSimulateAndEval:
                 repr(want.ap), str(want.tp), str(want.fp), str(want.total_gt), str(len(fold))
             ]
 
-    def test_eval_builds_no_box_per_row(self, tmp_path, monkeypatch):
-        # Labels and detections are read and matched as columns: the Box
-        # objects eval builds do not grow with the label rows or detections.
+    @pytest.mark.parametrize("command", ["eval", "stats", "coverage"])
+    def test_eval_builds_no_box_per_row(self, tmp_path, monkeypatch, command):
+        # Labels (and eval's detections) are read, counted and matched as
+        # columns: the Box objects a command builds do not grow with the
+        # label rows or detections.
         profile = self._profile(tmp_path, "detect_prob=0:0.8\nfp_per_image=2\nseed=3\n")
         built = []
         for n_images in (4, 16):
             labels, sim_out = tmp_path / f"labels{n_images}", tmp_path / f"sim{n_images}"
             write_kitti_dataset(labels, synthetic_vehicle_dataset(seed=5, n_images=n_images))
-            assert main(["simulate", str(labels), str(profile), "--out", str(sim_out)]) == 0
+            argv = [command, str(labels), "--out", str(tmp_path / f"{command}{n_images}")]
+            if command == "eval":
+                assert main(["simulate", str(labels), str(profile), "--out", str(sim_out)]) == 0
+                argv.insert(2, str(sim_out / "detections.csv"))
             count = 0
             post_init = Box.__post_init__
 
@@ -435,8 +440,7 @@ class TestSimulateAndEval:
                 post_init(box)
 
             monkeypatch.setattr(Box, "__post_init__", counted)
-            assert main(["eval", str(labels), str(sim_out / "detections.csv"),
-                         "--out", str(tmp_path / f"eval{n_images}")]) == 0
+            assert main(argv) == 0
             monkeypatch.undo()
             built.append(count)
         assert built[0] == built[1] <= 2
@@ -685,6 +689,7 @@ def fuzz_inputs(tmp_path):
 class TestExitCodeFuzz:
     @given(case=st.sampled_from(CONFIG_KEYS),
            text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    @example(case=("coverage", "scales", "--scales"), text="1e160")  # anchor area overflows
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_setting_text_exits_0_or_1(self, fuzz_inputs, tmp_path, monkeypatch, capsys,

@@ -6,18 +6,19 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaledet
 from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, kitti_label_line
+from scaledet.anchors import AnchorConfig, coverage
 from scaledet.cli import main
 from scaledet.datasets import (
     DEFAULT_WIDTH_BIN_EDGES,
     Annotation,
     ImageAnnotations,
+    as_label_table,
     check_edges,
     compute_stats,
     load_dataset,
@@ -52,8 +53,6 @@ class TestKittiParsing:
         a = anns[0]
         assert a.class_name == "Car"
         assert a.box == Box(587.01, 173.33, 614.12, 200.12)
-        assert a.truncated == 0.0
-        assert a.occluded == 0
         assert a.source_image == "000000"
 
     def test_empty_file(self):
@@ -189,6 +188,21 @@ class TestVocParsing:
         with pytest.raises(ParseError, match="object 0"):
             parse_voc_xml(xml)
 
+    @pytest.mark.parametrize("tag", ["truncated", "difficult"])
+    def test_long_integer_flag_accepted(self, tmp_path, capsys, tag):
+        # A flag is checked as an integer, not kept: 400 digits parse, and
+        # a non-integer still exits 2 with the same message.
+        (tmp_path / "voc").mkdir()
+        for value, code in (("9" * 400, 0), (",", 2)):
+            xml = VOC_XML.replace(f"<{tag}>0</{tag}>", f"<{tag}>{value}</{tag}>")
+            (tmp_path / "voc" / "000123.xml").write_text(xml)
+            if code == 0:
+                assert len(parse_voc_xml(xml)[2]) == 1
+            assert main(["stats", str(tmp_path / "voc"), "--format", "voc",
+                         "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == (
+            "input error: 000123.xml: object 0: <truncated> and <difficult> must be integers\n")
+
     def test_degenerate_after_normalization_rejected(self):
         xml = (
             "<annotation><size><width>10</width><height>10</height></size>"
@@ -318,6 +332,21 @@ def label_file(draw):
     return name, "\n".join(lines).encode()
 
 
+def assert_same_table(got, want):
+    """Equal LabelTables, with bit-equal arrays of one dtype and shape."""
+    assert (got.image_ids, got.sizes, got.classes) == (want.image_ids, want.sizes, want.classes)
+    for a, b in ((got.image, want.image), (got.boxes, want.boxes)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_same_reports(table, images):
+    """``compute_stats`` and ``coverage`` report alike on a LabelTable and its objects."""
+    for class_filter in (None, "Car"):
+        assert compute_stats(table, class_filter) == compute_stats(images, class_filter)
+    for config in (AnchorConfig(), AnchorConfig(allow_border=False)):
+        assert coverage(config, table) == coverage(config, images)
+
+
 class TestLoaders:
     def test_kitti_dir(self, kitti_dir):
         images, skipped = load_dataset(kitti_dir, "kitti")
@@ -389,17 +418,48 @@ class TestLoaders:
             assert main(["stats", str(d), "--out", str(d / "out")]) == 2
             return
         table, skipped = load_label_table(d, "kitti", skip_bad=skip_bad)
-        assert repr(load_dataset(d, "kitti", skip_bad=skip_bad)) == repr(want)  # NaN, -0.0
+        objects = load_dataset(d, "kitti", skip_bad=skip_bad)
+        assert repr(objects) == repr(want)  # -0.0
         images, want_skipped = want
         assert skipped == want_skipped
         anns = [a for image in images for a in image.annotations]
         assert table.image_ids == [image.image_id for image in images]
         assert table.classes == [a.class_name for a in anns]
         assert table.boxes.tobytes() == boxes_to_array([a.box for a in anns]).tobytes()
-        truncated = np.array([a.truncated for a in anns], dtype=float)
-        assert np.array(table.truncated, dtype=float).tobytes() == truncated.tobytes()
-        assert [int(v) for v in table.occluded] == [a.occluded for a in anns]
         assert [table.image_ids[i] for i in table.image] == [a.source_image for a in anns]
+        assert_same_table(as_label_table(objects[0]), table)
+        assert_same_reports(table, objects[0])
+
+
+    def test_voc_table_with_sizes_empty_image_and_dontcare(self, tmp_path):
+        # Two image sizes, an image with no objects and a DontCare row: every
+        # form reports alike, and anchors per image average over all images.
+        objects = ("<object><name>{}</name><bndbox><xmin>{}</xmin><ymin>50</ymin>"
+                   "<xmax>{}</xmax><ymax>90</ymax></bndbox></object>")
+        for name, size, body in (
+            ("a", (500, 375), objects.format("Car", 100, 160) + objects.format("DontCare", 10, 40)),
+            ("b", (1000, 600), objects.format("Car", 300, 420)),
+            ("c", (500, 375), ""),
+        ):
+            (tmp_path / f"{name}.xml").write_text(
+                "<annotation><size><width>%d</width><height>%d</height></size>" % size
+                + body + "</annotation>")
+        table, _ = load_label_table(tmp_path, "voc")
+        images, _ = load_dataset(tmp_path, "voc")
+        assert table.sizes == [(500.0, 375.0), (1000.0, 600.0), (500.0, 375.0)]
+        assert table.classes == ["Car", "DontCare", "Car"]
+        assert_same_table(as_label_table(images), table)
+        assert as_label_table(table) is table
+        assert_same_reports(table, images)
+        stats = compute_stats(table)
+        assert (stats.image_count, stats.annotation_count) == (3, 2)
+        assert stats.per_class == {"Car": 2, "DontCare": 1}
+        report = coverage(AnchorConfig(), table)
+        assert report.total_gt == 2
+        assert [a.image_id for a in report.attribution] == ["a", "b"]
+        counts = [coverage(AnchorConfig(), [image]).anchors_per_image for image in images]
+        assert counts[0] == counts[2] < counts[1]
+        assert report.anchors_per_image == sum(counts) / 3
 
 
 class TestReaders:
