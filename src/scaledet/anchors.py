@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import DEFAULT_WIDTH_BIN_EDGES, as_label_table, bin_index, check_edges
 from .errors import ConfigError
 # Unused here; scalebench's tracer test still patches anchors.iou_matrix.
-from .geometry import iou_matrix  # noqa: F401
+from .geometry import _iou_kernel, iou_matrix  # noqa: F401
 
 __all__ = [
     "AnchorConfig",
@@ -120,10 +120,6 @@ class _Axis:
             count = inside.sum(axis=1)
         self.last = self.first + count - 1
 
-    @property
-    def kept_count(self) -> np.ndarray:
-        return np.maximum(self.last - self.first + 1, 0)
-
     def windows(self, g1: np.ndarray, g2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per (box, shape), the first cell and the cell count of its window.
 
@@ -143,11 +139,10 @@ class _Axis:
     def overlaps(self, s: int, start, size, g1, g2):
         """Overlap with each box, anchor extent and cell, over the windows of shape ``s``.
 
-        One row per box, computed with the arithmetic of ``iou_matrix``. Two
-        cells with equal (overlap, extent) give bit-equal IoU against any
-        row, and the tie-break prefers the lower cell, so each row keeps one
-        column per distinct pair, at its lowest cell; rows are padded with
-        overlap 0.
+        One row per box, for ``_iou_kernel`` of ``geometry``. Two cells
+        with equal (overlap, extent) give bit-equal IoU against any row, and
+        the tie-break prefers the lower cell, so each row keeps one column
+        per distinct pair, at its lowest cell; rows are padded with overlap 0.
         """
         offset = np.arange(size.max())
         cell = np.minimum(start[:, None] + offset, self.last[s])
@@ -172,7 +167,8 @@ class _Axis:
 
 
 class _AnchorGrid:
-    """The anchor tiling of one image size, as per-axis edges."""
+    """The anchor tiling of one image size: per-axis edges, whether each
+    shape keeps an anchor (``kept``), and the kept ``anchor_count``."""
 
     def __init__(self, config: AnchorConfig, image_w: float, image_h: float):
         if image_w <= 0 or image_h <= 0:
@@ -180,15 +176,9 @@ class _AnchorGrid:
         shapes = np.asarray(anchor_shapes(config), dtype=np.float64)  # (k, 2)
         self.x = _Axis(config.stride, 0.5 * shapes[:, 0], image_w, config.allow_border)
         self.y = _Axis(config.stride, 0.5 * shapes[:, 1], image_h, config.allow_border)
-
-    @property
-    def kept(self) -> np.ndarray:
-        """Per shape: does any anchor of this shape survive?"""
-        return (self.x.kept_count > 0) & (self.y.kept_count > 0)
-
-    @property
-    def anchor_count(self) -> int:
-        return int((self.x.kept_count * self.y.kept_count).sum())
+        x_count, y_count = (np.maximum(a.last - a.first + 1, 0) for a in (self.x, self.y))
+        self.kept = (x_count > 0) & (y_count > 0)
+        self.anchor_count = int((x_count * y_count).sum())
 
 
 # Ground-truth boxes per batch of the best-anchor search. Each step holds
@@ -223,11 +213,9 @@ def _best_anchors(grid: _AnchorGrid, gt: np.ndarray) -> tuple[np.ndarray, np.nda
     for s in kept:
         x_overlap, x_extent, x_cell = grid.x.overlaps(s, x_start[:, s], x_size[:, s], gx1, gx2)
         y_overlap, y_extent, y_cell = grid.y.overlaps(s, y_start[:, s], y_size[:, s], gy1, gy2)
-        inter = y_overlap[:, :, None] * x_overlap[:, None, :]
-        union = (y_extent[:, :, None] * x_extent[:, None, :] + gt_area[:, None, None]) - inter
-        ious = np.zeros_like(inter)
-        np.divide(inter, union, out=ious, where=inter > 0.0)
-        ious = ious.reshape(n, -1)
+        ious = _iou_kernel(y_overlap[:, :, None] * x_overlap[:, None, :],
+                           y_extent[:, :, None] * x_extent[:, None, :],
+                           gt_area[:, None, None]).reshape(n, -1)
         best[:, s] = ious.max(axis=1)
         cells = (y_cell[:, :, None] * nx + x_cell[:, None, :]).reshape(n, -1)
         cells[ious < best[:, s, None]] = np.iinfo(np.int64).max
@@ -305,15 +293,15 @@ def coverage(
     the overlap along x depends only on the grid column and along y only on
     the row, and each is a trapezoid in the cell center, so per shape and
     axis only the cells of its plateau plus one cell on each side can hold
-    the maximum. The windows are evaluated with the arithmetic of
-    ``iou_matrix`` on the edges the tiling uses; window cells whose overlap
-    and extent along an axis are bit-equal give bit-equal IoU, so each such
-    group is evaluated once, at its lowest cell. The result is exactly that
-    of ``argmax`` over the dense matrix: the same best IoU, ties going to
-    the lowest tiling index ``(j * nx + i) * k + s``, and a box that no
-    anchor overlaps attributed to the first kept anchor's shape.
-    The boxes of all images of one size are searched together, in fixed
-    batches.
+    the maximum. The windows are evaluated with the IoU kernel of
+    ``geometry`` (``_iou_kernel``) on the edges the tiling uses; window
+    cells whose overlap and extent along an axis are bit-equal give bit-equal
+    IoU, so each such group is evaluated once, at its lowest cell. The
+    result is exactly that of ``argmax`` over the dense matrix: the same best
+    IoU, ties going to the lowest tiling index ``(j * nx + i) * k + s``, and
+    a box that no anchor overlaps attributed to the first kept anchor's
+    shape. The boxes of all images of one size are searched together, in
+    fixed batches.
 
     Raises:
         ConfigError: on bad thresholds or buckets, or when an image with
@@ -330,7 +318,8 @@ def coverage(
     image_size = np.array([size_code.setdefault((float(w), float(h)), len(size_code))
                            for w, h in table.sizes], dtype=np.intp)
     grids = [_AnchorGrid(config, *size) for size in size_code]
-    anchor_counts = [grids[k].anchor_count for k in image_size.tolist()]
+    images_per_grid = np.bincount(image_size, minlength=len(grids)).tolist()
+    anchor_total = sum(g.anchor_count * n for g, n in zip(grids, images_per_grid))
     counted = table.counted(class_filter)
     gt, gt_image = table.boxes[counted], table.image[counted]
     gt_size = image_size[gt_image]
@@ -394,6 +383,6 @@ def coverage(
         thresholds=thresholds,
         rows=tuple(rows),
         attribution=attribution,
-        anchors_per_image=(sum(anchor_counts) / len(anchor_counts)) if anchor_counts else 0.0,
+        anchors_per_image=anchor_total / len(image_size) if len(image_size) else 0.0,
         total_gt=len(counted),
     )

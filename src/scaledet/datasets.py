@@ -346,11 +346,13 @@ def compute_stats(labels, class_filter: str | None = None,
     table = as_label_table(labels)
     kept = table.boxes[table.counted(class_filter)]
     widths, heights = kept[:, 2] - kept[:, 0], kept[:, 3] - kept[:, 1]
+    with np.errstate(over="ignore"):  # a thin box's h/w can overflow: inf is in the last bin
+        aspects = heights / widths
     return DatasetStats(
         width_histogram=make_histogram(widths, bin_edges),
         height_histogram=make_histogram(heights, bin_edges),
         sqrt_area_histogram=make_histogram(np.sqrt(widths * heights), bin_edges),
-        aspect_histogram=make_histogram(heights / widths, DEFAULT_ASPECT_BIN_EDGES),
+        aspect_histogram=make_histogram(aspects, DEFAULT_ASPECT_BIN_EDGES),
         per_class=dict(sorted(Counter(table.classes).items())),
         image_count=len(table.image_ids),
         annotation_count=len(kept),

@@ -13,11 +13,11 @@ never by input position, so shuffling the input cannot change any label.
 One matching object, built from columns, holds the labels and the arrays of
 every scope: detections are sorted once (one ``lexsort`` in the order of
 ``Detection.sort_key``) and their IoU with each ground-truth box of their
-image is computed once (``iou_matrix`` arithmetic), keeping the pairs at or
-above the threshold. A width bucket only changes which ground truth is
-ignored, so bucketed AP re-runs the greedy assignment over those pairs
-alone; a fold masks the overall labels to its images. One routine scores the
-labels of any scope: PR points, AP, TP, FP.
+image is computed once (``paired_iou``, the IoU kernel of ``geometry``),
+keeping the pairs at or above the threshold. A width bucket only changes
+which ground truth is ignored, so bucketed AP re-runs the greedy assignment
+over those pairs alone; a fold masks the overall labels to its images. One
+routine scores the labels of any scope: PR points, AP, TP, FP.
 
 Like every subcommand, ``scaledet eval`` runs on the ``LabelTable`` of its
 labels, and on columns end to end: ``read_detection_table`` reads a

@@ -61,18 +61,6 @@ class Box:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def cx(self) -> float:
-        return self.x1 + 0.5 * self.width
-
-    @property
-    def cy(self) -> float:
-        return self.y1 + 0.5 * self.height
-
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "Box":
-        return cls(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -81,15 +69,14 @@ def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0.0 when they are disjoint.
 
     Symmetric, bounded to [0, 1], and equal to 1 exactly when the boxes are
-    identical.
+    identical. Bit-equal to :func:`paired_iou` of the pair.
     """
+    # Plain floats up to the kernel: reference loops call this once per pair.
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
-    inter = iw * ih
-    union = (a.area + b.area) - inter
-    return inter / union
+    return float(_iou_kernel(float(iw * ih), float(a.area), float(b.area)))
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
@@ -100,8 +87,7 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
         boxes_b: float array shaped (M, 4).
 
     Returns:
-        (N, M) float64 array. Arithmetic matches :func:`iou` exactly so that
-        vectorized matching agrees bitwise with the scalar reference.
+        (N, M) float64 array, each value bit-equal to :func:`iou` of the pair.
     """
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
@@ -112,19 +98,38 @@ def paired_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """IoU of each row of ``boxes_a`` with the matching row of ``boxes_b``.
 
     The arrays broadcast against each other over their leading axes (last
-    axis: x1, y1, x2, y2). Arithmetic matches :func:`iou` exactly.
+    axis: x1, y1, x2, y2). The overlap along each axis is the lower far edge
+    minus the higher near edge, clamped to 0 before the subtraction, so far
+    apart boxes cannot overflow it; :func:`_iou_kernel` does the rest.
     """
     a = np.asarray(boxes_a, dtype=np.float64)
     b = np.asarray(boxes_b, dtype=np.float64)
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    x2 = np.minimum(a[..., 2], b[..., 2])
+    y2 = np.minimum(a[..., 3], b[..., 3])
+    iw = x2 - np.minimum(np.maximum(a[..., 0], b[..., 0]), x2)
+    ih = y2 - np.minimum(np.maximum(a[..., 1], b[..., 1]), y2)
     areas_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     areas_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = (areas_a + areas_b) - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=inter > 0.0)
-    return out
+    return _iou_kernel(iw * ih, areas_a, areas_b)
+
+
+def _iou_kernel(inter: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """``inter / ((area_a + area_b) - inter)``, and 0 where ``inter`` is 0.
+
+    Every IoU of the toolkit comes from here. The arguments broadcast; the
+    areas are finite and ``inter`` is at most the smaller. Where two areas
+    sum past the float64 range, every term is halved: that is exact above
+    the subnormal range, so IoU is exact for any finite boxes and unchanged
+    by scaling them by a power of two.
+    """
+    with np.errstate(over="ignore"):
+        union = (area_a + area_b) - inter
+    huge = np.isinf(union)
+    if huge.any():
+        scale = np.where(huge, 0.5, 1.0)
+        inter = scale * inter
+        union = (scale * area_a + scale * area_b) - inter
+    return np.divide(inter, union, out=np.zeros(np.shape(union)), where=inter > 0.0)
 
 
 def boxes_to_array(boxes) -> np.ndarray:

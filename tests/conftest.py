@@ -51,6 +51,16 @@ def synthetic_vehicle_dataset(
     return images
 
 
+def box_from_center(cx: float, cy: float, w: float, h: float) -> Box:
+    """The box of width ``w`` and height ``h`` centered on ``(cx, cy)``."""
+    return Box(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
+def scale_box(box: Box, e: int) -> Box:
+    """``box`` with every coordinate times 2**e, which is exact."""
+    return Box(*(math.ldexp(c, e) for c in box.as_tuple()))
+
+
 def kitti_label_line(annotation: Annotation) -> str:
     """Serialize an annotation to a 15-field label line.
 

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_vehicle_dataset
+from conftest import box_from_center, scale_box, synthetic_vehicle_dataset
 from scaledet.anchors import (
     RATIOS_DEFAULT,
     SCALES_BASELINE,
@@ -174,7 +174,7 @@ class TestCoverage:
         # family shapes centered on grid cell centers.
         cfg = AnchorConfig(scales=(32.0, 64.0), ratios=(1.0,), stride=16.0)
         boxes = [
-            Box.from_center((i + 0.5) * 16, (j + 0.5) * 16, size, size)
+            box_from_center((i + 0.5) * 16, (j + 0.5) * 16, size, size)
             for i, j, size in [(3, 2, 32.0), (5, 4, 64.0), (7, 1, 32.0), (2, 3, 64.0)]
         ]
         dataset = [_image_of_boxes(boxes, dims=(160.0, 96.0))]
@@ -185,7 +185,7 @@ class TestCoverage:
     def test_forty_px_objects_need_small_scales(self):
         # Square 40-px objects centered on grid cells: no anchor of the
         # 3-scale family can reach IoU 0.5 (best is 40^2/128^2 < 0.1).
-        boxes = [Box.from_center((i + 0.5) * 16, 200.0, 40.0, 40.0) for i in range(10, 30)]
+        boxes = [box_from_center((i + 0.5) * 16, 200.0, 40.0, 40.0) for i in range(10, 30)]
         dataset = [_image_of_boxes(boxes)]
         base = coverage(AnchorConfig(scales=SCALES_BASELINE), dataset, thresholds=(0.5,))
         ext = coverage(AnchorConfig(scales=SCALES_EXTENDED), dataset, thresholds=(0.5,))
@@ -194,7 +194,7 @@ class TestCoverage:
 
     def test_attribution_points_at_matching_scale(self):
         center = (12 + 0.5) * 16.0  # a grid cell center
-        boxes = [Box.from_center(center, center, 32.0, 32.0)]
+        boxes = [box_from_center(center, center, 32.0, 32.0)]
         dataset = [_image_of_boxes(boxes)]
         report = coverage(AnchorConfig(scales=SCALES_EXTENDED), dataset, thresholds=(0.5,))
         [att] = report.attribution
@@ -276,7 +276,7 @@ def search_cases(draw):
             else:
                 w = draw(st.integers(1, 24)) * stride / 2
                 h = draw(st.integers(1, 24)) * stride / 2
-            boxes.append(Box.from_center(cx, cy, w, h))
+            boxes.append(box_from_center(cx, cy, w, h))
         elif kind == "free":
             # Inside, partly outside, or wider than the image.
             w = draw(st.floats(min_value=1.0, max_value=1.5 * image_w))
@@ -333,6 +333,41 @@ class TestBestAnchorSearch:
                                            100.0, 60.0, far)
         assert (dropped.best_iou, dropped.best_scale, dropped.best_ratio) == expected
         assert dropped.best_scale == 32.0
+
+    @given(search_cases(), st.just(0) | st.integers(0, 600))
+    # Anchors and boxes of area near 10**4 reach [2**1023, 2**1024) at e = 505.
+    @example((AnchorConfig(scales=(100.0,), ratios=(1.0,)), 160.0, 96.0,
+              [box_from_center(56.0, 56.0, 100.0, 100.0)]), 0)
+    @example((AnchorConfig(scales=(100.0, 45.0), ratios=(0.5, 2.0), allow_border=False),
+              320.0, 200.0, [box_from_center(88.0, 72.0, 100.0 / math.sqrt(0.5),
+                                             100.0 * math.sqrt(0.5)),
+                             box_from_center(96.0, 80.0, 90.0, 120.0),
+                             Box(5000.0, 5000.0, 5040.0, 5030.0)]), 0)
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scale_leaves_best_anchors_unchanged(self, case, slack):
+        # Boxes, image size, stride and scales all scaled by 2**e: every edge,
+        # overlap and area scales exactly, so each best IoU and shape must be
+        # bit-equal. With no slack, e is the largest exponent at which every
+        # box and anchor area stays finite; then two areas can sum past it.
+        config, image_w, image_h, boxes = case
+        areas = [box.area for box in boxes] + [w * h for w, h in anchor_shapes(config)]
+        e = max((1024 - math.frexp(max(areas))[1]) // 2 - slack, 0)
+        scaled = AnchorConfig(scales=tuple(math.ldexp(s, e) for s in config.scales),
+                              ratios=config.ratios, stride=math.ldexp(config.stride, e),
+                              allow_border=config.allow_border)
+        big_boxes = [scale_box(box, e) for box in boxes]
+        dims = (math.ldexp(image_w, e), math.ldexp(image_h, e))
+        try:
+            want = coverage(config, [_image_of_boxes(boxes, dims=(image_w, image_h))])
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                coverage(scaled, [_image_of_boxes(big_boxes, dims=dims)])
+            return
+        got = coverage(scaled, [_image_of_boxes(big_boxes, dims=dims)])
+        assert [(a.best_iou, math.ldexp(a.best_scale, -e), a.best_ratio)
+                for a in got.attribution] == [(a.best_iou, a.best_scale, a.best_ratio)
+                                              for a in want.attribution]
+        assert got.anchors_per_image == want.anchors_per_image
 
     def test_no_kept_anchor_is_a_config_error(self):
         dataset = [_image_of_boxes([Box(10, 10, 50, 40)], dims=(100.0, 60.0))]

@@ -945,6 +945,51 @@ class TestConfigErrors:
         assert "--input-size expects WxH, got '80'" in capsys.readouterr().err
 
 
+# Valid labels at the edge of float64. HUGE_LABEL sits on the cell-0 anchor
+# of scale 1.3e154 (its 8 px offset is below the ulp); its area is finite but
+# twice it is not. THIN_LABEL is 1e-10 px wide and 1e300 px high, so its h/w
+# is not finite.
+HUGE_LABEL = "Car 0 0 0 -6.5e153 -6.5e153 6.5e153 6.5e153 0 0 0 0 0 0 0\n"
+THIN_LABEL = "Car 0 0 0 0 0 1e-10 1e300 0 0 0 0 0 0 0\n"
+
+
+class TestExtremeBoxes:
+    """Each run exits 0 under the suite's error::RuntimeWarning, with exact values."""
+
+    @pytest.fixture
+    def huge_dir(self, tmp_path):
+        d = tmp_path / "huge"
+        d.mkdir()
+        (d / "000000.txt").write_text(HUGE_LABEL)
+        return d
+
+    def test_coverage_finds_the_anchor_under_the_box(self, huge_dir, tmp_path):
+        out = tmp_path / "cov"
+        assert main(["coverage", str(huge_dir), "--scales", "1.3e154", "--ratios", "1",
+                     "--thresholds", "0.5", "--out", str(out)]) == 0
+        overall = [r for r in read_csv(out / "coverage.csv")[1:] if r[1] == ""]
+        assert overall == [["0.5", "", "", "1", "1", "1.0"]]
+        assert read_csv(out / "attribution.csv")[1][1:4] == ["1.3e+154", "1.0", "1.0"]
+
+    def test_eval_scores_the_box_as_a_perfect_match(self, huge_dir, tmp_path, capsys):
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n"
+                        "000000,Car,-6.5e153,-6.5e153,6.5e153,6.5e153,0.9\n")
+        out = tmp_path / "eval"
+        assert main(["eval", str(huge_dir), str(dets), "--class", "Car", "--out", str(out)]) == 0
+        assert "AP (all-point, IoU 0.7): 1.0" in capsys.readouterr().out
+        assert read_csv(out / "ap.csv")[1] == ["overall", "", "", "1.0", "1", "0", "1"]
+
+    def test_stats_bins_an_infinite_aspect_last(self, tmp_path):
+        d = tmp_path / "thin"
+        d.mkdir()
+        (d / "000000.txt").write_text(THIN_LABEL)
+        out = tmp_path / "stats"
+        assert main(["stats", str(d), "--out", str(out)]) == 0
+        aspect = [int(r[3]) for r in read_csv(out / "stats.csv")[1:] if r[0] == "aspect"]
+        assert aspect == [0] * 8 + [1]
+
+
 class TestSvg:
     def test_bar_chart_well_formed(self):
         svg = bar_chart("width distribution", (0, 30, 60, math.inf), (1, 5, 2))

@@ -236,6 +236,11 @@ class TestStats:
         assert stats.width_histogram.total == 1
         assert stats.per_class["DontCare"] == 1
 
+    def test_infinite_aspect_takes_last_bin(self):
+        # A valid box 1e-10 px wide and 1e300 px high: h/w is not finite.
+        stats = compute_stats([_ann(1e-10, 1e300)])
+        assert stats.aspect_histogram.counts == (0,) * 8 + (1,)
+
     def test_out_of_range_values_take_end_bins(self):
         hist = make_histogram([-5.0, 10.0, 1000.0], (0, 30, 60))
         assert hist.counts == (2, 1)

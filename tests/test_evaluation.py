@@ -185,6 +185,12 @@ class TestNMS:
         lo = det(0, 0, 10, 10, 0.8)
         assert nms([lo, hi], 0.5) == [hi]
 
+    def test_huge_duplicate_suppressed(self):
+        # Each area is finite, but their sum is not: the pair's IoU is still 1.
+        hi = det(-6.5e153, -6.5e153, 6.5e153, 6.5e153, 0.9)
+        lo = det(-6.5e153, -6.5e153, 6.5e153, 6.5e153, 0.8)
+        assert nms([lo, hi], 0.5) == [hi]
+
     def test_disjoint_all_survive_sorted(self):
         a = det(0, 0, 10, 10, 0.3)
         b = det(50, 50, 60, 60, 0.7)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import box_from_center, scale_box
 from scaledet.errors import InvalidBoxError
 from scaledet.geometry import (
     Box,
@@ -57,15 +58,34 @@ def float_boxes():
     )
 
 
-def grid_boxes(step=1 / 32):
-    # Dyadic 1/32-px grid: IoU arithmetic on these boxes is exact in float64,
-    # so equality properties hold mathematically rather than up to rounding.
+def grid_boxes(step=1 / 32, exponent=0):
+    # Dyadic 1/32-px grid, scaled by 2**exponent: IoU arithmetic on these
+    # boxes is exact in float64, so equality properties hold mathematically
+    # rather than up to rounding. Sides reach 250 px, so every area stays
+    # finite up to exponent 504 (250**2 * 4**504 < 2**1024).
     lo = st.integers(min_value=-4000, max_value=4000)
-    size = st.integers(min_value=1, max_value=8000)
+    size = st.integers(min_value=1, max_value=8000) | st.integers(min_value=6000, max_value=8000)
+    step = math.ldexp(step, exponent)
     return st.builds(
         lambda x, y, w, h: Box(x * step, y * step, (x + w) * step, (y + h) * step),
         lo, lo, size, size,
     )
+
+
+def scaled_grid_boxes():
+    """(e, boxes): grid boxes scaled by 2**e, for e up to 504.
+
+    At the top exponents two large areas sum past the float64 range, so the
+    IoU kernel takes its overflow path.
+    """
+    exponents = st.integers(0, 504) | st.integers(490, 504)
+    return exponents.flatmap(
+        lambda e: st.tuples(st.just(e), st.lists(grid_boxes(exponent=e), min_size=1, max_size=6)))
+
+
+# A valid box on the cell-0 anchor of scale 1.3e154 (the anchor's 8 px
+# offset is below the box's ulp): its area is finite but twice it is not.
+HUGE_BOX = Box(-6.5e153, -6.5e153, 6.5e153, 6.5e153)
 
 
 class TestBox:
@@ -74,7 +94,7 @@ class TestBox:
         assert b.width == 3.0
         assert b.height == 6.0
         assert b.area == 18.0
-        assert (b.cx, b.cy) == (2.5, 5.0)
+        assert box_from_center(2.5, 5.0, 3.0, 6.0) == b
 
     @pytest.mark.parametrize(
         "coords",
@@ -193,3 +213,47 @@ class TestIoU:
                             boxes_to_array([b for _, b in pairs]))
         assert values.shape == (len(pairs),)
         assert values.tolist() == [iou(a, b) for a, b in pairs]
+
+
+class TestOverflow:
+    """IoU stays exact where a sum of two finite areas, or a far gap, overflows."""
+
+    def test_huge_box_with_itself(self):
+        rows = boxes_to_array([HUGE_BOX, HUGE_BOX])
+        assert iou(HUGE_BOX, HUGE_BOX) == 1.0
+        assert paired_iou(rows, rows).tolist() == [1.0, 1.0]
+        assert iou_matrix(rows, rows).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_subnormal_areas_keep_their_iou(self):
+        # Areas of 3 and 5 times the smallest subnormal: halving them would
+        # round, so only a union that overflows may be halved.
+        u = math.ldexp(1.0, -537)
+        a, b = Box(0.0, 0.0, 3 * u, u), Box(0.0, 0.0, 5 * u, u)
+        assert iou(a, b) == 3 / 5
+        assert paired_iou(boxes_to_array([a]), boxes_to_array([b])).tolist() == [3 / 5]
+
+    def test_far_apart_boxes(self):
+        # The gap between the boxes, 2.8e308, is not a finite float.
+        a, b = Box(-1.5e308, 0.0, -1.4e308, 1.0), Box(1.4e308, 0.0, 1.5e308, 1.0)
+        assert iou(a, b) == 0.0
+        assert paired_iou(boxes_to_array([a]), boxes_to_array([b])).tolist() == [0.0]
+        assert iou_matrix(boxes_to_array([a, b]), boxes_to_array([b, a])).tolist() == [
+            [0.0, 1.0], [1.0, 0.0]]
+
+    @given(scaled_grid_boxes())
+    @example((504, [Box(0.0, 0.0, math.ldexp(250.0, 504), math.ldexp(250.0, 504)),
+                    Box(math.ldexp(50.0, 504), 0.0, math.ldexp(300.0, 504),
+                        math.ldexp(250.0, 504))]))
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scale_leaves_iou_unchanged(self, case):
+        # Scaling by 2**e is exact, so bit for bit IoU(2^e a, 2^e b) == IoU(a, b).
+        e, big = case
+        small = [scale_box(box, -e) for box in big]
+        pairs = [(i, j) for i in range(len(big)) for j in range(len(big))]
+        assert [iou(big[i], big[j]) for i, j in pairs] == [iou(small[i], small[j])
+                                                            for i, j in pairs]
+        big_rows, small_rows = boxes_to_array(big), boxes_to_array(small)
+        assert (paired_iou(big_rows, big_rows[::-1]).tobytes()
+                == paired_iou(small_rows, small_rows[::-1]).tobytes())
+        assert iou_matrix(big_rows, big_rows).tobytes() == iou_matrix(small_rows,
+                                                                      small_rows).tobytes()
