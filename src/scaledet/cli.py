@@ -190,11 +190,8 @@ def cmd_coverage(args) -> int:
         for scales in (s["scales"], s["compare"]) if scales is not None
     ]
     labels = _load_dataset(s)
-    report, *alt = [
-        anchors_mod.coverage(config, labels, thresholds=s["thresholds"], buckets=s["buckets"],
-                             class_filter=s["class_filter"])
-        for config in families
-    ]
+    report, *alt = anchors_mod._coverage(families, labels, s["thresholds"], s["buckets"],
+                                         s["class_filter"])
     write_output(out_dir / "coverage.csv",
                  ([r.threshold, r.bucket_lo, r.bucket_hi, r.matched, r.total, r.recall]
                   for r in report.rows),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scaledet.anchors import (
     CoverageReport,
     CoverageRow,
     GtAttribution,
+    _coverage,
     anchor_shapes,
     coverage,
 )
@@ -296,6 +298,12 @@ class TestBestAnchorSearch:
     """The windowed search in ``coverage`` against the dense oracle, bit for bit."""
 
     @given(search_cases())
+    # The box's right edge is one ulp right of the 60x60 anchor edge at
+    # x = 38 (cell 0), so that slope cell has one ulp less overlap than the
+    # plateau cell 1, yet rounds to the same IoU and must win the tie: the
+    # 48x75 shape, listed first, reaches that IoU only from cell 1 on.
+    @example((AnchorConfig(scales=(60.0,), ratios=(1.5625, 1.0)), 200.0, 160.0,
+              [Box(0.0, 22.625, math.nextafter(38.0, math.inf), 70.0)]))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_oracle(self, case):
         config, image_w, image_h, boxes = case
@@ -318,6 +326,35 @@ class TestBestAnchorSearch:
         assert coverage(config, vehicle_dataset, thresholds=thresholds) == dense_coverage(
             config, vehicle_dataset, thresholds
         )
+
+    @given(search_cases(), st.lists(st.lists(st.sampled_from([16.0, 45.0, 64.0, 128.0, 512.0]),
+                                             min_size=1, max_size=3, unique=True),
+                                    min_size=1, max_size=2))
+    @example((AnchorConfig(scales=(512.0, 128.0)), 600.0, 400.0,
+              [Box(10.0, 20.0, 200.0, 150.0), box_from_center(264.0, 200.0, 128.0, 128.0)]),
+             [[128.0, 512.0, 64.0]])
+    @example((AnchorConfig(scales=(128.0, 64.0), ratios=(0.5, 2.0), allow_border=False),
+              300.0, 200.0, [Box(40.0, 30.0, 90.0, 100.0), Box(5000.0, 5000.0, 5040.0, 5030.0)]),
+             [[64.0, 16.0, 128.0], [45.0]])
+    @settings(max_examples=150, deadline=None)
+    def test_shared_search_equals_separate_calls(self, case, scale_lists):
+        # One search over the distinct shapes of several families, on two
+        # image sizes, reduced per family in its own shape order.
+        config, image_w, image_h, boxes = case
+        families = [config] + [AnchorConfig(scales=tuple(scales), ratios=config.ratios,
+                                            stride=config.stride,
+                                            allow_border=config.allow_border)
+                               for scales in scale_lists]
+        dataset = [_image_of_boxes(boxes, "a", dims=(image_w, image_h)),
+                   _image_of_boxes(boxes, "b", dims=(image_h, image_w))]
+        thresholds = (0.3, 0.5)
+        try:
+            want = [coverage(family, dataset, thresholds=thresholds) for family in families]
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                _coverage(families, dataset, thresholds, DEFAULT_WIDTH_BIN_EDGES, None)
+            return
+        assert _coverage(families, dataset, thresholds, DEFAULT_WIDTH_BIN_EDGES, None) == want
 
     def test_zero_overlap_takes_first_kept_shape(self):
         # Far from every anchor; with the border kept the first anchor is

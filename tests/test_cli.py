@@ -114,6 +114,26 @@ class TestCoverageCommand:
         assert (out / "coverage.csv").exists()
         assert (out / "attribution.csv").exists()
 
+    def test_compare_equals_two_single_family_runs(self, dataset_dir, tmp_path):
+        # The families list their shared scales in conflicting orders, so one
+        # search over their shapes must still reduce in each family's order.
+        def run(name, *args):
+            assert main(["coverage", str(dataset_dir), "--thresholds", "0.3,0.5,0.7",
+                         *args, "--out", str(tmp_path / name)]) == 0
+            return {f: read_csv(tmp_path / name / f)
+                    for f in ("coverage.csv", "attribution.csv", "delta.csv")
+                    if (tmp_path / name / f).exists()}
+
+        both = run("both", "--scales", "512,128", "--compare", "128,512,64")
+        base = run("base", "--scales", "512,128")
+        other = run("other", "--scales", "128,512,64")
+        assert both["coverage.csv"] == base["coverage.csv"]
+        assert both["attribution.csv"] == base["attribution.csv"]
+        assert base["attribution.csv"] != other["attribution.csv"]
+        delta = [a[:3] + [a[5], b[5], "" if "" in (a[5], b[5]) else repr(float(b[5]) - float(a[5]))]
+                 for a, b in zip(base["coverage.csv"][1:], other["coverage.csv"][1:])]
+        assert both["delta.csv"][1:] == delta
+
     def test_exact_anchor_dataset_full_recall(self, tmp_path):
         d = tmp_path / "exact"
         d.mkdir()
@@ -979,6 +999,17 @@ class TestExtremeBoxes:
         assert main(["eval", str(huge_dir), str(dets), "--class", "Car", "--out", str(out)]) == 0
         assert "AP (all-point, IoU 0.7): 1.0" in capsys.readouterr().out
         assert read_csv(out / "ap.csv")[1] == ["overall", "", "", "1.0", "1", "0", "1"]
+
+    def test_coverage_window_past_the_float_range(self, tmp_path):
+        # A 2e306 px wide anchor's plateau edge g1 + half lies past 1.8e308.
+        d = tmp_path / "edge"
+        d.mkdir()
+        (d / "000000.txt").write_text("Car 0 0 0 1.79e308 0 1.797e308 10 0 0 0 0 0 0 0\n")
+        out = tmp_path / "cov"
+        assert main(["coverage", str(d), "--scales", "1e154", "--ratios", "2.5e-305",
+                     "--thresholds", "0.5", "--out", str(out)]) == 0
+        overall = [r for r in read_csv(out / "coverage.csv")[1:] if r[1] == ""]
+        assert overall == [["0.5", "", "", "0", "1", "0.0"]]
 
     def test_stats_bins_an_infinite_aspect_last(self, tmp_path):
         d = tmp_path / "thin"
