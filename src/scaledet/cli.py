@@ -38,7 +38,9 @@ from . import netgraph as netgraph_mod
 from . import svgplot
 from .datasets import write_output
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .simulate import parse_profile, read_key_values, simulate as run_detector
+from .simulate import parse_profile, read_key_values, simulate_table
+# Unused here; scalebench's tracer test still patches cli.run_detector.
+from .simulate import simulate as run_detector  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,8 +85,8 @@ def _size(text: str, name: str) -> tuple[int, int]:
         w, h = int(w_s), int(h_s)
     except ValueError:
         raise ConfigError(f"{name} expects WxH, got {text!r}") from None
-    if w < 1 or h < 1:
-        raise ConfigError(f"{name} must be positive, got {text!r}")
+    if not (1 <= w <= sys.float_info.max and 1 <= h <= sys.float_info.max):
+        raise ConfigError(f"{name} must be positive and finite, got {text!r}")
     return w, h
 
 
@@ -336,16 +338,16 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir, s = _settings(args)
-    images = datasets_mod.image_annotations(_load_dataset(s))
+    labels = _load_dataset(s)
     profile = parse_profile(datasets_mod.read_input(s["profile"], ConfigError))
     if s["seed"] is not None:
         profile = dataclasses.replace(profile, seed=s["seed"])
 
-    detections = run_detector(images, profile)
+    detections = simulate_table(labels, profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
     # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt").
     _write_run_config(out_dir, {**s, "profile": Path(s["profile"]), "seed": profile.seed})
-    print(f"detections: {len(detections)}")
+    print(f"detections: {len(detections.scores)}")
     print(f"wrote {out_dir / 'detections.csv'}")
     return EXIT_OK
 

@@ -19,10 +19,11 @@ excluded from statistics; evaluation treats them as ignore regions. VOC's
 A directory loads as one ``LabelTable`` (``load_label_table``): columns
 with one row per object. KITTI lines are split and converted in one pass
 and checked as arrays; a file that fails a check is parsed again by
-``parse_kitti_label``, which raises the per-line message. Every subcommand
-runs on the table. Objects are the edge: ``image_annotations`` views a table
-as one ``ImageAnnotations`` per file (``load_dataset`` loads that view), and
-``as_label_table`` turns object lists into a table.
+``parse_kitti_label``, which raises the per-line message. Every subcommand,
+``simulate`` included, runs on the table and builds no per-box objects.
+Objects are the library's edge: ``load_dataset`` loads the table as one
+``ImageAnnotations`` per file, and ``as_label_table`` turns object lists
+into a table.
 
 Parsers are pure functions on input text, so per-file parsing can run
 concurrently and statistics merge associatively. Every input file of the
@@ -75,7 +76,6 @@ __all__ = [
     "load_label_table",
     "LabelTable",
     "as_label_table",
-    "image_annotations",
     "split_folds",
 ]
 
@@ -482,17 +482,12 @@ def load_dataset(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float 
                  skip_bad: bool = False) -> tuple[list[ImageAnnotations], list[str]]:
     """``load_label_table`` as objects: ``(images, skipped)``, one ImageAnnotations per file."""
     table, skipped = load_label_table(path, fmt, image_w, image_h, skip_bad)
-    return image_annotations(table), skipped
-
-
-def image_annotations(table: LabelTable) -> list[ImageAnnotations]:
-    """The rows of ``table`` as objects: one ImageAnnotations per image, in table order."""
     sources = [table.image_ids[i] for i in table.image.tolist()]
     anns = [Annotation(cls, Box(*box), source)
             for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
     ends = np.cumsum(np.bincount(table.image, minlength=len(table.image_ids))).tolist()
     return [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
-            in zip(table.image_ids, table.sizes, [0] + ends, ends)]
+            in zip(table.image_ids, table.sizes, [0] + ends, ends)], skipped
 
 
 def as_label_table(labels) -> LabelTable:
@@ -507,13 +502,14 @@ def as_label_table(labels) -> LabelTable:
     if all(isinstance(item, ImageAnnotations) for item in labels):
         ids = [image.image_id for image in labels]
         sizes = [(image.image_w, image.image_h) for image in labels]
-        rows = [(k, a) for k, image in enumerate(labels) for a in image.annotations]
+        image = np.repeat(np.arange(len(labels)), [len(image.annotations) for image in labels])
+        anns = [a for image in labels for a in image.annotations]
     else:
         codes: dict[str, int] = {}
-        rows = [(codes.setdefault(a.source_image, len(codes)), a) for a in labels]
-        ids, sizes = list(codes), [(KITTI_IMAGE_W, KITTI_IMAGE_H)] * len(codes)
-    return LabelTable(ids, sizes, np.array([k for k, _ in rows], dtype=np.intp),
-                      [a.class_name for _, a in rows], boxes_to_array([a.box for _, a in rows]))
+        image = [codes.setdefault(a.source_image, len(codes)) for a in labels]
+        anns, ids, sizes = labels, list(codes), [(KITTI_IMAGE_W, KITTI_IMAGE_H)] * len(codes)
+    return LabelTable(ids, sizes, np.asarray(image, dtype=np.intp), [a.class_name for a in anns],
+                      boxes_to_array([a.box for a in anns]))
 
 
 @dataclass(frozen=True)

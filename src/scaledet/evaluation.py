@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -130,7 +130,7 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
 
 
 class DetectionTable(NamedTuple):
-    """Detections as columns, one row per detection, in input order."""
+    """Detections as columns, one row per detection."""
 
     image_ids: list[str]
     classes: list[str]
@@ -142,6 +142,20 @@ def _rank(values: list[str]) -> np.ndarray:
     """Rank of each string in Python's order (numpy strings drop trailing NULs)."""
     rank = {value: k for k, value in enumerate(sorted(set(values)))}
     return np.array([rank[value] for value in values], dtype=np.intp)
+
+
+def _detection_table(dets: list[Detection]) -> DetectionTable:
+    """Detection objects as columns."""
+    return DetectionTable([d.image_id for d in dets], [d.class_name for d in dets],
+                          boxes_to_array([d.box for d in dets]),
+                          np.array([d.score for d in dets], dtype=np.float64))
+
+
+def _detections(t: DetectionTable) -> list[Detection]:
+    """The rows of ``t`` as Detection objects; a list per column, not per row,
+    keeps the temporaries small."""
+    return list(map(Detection, t.image_ids, t.classes, starmap(Box, zip(*t.boxes.T.tolist())),
+                    t.scores.tolist()))
 
 
 class _Matching(list):
@@ -233,11 +247,8 @@ def match_detections(
     ignore set. Ground truth and detections are paired within the same
     image only.
     """
-    table = DetectionTable([d.image_id for d in dets], [d.class_name for d in dets],
-                           boxes_to_array([d.box for d in dets]),
-                           np.array([d.score for d in dets], dtype=np.float64))
-    matching = _Matching(table, [g.source_image for g in gts], np.arange(len(gts)),
-                         boxes_to_array([g.box for g in gts]),
+    matching = _Matching(_detection_table(dets), [g.source_image for g in gts],
+                         np.arange(len(gts)), boxes_to_array([g.box for g in gts]),
                          np.array([g.is_dontcare for g in gts], dtype=bool), iou_threshold)
     matching.extend(zip([dets[i] for i in matching.order.tolist()],
                         [_LABELS[c] for c in matching.code.tolist()]))
@@ -447,12 +458,13 @@ def aggregate_folds(per_fold_ap: list[float]) -> FoldAggregate:
     )
 
 
-def write_detections_csv(path, dets: list[Detection]) -> None:
-    """Write detections in canonical order (image asc, score desc, box)."""
-    ordered = sorted(dets, key=lambda d: (d.image_id,) + d.sort_key())
-    rows = ([d.image_id, d.class_name, *map(float, d.box.as_tuple()), float(d.score)]
-            for d in ordered)
-    write_output(path, rows, DETECTIONS_CSV_HEADER)
+def write_detections_csv(path, dets) -> None:
+    """Write a Detection list in canonical order (image asc, score desc, box),
+    or a DetectionTable in its row order."""
+    if not isinstance(dets, DetectionTable):
+        dets = _detection_table(sorted(dets, key=lambda d: (d.image_id,) + d.sort_key()))
+    write_output(path, zip(dets.image_ids, dets.classes, *dets.boxes.T.tolist(),
+                           dets.scores.tolist()), DETECTIONS_CSV_HEADER)
 
 
 def read_detection_table(path) -> DetectionTable:
@@ -482,6 +494,4 @@ def read_detection_table(path) -> DetectionTable:
 
 def read_detections_csv(path) -> list[Detection]:
     """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score)."""
-    t = read_detection_table(path)
-    return [Detection(*row) for row in zip(
-        t.image_ids, t.classes, (Box(*box) for box in t.boxes.tolist()), t.scores.tolist())]
+    return _detections(read_detection_table(path))

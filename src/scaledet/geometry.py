@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -134,9 +135,8 @@ def _iou_kernel(inter: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np
 
 def boxes_to_array(boxes) -> np.ndarray:
     """Stack Box objects into an (N, 4) float64 array."""
-    if not boxes:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
+    return np.fromiter(chain.from_iterable(b.as_tuple() for b in boxes), np.float64,
+                       4 * len(boxes)).reshape(-1, 4)
 
 
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:

@@ -25,25 +25,24 @@ outermost knots), e.g.::
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .datasets import ImageAnnotations
+from .datasets import LabelTable, as_label_table
 from .errors import ConfigError
-from .evaluation import Detection
-from .geometry import Box
+from .evaluation import Detection, DetectionTable, _detections, _rank
+from .geometry import Box, valid_boxes
 
-__all__ = ["DetectorProfile", "parse_profile", "simulate"]
+__all__ = ["DetectorProfile", "parse_profile", "simulate", "simulate_table"]
 
 # Floor on generated detection extent after localization jitter.
 _MIN_SIZE = 0.25
 # Bounds on fp_per_image, far above any detector's output per image (tests and
 # the benchmark use at most 15), and on loc_noise_sigma in pixels, far beyond
-# any image side and small enough that jittered edges stay _MIN_SIZE apart.
+# any image side.
 _MAX_FP, _MAX_JITTER = 1000.0, 1e6
 
 
@@ -89,10 +88,10 @@ class DetectorProfile:
                 f"score_mean_fp ({self.score_mean_fp})"
             )
 
-    def prob_at(self, width: float) -> float:
-        xs = [w for w, _ in self.detect_prob]
-        ps = [p for _, p in self.detect_prob]
-        return float(np.interp(width, xs, ps))
+    def prob_at(self, width):
+        """``detect_prob`` at ``width``: a float, or an array for an array of widths."""
+        p = np.interp(width, *zip(*self.detect_prob))
+        return p if np.ndim(width) else float(p)
 
 
 def read_key_values(text: str, where: str, keys) -> dict[str, tuple[int, str]]:
@@ -155,75 +154,88 @@ def _image_rng(seed: int, image_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), key]))
 
 
-def _truncated_score(rng: np.random.Generator, mean: float, sigma: float) -> float:
-    if sigma == 0.0:
-        return min(max(mean, 0.0), 1.0)
-    dist = NormalDist(mean, sigma)
-    lo, hi = dist.cdf(0.0), dist.cdf(1.0)
-    if hi - lo < 1e-12:
-        return min(max(mean, 0.0), 1.0)
-    return dist.inv_cdf(lo + rng.random() * (hi - lo))
+def _score_law(mean: float, sigma: float):
+    """``(draws, scores)`` of N(mean, sigma) truncated to [0, 1]: whether a score draws a
+    uniform, and the scores of draws, one row each (for ``sigma`` 0 or a window under
+    1e-12 none draws, and each is ``mean`` clamped to [0, 1])."""
+    if sigma != 0.0:
+        dist = NormalDist(mean, sigma)
+        lo, hi = dist.cdf(0.0), dist.cdf(1.0)
+        if hi - lo >= 1e-12:
+            return True, lambda u: np.array([dist.inv_cdf(lo + v * (hi - lo))
+                                             for v in u.ravel().tolist()])
+    return False, lambda u: np.full(len(u), min(max(mean, 0.0), 1.0))
 
 
-def _jittered(box: Box, noise: np.ndarray) -> Box:
-    x1 = box.x1 + noise[0]
-    y1 = box.y1 + noise[1]
-    x2 = max(box.x2 + noise[2], x1 + _MIN_SIZE)
-    y2 = max(box.y2 + noise[3], y1 + _MIN_SIZE)
-    return Box(x1, y1, x2, y2)
+def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTable:
+    """Run the synthetic detector over the rows of a LabelTable.
 
-
-def _modal_class(dataset: list[ImageAnnotations]) -> str:
-    counts = Counter(
-        a.class_name for image in dataset for a in image.annotations if not a.is_dontcare
-    )
-    if not counts:
-        return "object"
-    # Highest count, alphabetical tie-break, independent of input order.
-    return min(counts, key=lambda name: (-counts[name], name))
-
-
-def simulate(dataset: list[ImageAnnotations], profile: DetectorProfile) -> list[Detection]:
-    """Run the synthetic detector over a dataset.
-
-    Per ground-truth box a detection fires with probability
-    ``detect_prob(width)``, carrying the jittered box and a truncated-normal
-    score; Poisson-distributed false positives (labeled with the dataset's
-    most common class) are placed uniformly per image. The output is
-    canonically ordered by (image_id, score desc, box).
+    Per counted ground-truth box (not DontCare) a detection fires with
+    probability ``detect_prob(width)``, carrying the jittered box and a
+    truncated-normal score; Poisson-distributed false positives (labeled
+    with the dataset's most common class) are placed uniformly per image.
+    A far edge lies above its near edge by at least the next float. The rows
+    are in canonical order: image id, then ``Detection.sort_key``.
     """
-    fp_class = _modal_class(dataset)
-    detections: list[Detection] = []
-    for image in dataset:
-        rng = _image_rng(profile.seed, image.image_id)
-        for ann in image.annotations:
-            if ann.is_dontcare:
-                continue
-            if rng.random() >= profile.prob_at(ann.box.width):
-                continue
-            if profile.loc_noise_sigma > 0:
-                box = _jittered(ann.box, rng.normal(0.0, profile.loc_noise_sigma, 4))
-            else:
-                box = ann.box
-            score = _truncated_score(rng, profile.score_mean_tp, profile.score_sigma)
-            detections.append(
-                Detection(image_id=image.image_id, class_name=ann.class_name, box=box, score=score)
-            )
-        if profile.fp_per_image > 0:
-            lo, hi = profile.fp_size_range
-            for _ in range(int(rng.poisson(profile.fp_per_image))):
-                w = min(lo + rng.random() * (hi - lo), image.image_w)
-                h = min(lo + rng.random() * (hi - lo), image.image_h)
-                x1 = rng.random() * max(image.image_w - w, 0.0)
-                y1 = rng.random() * max(image.image_h - h, 0.0)
-                score = _truncated_score(rng, profile.score_mean_fp, profile.score_sigma)
-                detections.append(
-                    Detection(
-                        image_id=image.image_id,
-                        class_name=fp_class,
-                        box=Box(x1, y1, x1 + w, y1 + h),
-                        score=score,
-                    )
-                )
-    detections.sort(key=lambda d: (d.image_id,) + d.sort_key())
-    return detections
+    rows = labels.counted()
+    rows = rows[np.argsort(labels.image[rows], kind="stable")]  # per image, in row order
+    prob = profile.prob_at(labels.boxes[rows, 2] - labels.boxes[rows, 0]).tolist()
+    ends = np.cumsum(np.bincount(labels.image[rows], minlength=len(labels.image_ids))).tolist()
+    tp_draws, tp_scores = _score_law(profile.score_mean_tp, profile.score_sigma)
+    fp_draws, fp_scores = _score_law(profile.score_mean_fp, profile.score_sigma)
+    sigma, rate, k = profile.loc_noise_sigma, profile.fp_per_image, 4 + fp_draws
+    fired, noise, uniform = np.zeros(len(rows), bool), np.empty((len(rows), 4)), np.empty(len(rows))
+    fp_counts, fp_uniforms, start = [], [np.empty(0)], 0
+    # Each image draws from its own stream: per counted box a uniform, and for a box that
+    # fires its jitter and score uniform; then the false-positive count, and their uniforms
+    # in one call (the stream of as many scalar draws). The rest is column arithmetic.
+    for image_id, end in zip(labels.image_ids, ends):
+        rng = _image_rng(profile.seed, image_id)
+        for j in range(start, end):
+            if rng.random() < prob[j]:
+                fired[j] = True
+                if sigma > 0:
+                    noise[j] = rng.normal(0.0, sigma, 4)
+                if tp_draws:
+                    uniform[j] = rng.random()
+        start = end
+        if rate > 0:
+            fp_counts.append(int(rng.poisson(rate)))
+            fp_uniforms.append(rng.random(fp_counts[-1] * k))
+
+    tp_rows, u = rows[fired], np.concatenate(fp_uniforms).reshape(-1, k)  # w, h, x1, y1[, score]
+    tp_boxes = labels.boxes[tp_rows]
+    if sigma > 0:
+        tp_boxes += noise[fired]
+        near = tp_boxes[:, :2]
+        tp_boxes[:, 2:] = np.maximum(np.maximum(tp_boxes[:, 2:], near + _MIN_SIZE),
+                                     np.nextafter(near, np.inf))
+    fp_image = np.repeat(np.arange(len(fp_counts)), fp_counts)
+    size = np.array(labels.sizes, dtype=np.float64).reshape(-1, 2)[fp_image]
+    lo, hi = profile.fp_size_range
+    extent = np.minimum(lo + u[:, :2] * (hi - lo), size)
+    near = u[:, 2:4] * np.maximum(size - extent, 0.0)
+    far = np.maximum(near + extent, np.nextafter(near, np.inf))
+    boxes = np.concatenate((tp_boxes, np.hstack((near, far))))
+    bad = np.flatnonzero(~valid_boxes(boxes))
+    if len(bad):
+        Box(*boxes[bad[0]].tolist())  # raises InvalidBoxError naming the box
+    scores = np.concatenate((tp_scores(uniform[fired]), fp_scores(u[:, 4:])))
+
+    counts = Counter(labels.classes[i] for i in rows.tolist())
+    # False positives take the highest count's class, the first name on ties.
+    classes = labels.classes + [min(counts, key=lambda c: (-counts[c], c), default="object")]
+    image = np.concatenate((labels.image[tp_rows], fp_image))
+    cls = np.concatenate((tp_rows, np.full(len(u), len(labels.classes))))  # into classes
+    # (image_id,) + Detection.sort_key(); lexsort is stable, and ties -0.0 with 0.0 as Python.
+    image_rank = _rank(labels.image_ids)[image]
+    order = np.lexsort((_rank(classes)[cls], *boxes.T[::-1], image_rank, -scores, image_rank))
+    # Indexing object arrays of the strings makes no per-row objects.
+    return DetectionTable(np.array(labels.image_ids, dtype=object)[image[order]].tolist(),
+                          np.array(classes, dtype=object)[cls[order]].tolist(),
+                          boxes[order], scores[order])
+
+
+def simulate(dataset, profile: DetectorProfile) -> list[Detection]:
+    """``simulate_table`` as Detection objects, of a LabelTable or what ``as_label_table`` takes."""
+    return _detections(simulate_table(as_label_table(dataset), profile))

@@ -437,11 +437,11 @@ class TestSimulateAndEval:
                 repr(want.ap), str(want.tp), str(want.fp), str(want.total_gt), str(len(fold))
             ]
 
-    @pytest.mark.parametrize("command", ["eval", "stats", "coverage"])
+    @pytest.mark.parametrize("command", ["eval", "stats", "coverage", "simulate"])
     def test_eval_builds_no_box_per_row(self, tmp_path, monkeypatch, command):
         # Labels (and eval's detections) are read, counted and matched as
-        # columns: the Box objects a command builds do not grow with the
-        # label rows or detections.
+        # columns, and simulate writes its detections from columns: the Box
+        # objects a command builds do not grow with the label rows or detections.
         profile = self._profile(tmp_path, "detect_prob=0:0.8\nfp_per_image=2\nseed=3\n")
         built = []
         for n_images in (4, 16):
@@ -451,6 +451,8 @@ class TestSimulateAndEval:
             if command == "eval":
                 assert main(["simulate", str(labels), str(profile), "--out", str(sim_out)]) == 0
                 argv.insert(2, str(sim_out / "detections.csv"))
+            elif command == "simulate":
+                argv.insert(2, str(profile))
             count = 0
             post_init = Box.__post_init__
 
@@ -964,6 +966,21 @@ class TestConfigErrors:
         assert main(["rf", "zf", "--input-size", "80", "--out", str(tmp_path / "o")]) == 1
         assert "--input-size expects WxH, got '80'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["stats", "coverage", "eval", "simulate", "rf"])
+    def test_size_past_the_float_range_exit_code(self, dataset_dir, tmp_path, capsys,
+                                                 subcommand):
+        # A side of 400 digits parses as an integer but has no float value.
+        flag, argv = "--image-size", [subcommand, str(dataset_dir)]
+        if subcommand in ("eval", "simulate"):
+            extra = tmp_path / "extra.txt"
+            extra.write_text("")
+            argv.append(str(extra))
+        elif subcommand == "rf":
+            flag, argv = "--input-size", ["rf", "zf"]
+        size = "512x1" + "0" * 400
+        assert main(argv + [flag, size, "--out", str(tmp_path / "o")]) == 1
+        assert f"{flag} must be positive and finite, got '512x1000" in capsys.readouterr().err
+
 
 # Valid labels at the edge of float64. HUGE_LABEL sits on the cell-0 anchor
 # of scale 1.3e154 (its 8 px offset is below the ulp); its area is finite but
@@ -1010,6 +1027,33 @@ class TestExtremeBoxes:
                      "--thresholds", "0.5", "--out", str(out)]) == 0
         overall = [r for r in read_csv(out / "coverage.csv")[1:] if r[1] == ""]
         assert overall == [["0.5", "", "", "0", "1", "0.0"]]
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_simulate_keeps_jittered_edges_apart(self, tmp_path, seed):
+        # At 1e22 the ulp is 2^21, so x1 + 0.25 rounds to x1: the far edge
+        # is floored at the next float instead.
+        d, profile, out = tmp_path / "far", tmp_path / "profile.txt", tmp_path / "sim"
+        d.mkdir()
+        (d / "000000.txt").write_text("Car 0 0 0 1e22 0 1.0000000000000002e22 10 0 0 0 0 0 0 0\n")
+        profile.write_text("loc_noise_sigma=1000000\n")
+        assert main(["simulate", str(d), str(profile), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        [det] = read_detections_csv(out / "detections.csv")
+        assert det.box.x1 > 9e21 and det.box.x2 == math.nextafter(det.box.x1, math.inf)
+
+    def test_simulate_keeps_false_positive_edges_apart(self, tmp_path):
+        # On a 1e22 px wide image x1 + w rounds to x1 for a box under 2^21 px.
+        d, profile, out = tmp_path / "wide", tmp_path / "profile.txt", tmp_path / "sim"
+        d.mkdir()
+        (d / "000000.txt").write_text("Car 0 0 0 10 10 50 40 0 0 0 0 0 0 0\n")
+        profile.write_text("fp_per_image=5\n")
+        assert main(["simulate", str(d), str(profile), "--image-size",
+                     "10000000000000000000000x512", "--out", str(out)]) == 0
+        dets = read_detections_csv(out / "detections.csv")
+        assert len(dets) == 5 and all(d.box.x2 <= 1e22 and d.box.y2 <= 512 for d in dets)
+        # The label's own box, then four false positives on the next-float floor.
+        floored = [d.box.x2 == math.nextafter(d.box.x1, math.inf) for d in dets]
+        assert floored == [False] + [True] * 4
 
     def test_stats_bins_an_infinite_aspect_last(self, tmp_path):
         d = tmp_path / "thin"
