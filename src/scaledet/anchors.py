@@ -260,11 +260,11 @@ class GtAttribution:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    thresholds: tuple[float, ...]
+    """Recall rows by threshold, then bucket, and one attribution per counted box."""
+
     rows: tuple[CoverageRow, ...]
     attribution: tuple[GtAttribution, ...]
     anchors_per_image: float
-    total_gt: int
 
     def overall_recall(self, threshold: float) -> float | None:
         for row in self.rows:
@@ -380,5 +380,5 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
                      for lo, hi, inside in in_bucket]
         anchor_total = sum(int(g.count[family].sum()) * n for g, n in zip(grids, images_per_grid))
         per_image = anchor_total / len(image_size) if len(image_size) else 0.0
-        reports.append(CoverageReport(thresholds, tuple(rows), attribution, per_image, len(counted)))
+        reports.append(CoverageReport(tuple(rows), attribution, per_image))
     return reports

@@ -48,6 +48,7 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 _ENV_OUTPUT_DIR = "SCALEDET_OUTPUT_DIR"
+_AGGREGATE = "mean"  # fold_id of the aggregate row of folds.csv, which no fold may take
 
 
 # ---------------------------------------------------------- value parsers ----
@@ -173,7 +174,7 @@ def cmd_stats(args) -> int:
     _write_run_config(out_dir, s)
     modal = stats.width_histogram.modal_bin()
     print(f"images: {stats.image_count}")
-    print(f"annotations (after filter): {stats.annotation_count}")
+    print(f"annotations (after filter): {stats.width_histogram.total}")
     for name, count in stats.per_class.items():
         print(f"class {name}: {count}")
     print(f"modal width bin: [{modal[0]:g}, {modal[1]:g})")
@@ -210,7 +211,7 @@ def cmd_coverage(args) -> int:
                      ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
                       "delta"])
     _write_run_config(out_dir, s)
-    for t in report.thresholds:
+    for t in s["thresholds"]:
         recall = report.overall_recall(t)
         print(f"recall@{t:g}: {recall if recall is not None else 'undefined'}")
     print(f"anchors per image: {report.anchors_per_image:g}")
@@ -284,6 +285,9 @@ def cmd_eval(args) -> int:
         for lineno, (image_id, fold_id) in rows:
             if image_id in folds:
                 raise ParseError(f"{name}: line {lineno}: image {image_id!r} listed twice")
+            if fold_id == _AGGREGATE:
+                raise ParseError(f"{name}: line {lineno}: fold id {fold_id!r} is reserved for "
+                                 "the aggregate row")
             folds[image_id] = fold_id
         if not folds:
             raise ParseError(f"{name}: no folds")
@@ -308,14 +312,14 @@ def cmd_eval(args) -> int:
         agg = eval_mod.aggregate_folds([r.ap for _, r in report.per_fold])
         fold_rows = [[fold_id, r.ap, r.tp, r.fp, r.total_gt, images_per_fold[fold_id]]
                      for fold_id, r in report.per_fold]
-        fold_rows.append(["mean", agg.mean, None, None, None, None])
+        fold_rows.append([_AGGREGATE, agg.mean, None, None, None, None])
         write_output(out_dir / "folds.csv", fold_rows,
                      ["fold_id", "ap", "tp", "fp", "total_gt", "images"])
 
     _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
     zero_gt = "no ground truth for this class; AP defined as 0"
-    if report.zero_gt:
+    if report.total_gt == 0:
         print(f"warning: {zero_gt}", file=sys.stderr)
     for fold_id, r in report.per_fold:
         if r.total_gt == 0:
@@ -327,7 +331,7 @@ def cmd_eval(args) -> int:
             print(f"warning: {len(ids - known)} {source} image id(s) not in the dataset",
                   file=sys.stderr)
     if folds is not None:
-        print(f"folds: n={agg.n_folds} mean={agg.mean!r} min={agg.minimum!r} "
+        print(f"folds: n={len(report.per_fold)} mean={agg.mean!r} min={agg.minimum!r} "
               f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")
     return EXIT_OK
@@ -345,8 +349,12 @@ def cmd_simulate(args) -> int:
 
     detections = simulate_table(labels, profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
-    # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt").
-    _write_run_config(out_dir, {**s, "profile": Path(s["profile"]), "seed": profile.seed})
+    # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt"),
+    # and every field of the resolved profile in profile syntax (a float's str is its repr).
+    knots = ",".join(f"{w!r}:{p!r}" for w, p in profile.detect_prob)
+    record = {**dataclasses.asdict(profile), "detect_prob": knots,
+              "fp_size_range": "%r,%r" % profile.fp_size_range}
+    _write_run_config(out_dir, {**s, **record, "profile": Path(s["profile"])})
     print(f"detections: {len(detections.scores)}")
     print(f"wrote {out_dir / 'detections.csv'}")
     return EXIT_OK

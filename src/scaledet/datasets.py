@@ -314,7 +314,7 @@ def make_histogram(values, bin_edges) -> Histogram:
     """Histogram ``values`` over ``bin_edges``; out-of-range values fall into
     the first/last bin so no mass is ever dropped."""
     edges = check_edges(bin_edges)
-    counts = np.bincount(bin_index(list(values), edges), minlength=len(edges) - 1)
+    counts = np.bincount(bin_index(values, edges), minlength=len(edges) - 1)
     return Histogram(bin_edges=edges, counts=tuple(int(c) for c in counts))
 
 
@@ -323,7 +323,8 @@ class DatasetStats:
     """Scale/aspect distribution of a set of annotations.
 
     Histograms cover the annotations that pass the class filter and are not
-    DontCare; ``per_class`` counts every input annotation.
+    DontCare, so ``width_histogram.total`` is their count; ``per_class``
+    counts every input annotation.
     """
 
     width_histogram: Histogram
@@ -332,7 +333,6 @@ class DatasetStats:
     aspect_histogram: Histogram
     per_class: dict[str, int] = field(default_factory=dict)
     image_count: int = 0
-    annotation_count: int = 0
 
 
 def compute_stats(labels, class_filter: str | None = None,
@@ -355,7 +355,6 @@ def compute_stats(labels, class_filter: str | None = None,
         aspect_histogram=make_histogram(aspects, DEFAULT_ASPECT_BIN_EDGES),
         per_class=dict(sorted(Counter(table.classes).items())),
         image_count=len(table.image_ids),
-        annotation_count=len(kept),
     )
 
 
@@ -514,9 +513,9 @@ def as_label_table(labels) -> LabelTable:
 
 @dataclass(frozen=True)
 class Fold:
-    """One random train/test division of a list of image ids."""
+    """One random train/test division of a list of image ids; its id is its
+    index in ``split_folds``' list."""
 
-    fold_id: int
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
@@ -541,5 +540,5 @@ def split_folds(image_ids, n_folds: int = 6, test_size: int = 1000, seed: int = 
         order = rng.permutation(len(ids))
         test = tuple(ids[i] for i in sorted(order[:test_size]))
         train = tuple(ids[i] for i in sorted(order[test_size:]))
-        folds.append(Fold(fold_id=fold_id, train_ids=train, test_ids=test))
+        folds.append(Fold(train_ids=train, test_ids=test))
     return folds

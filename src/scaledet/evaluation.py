@@ -10,21 +10,24 @@ dropped from the tally entirely.
 Equal-score detections are ordered by content (image id, then coordinates),
 never by input position, so shuffling the input cannot change any label.
 
-One matching object, built from columns, holds the labels and the arrays of
-every scope: detections are sorted once (one ``lexsort`` in the order of
-``Detection.sort_key``) and their IoU with each ground-truth box of their
-image is computed once (``paired_iou``, the IoU kernel of ``geometry``),
-keeping the pairs at or above the threshold. A width bucket only changes
-which ground truth is ignored, so bucketed AP re-runs the greedy assignment
-over those pairs alone; a fold masks the overall labels to its images. One
-routine scores the labels of any scope: PR points, AP, TP, FP.
+One matching object, built from two tables (the detections, and the
+``LabelTable`` of the ground truth in play, whose DontCare rows are the
+ignore regions), holds the labels and the arrays of every scope: detections
+are sorted once (by ``_order``, the one ``lexsort`` of the ``sort_key``
+order, which ``simulate`` shares) and their IoU with each ground-truth box
+of their image is computed once (``paired_iou``, the IoU kernel of
+``geometry``), keeping the pairs at or above the threshold. A width bucket
+only changes which ground truth is ignored, so bucketed AP re-runs the
+greedy assignment over those pairs alone; a fold masks the overall labels to
+its images. One routine scores the labels of any scope: PR points, AP, TP, FP.
 
 Like every subcommand, ``scaledet eval`` runs on the ``LabelTable`` of its
 labels, and on columns end to end: ``read_detection_table`` reads a
 detections CSV into a ``DetectionTable`` and ``evaluate_tables`` scores it
 against the labels. ``read_detections_csv``, ``match_detections`` and
 ``evaluate_detections`` are the object edge over the same core: they turn
-``Detection`` and ``Annotation`` lists into columns, or columns into objects.
+``Detection`` lists into columns, ``Annotation`` lists into a ``LabelTable``
+by ``as_label_table``, or columns into objects.
 
 The default IoU threshold is 0.7 for the "Car" class and 0.5 otherwise;
 both AP interpolation schemes ("all-point" area under the enveloped PR
@@ -43,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, check_edges, read_csv_rows,
-                       write_output)
+from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, check_edges,
+                       read_csv_rows, write_output)
 from .errors import ConfigError, ParseError
 from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
 
@@ -138,10 +141,17 @@ class DetectionTable(NamedTuple):
     scores: np.ndarray  # float64
 
 
-def _rank(values: list[str]) -> np.ndarray:
-    """Rank of each string in Python's order (numpy strings drop trailing NULs)."""
-    rank = {value: k for k, value in enumerate(sorted(set(values)))}
-    return np.array([rank[value] for value in values], dtype=np.intp)
+def _order(t: DetectionTable, by_image: bool = False) -> np.ndarray:
+    """The rows of ``t`` in ``Detection.sort_key`` order, or with ``by_image`` in
+    ``(image_id,) + sort_key`` order. ``lexsort`` is stable, and ties -0.0 with 0.0
+    as Python does."""
+    def rank(values: list[str]) -> np.ndarray:  # in Python's order: numpy strings drop NULs
+        code = {value: k for k, value in enumerate(sorted(set(values)))}
+        return np.array([code[value] for value in values], dtype=np.intp)
+
+    image = rank(t.image_ids)
+    keys = (rank(t.classes), *t.boxes.T[::-1], image, -t.scores)
+    return np.lexsort(keys + (image,) if by_image else keys)
 
 
 def _detection_table(dets: list[Detection]) -> DetectionTable:
@@ -159,7 +169,7 @@ def _detections(t: DetectionTable) -> list[Detection]:
 
 
 class _Matching(list):
-    """One matching, from columns; ``match_detections`` fills the list with ``(detection, label)``.
+    """One matching of two tables; ``match_detections`` fills the list with ``(detection, label)``.
 
     It keeps the arrays that every scope scores from: the image code of each
     detection and ground-truth box, the DontCare flags, the ground-truth
@@ -172,40 +182,35 @@ class _Matching(list):
     of all its image's boxes would.
     """
 
-    def __init__(self, dets: DetectionTable, gt_ids: list[str], gt_image: np.ndarray,
-                 gt_boxes: np.ndarray, dontcare: np.ndarray, iou_threshold: float):
-        """Ground-truth row ``i`` is of image ``gt_ids[gt_image[i]]``; equal ids are one image."""
+    def __init__(self, dets: DetectionTable, gts: LabelTable, iou_threshold: float):
+        """``gts`` holds the ground truth in play; its DontCare rows are ignore regions."""
         if not 0 < iou_threshold <= 1:
             raise ConfigError(f"matching IoU threshold must lie in (0, 1], got {iou_threshold}")
         ids: dict[str, int] = {}
         gt_code, det_code = (np.array([ids.setdefault(image, len(ids)) for image in column],
-                                      dtype=np.intp) for column in (gt_ids, dets.image_ids))
+                                      dtype=np.intp) for column in (gts.image_ids, dets.image_ids))
         self.images = list(ids)  # image id of each code
-        # Detection.sort_key: score descending, then image id, corners and class.
-        # lexsort is stable, and ties -0.0 with 0.0 as Python does.
-        self.order = np.lexsort((_rank(dets.classes), *dets.boxes.T[::-1],
-                                 _rank(self.images)[det_code], -dets.scores))
-        self.gt_image, self.det_image = gt_code[gt_image], det_code[self.order]
-        self.dontcare = dontcare
+        self.order = _order(dets)
+        self.gt_image, self.det_image = gt_code[gts.image], det_code[self.order]
+        self.dontcare = np.array([c == DONTCARE_CLASS for c in gts.classes], dtype=bool)
         by_image = np.argsort(self.gt_image, kind="stable")
         per_image = np.bincount(self.gt_image, minlength=len(ids))
         first = np.cumsum(per_image) - per_image  # of each image's run in by_image
-        det_boxes = dets.boxes[self.order]
-        self.gt_boxes = gt_boxes
+        det_boxes, self.gt_boxes = dets.boxes[self.order], gts.boxes
         parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
         for lo in range(0, len(self.det_image), _PAIR_BATCH):
             image = self.det_image[lo : lo + _PAIR_BATCH]
             n = per_image[image]
             det = np.repeat(np.arange(lo, lo + len(image)), n)
             gt = by_image[np.repeat(first[image] - (np.cumsum(n) - n), n) + np.arange(len(det))]
-            value = paired_iou(det_boxes[det], gt_boxes[gt])
+            value = paired_iou(det_boxes[det], gts.boxes[gt])
             keep = value >= iou_threshold
             parts.append((det[keep], gt[keep], value[keep]))
         self.det, self.gt, self.iou = (np.concatenate(column) for column in zip(*parts))
         # The scalar ``iou`` defines matching; a candidate whose vectorized IoU
         # differs from it in any bit would mean the arithmetic has drifted.
         if len(self.det) and iou(Box(*det_boxes[self.det[0]].tolist()),
-                                 Box(*gt_boxes[self.gt[0]].tolist())) != self.iou[0]:
+                                 Box(*gts.boxes[self.gt[0]].tolist())) != self.iou[0]:
             raise AssertionError("paired_iou disagrees with geometry.iou")
         self.code = self.labels(self.dontcare)
 
@@ -247,9 +252,7 @@ def match_detections(
     ignore set. Ground truth and detections are paired within the same
     image only.
     """
-    matching = _Matching(_detection_table(dets), [g.source_image for g in gts],
-                         np.arange(len(gts)), boxes_to_array([g.box for g in gts]),
-                         np.array([g.is_dontcare for g in gts], dtype=bool), iou_threshold)
+    matching = _Matching(_detection_table(dets), as_label_table(gts), iou_threshold)
     matching.extend(zip([dets[i] for i in matching.order.tolist()],
                         [_LABELS[c] for c in matching.code.tolist()]))
     return matching
@@ -317,16 +320,16 @@ class BucketAP:
 
 @dataclass(frozen=True)
 class EvalReport:
-    class_name: str
+    """What one class's evaluation found, at ``iou_threshold`` (the class default when the
+    caller gave None); the class and AP mode are the caller's own arguments."""
+
     iou_threshold: float
-    mode: str
     pr_points: tuple[tuple[float, float], ...]
     ap: float
     per_bucket: tuple[BucketAP, ...]
     tp: int
     fp: int
-    total_gt: int
-    zero_gt: bool
+    total_gt: int  # 0 makes the AP 0 by definition
     per_fold: tuple[tuple[str, EvalReport], ...] = ()  # (fold id, report), by fold id
 
 
@@ -384,7 +387,7 @@ def evaluate_detections(
     class_dets = [d for d in dets if d.class_name == class_name]
     class_gts = [g for g in gts if g.class_name == class_name or g.is_dontcare]
     matching = match_detections(class_dets, class_gts, iou_threshold)
-    return _report(matching, class_name, iou_threshold, mode, bucket_edges, folds)
+    return _report(matching, iou_threshold, mode, bucket_edges, folds)
 
 
 def evaluate_tables(dets: DetectionTable, labels: LabelTable, class_name: str = "Car",
@@ -393,13 +396,13 @@ def evaluate_tables(dets: DetectionTable, labels: LabelTable, class_name: str = 
     """``evaluate_detections`` on the rows of two tables, building no per-box objects."""
     iou_threshold = _threshold(class_name, iou_threshold, mode)
     rows = np.flatnonzero([c == class_name for c in dets.classes])
-    dontcare = np.array([c == DONTCARE_CLASS for c in labels.classes], dtype=bool)
-    gt_rows = np.flatnonzero(np.array([c == class_name for c in labels.classes], bool) | dontcare)
     class_dets = DetectionTable([dets.image_ids[i] for i in rows.tolist()],
                                 [class_name] * len(rows), dets.boxes[rows], dets.scores[rows])
-    matching = _Matching(class_dets, labels.image_ids, labels.image[gt_rows],
-                         labels.boxes[gt_rows], dontcare[gt_rows], iou_threshold)
-    return _report(matching, class_name, iou_threshold, mode, bucket_edges, folds)
+    gt_rows = np.flatnonzero([c in (class_name, DONTCARE_CLASS) for c in labels.classes])
+    class_gts = labels._replace(image=labels.image[gt_rows], boxes=labels.boxes[gt_rows],
+                                classes=[labels.classes[i] for i in gt_rows.tolist()])
+    matching = _Matching(class_dets, class_gts, iou_threshold)
+    return _report(matching, iou_threshold, mode, bucket_edges, folds)
 
 
 def _threshold(class_name: str, iou_threshold: float | None, mode: str) -> float:
@@ -408,7 +411,7 @@ def _threshold(class_name: str, iou_threshold: float | None, mode: str) -> float
     return default_iou_threshold(class_name) if iou_threshold is None else iou_threshold
 
 
-def _report(matching: _Matching, class_name, iou_threshold, mode, bucket_edges, folds):
+def _report(matching: _Matching, iou_threshold, mode, bucket_edges, folds):
     """The EvalReport of every scope of one class's matching."""
     counted = ~matching.dontcare
 
@@ -416,8 +419,7 @@ def _report(matching: _Matching, class_name, iou_threshold, mode, bucket_edges, 
         total_gt = int(np.count_nonzero(gt_mask & counted))
         recall, precision, ap, tp, fp = _score(matching.code[det_mask], total_gt, mode)
         points = tuple(zip(recall.tolist(), precision.tolist()))
-        return EvalReport(class_name, iou_threshold, mode, points, ap, per_bucket, tp, fp,
-                          total_gt, total_gt == 0, per_fold)
+        return EvalReport(iou_threshold, points, ap, per_bucket, tp, fp, total_gt, per_fold)
 
     per_bucket = () if bucket_edges is None else tuple(_bucket_aps(matching, bucket_edges, mode))
     per_fold = ()
@@ -439,7 +441,6 @@ class FoldAggregate:
     minimum: float
     maximum: float
     stddev: float
-    n_folds: int
 
 
 def aggregate_folds(per_fold_ap: list[float]) -> FoldAggregate:
@@ -454,7 +455,6 @@ def aggregate_folds(per_fold_ap: list[float]) -> FoldAggregate:
         minimum=min(values),
         maximum=max(values),
         stddev=statistics.stdev(values) if len(values) > 1 else 0.0,
-        n_folds=len(values),
     )
 
 

@@ -77,14 +77,11 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetGraph:
-    """Validated acyclic layer graph with a single input node."""
+    """Validated acyclic layer graph with a single input node, which is
+    ``topo_order[0]``: every other layer has a source."""
 
     layers: dict[str, LayerSpec]
-    input_name: str
     topo_order: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
     def sinks(self) -> list[str]:
         consumed = {src for spec in self.layers.values() for src in spec.inputs}
@@ -196,9 +193,9 @@ def parse_arch(text: str) -> NetGraph:
 
     if not layers:
         raise ParseError("empty architecture description")
-    input_names = [n for n, spec in layers.items() if spec.kind == "input"]
-    if len(input_names) != 1:
-        raise ParseError(f"expected exactly one input layer, found {len(input_names)}")
+    input_count = sum(spec.kind == "input" for spec in layers.values())
+    if input_count != 1:
+        raise ParseError(f"expected exactly one input layer, found {input_count}")
 
     for name, spec in layers.items():
         for src in spec.inputs:
@@ -214,7 +211,7 @@ def parse_arch(text: str) -> NetGraph:
         topo = tuple(sorter.static_order())
     except CycleError as exc:
         raise ParseError(f"cycle detected involving layers {sorted(set(exc.args[1]))}") from None
-    return NetGraph(layers=layers, input_name=input_names[0], topo_order=topo)
+    return NetGraph(layers=layers, topo_order=topo)
 
 
 def builtin_arch_names() -> list[str]:
@@ -388,6 +385,4 @@ def with_probe_window(graph: NetGraph) -> NetGraph:
         channels_out=256,
         inputs=(sinks[0],),
     )
-    return NetGraph(
-        layers=layers, input_name=graph.input_name, topo_order=graph.topo_order + (PROBE_NAME,)
-    )
+    return NetGraph(layers=layers, topo_order=graph.topo_order + (PROBE_NAME,))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .datasets import LabelTable, as_label_table
 from .errors import ConfigError
-from .evaluation import Detection, DetectionTable, _detections, _rank
+from .evaluation import Detection, DetectionTable, _detections, _order
 from .geometry import Box, valid_boxes
 
 __all__ = ["DetectorProfile", "parse_profile", "simulate", "simulate_table"]
@@ -89,9 +89,8 @@ class DetectorProfile:
             )
 
     def prob_at(self, width):
-        """``detect_prob`` at ``width``: a float, or an array for an array of widths."""
-        p = np.interp(width, *zip(*self.detect_prob))
-        return p if np.ndim(width) else float(p)
+        """``detect_prob`` at ``width``: a float64, or an array for an array of widths."""
+        return np.interp(width, *zip(*self.detect_prob))
 
 
 def read_key_values(text: str, where: str, keys) -> dict[str, tuple[int, str]]:
@@ -227,13 +226,11 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
     classes = labels.classes + [min(counts, key=lambda c: (-counts[c], c), default="object")]
     image = np.concatenate((labels.image[tp_rows], fp_image))
     cls = np.concatenate((tp_rows, np.full(len(u), len(labels.classes))))  # into classes
-    # (image_id,) + Detection.sort_key(); lexsort is stable, and ties -0.0 with 0.0 as Python.
-    image_rank = _rank(labels.image_ids)[image]
-    order = np.lexsort((_rank(classes)[cls], *boxes.T[::-1], image_rank, -scores, image_rank))
     # Indexing object arrays of the strings makes no per-row objects.
-    return DetectionTable(np.array(labels.image_ids, dtype=object)[image[order]].tolist(),
-                          np.array(classes, dtype=object)[cls[order]].tolist(),
-                          boxes[order], scores[order])
+    ids = np.array(labels.image_ids, dtype=object)[image]
+    names = np.array(classes, dtype=object)[cls]
+    order = _order(DetectionTable(ids.tolist(), names.tolist(), boxes, scores), by_image=True)
+    return DetectionTable(ids[order].tolist(), names[order].tolist(), boxes[order], scores[order])
 
 
 def simulate(dataset, profile: DetectorProfile) -> list[Detection]:

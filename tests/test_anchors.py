@@ -86,8 +86,7 @@ def dense_coverage(config, dataset, thresholds, buckets=DEFAULT_WIDTH_BIN_EDGES)
                       (i == 0 and a.gt_width < lo) for a in attribution]
             rows.append(CoverageRow(t, lo, hi, sum(h and n for h, n in zip(hits, inside)),
                                     sum(inside)))
-    return CoverageReport(tuple(thresholds), tuple(rows), tuple(attribution),
-                          sum(counts) / len(counts), len(attribution))
+    return CoverageReport(tuple(rows), tuple(attribution), sum(counts) / len(counts))
 
 
 class TestShapes:
@@ -226,19 +225,19 @@ class TestCoverage:
                           thresholds=(0.5,))
         overall = [r for r in report.rows if r.bucket_lo is None]
         buckets = [r for r in report.rows if r.bucket_lo is not None]
-        assert sum(r.total for r in buckets) == overall[0].total == report.total_gt
+        assert sum(r.total for r in buckets) == overall[0].total == len(report.attribution)
         assert sum(r.matched for r in buckets) == overall[0].matched
 
     def test_empty_dataset_flagged_not_nan(self):
         report = coverage(AnchorConfig(scales=SCALES_BASELINE), [], thresholds=(0.5,))
-        assert report.total_gt == 0
+        assert report.attribution == ()
         assert report.overall_recall(0.5) is None
 
     def test_dontcare_excluded(self):
         ann = Annotation(class_name="DontCare", box=Box(0, 0, 50, 50), source_image="i")
         dataset = [ImageAnnotations("i", 160.0, 96.0, (ann,))]
         report = coverage(AnchorConfig(scales=(32.0,)), dataset, thresholds=(0.5,))
-        assert report.total_gt == 0
+        assert report.attribution == ()
 
     def test_bad_thresholds_rejected(self, vehicle_dataset):
         with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from scaledet.cli import SETTINGS, main
 from scaledet.datasets import load_dataset
 from scaledet.evaluation import evaluate_detections, read_detections_csv
 from scaledet.geometry import Box
-from scaledet.simulate import _PROFILE_KEYS
+from scaledet.simulate import _PROFILE_KEYS, parse_profile
 from scaledet.svgplot import bar_chart, line_chart
 
 
@@ -57,7 +57,8 @@ class TestStatsCommand:
         assert width_total == 4  # 3 Car + 1 Pedestrian; DontCare excluded
         assert (out / "width_histogram.svg").exists()
         assert (out / "run_config.txt").exists()
-        assert "modal width bin" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "annotations (after filter): 4" in printed and "modal width bin" in printed
 
     def test_class_filter(self, kitti_dir, tmp_path):
         out = tmp_path / "out"
@@ -483,6 +484,9 @@ class TestSimulateAndEval:
             "warning: 1 folds manifest image id(s) not in the dataset",
         ]
         assert read_csv(eval_out / "folds.csv")[2] == ["b", "0.0", "0", "0", "0", "1"]
+        assert main(["eval", str(d), str(dets), "--class", "Tram", "--out", str(eval_out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: no ground truth for this class; AP defined as 0"]
 
     def test_header_only_folds_manifest_exit_code(self, dataset_dir, tmp_path, capsys):
         profile = self._profile(tmp_path, "detect_prob=0:1\nseed=1\n")
@@ -547,6 +551,28 @@ class TestSimulateAndEval:
             assert "format=kitti" in lines
             assert "image_size=800x600" in lines
             assert "skip_bad=False" in lines
+
+    def test_run_config_records_the_resolved_profile(self, dataset_dir, tmp_path):
+        # Two profiles at one path give different detections; run_config.txt
+        # tells them apart, and its profile lines parse back to the profile run.
+        path = tmp_path / "profile.txt"
+        texts = {"a": "detect_prob=16:0.1,64:0.9\nloc_noise_sigma=1.0\nseed=5\n",
+                 "b": "detect_prob=16:0.1,64:0.9\nloc_noise_sigma=2.0\nfp_per_image=1\n"
+                      "fp_size_range=8,30\nseed=5\n",
+                 "a again": "detect_prob=16:0.1,64:0.9\nloc_noise_sigma=1.0\nseed=5\n"}
+        runs = {}
+        for tag, text in texts.items():
+            path.write_text(text)
+            out = tmp_path / tag
+            assert main(["simulate", str(dataset_dir), str(path), "--out", str(out)]) == 0
+            runs[tag] = dir_bytes(out)
+            lines = (out / "run_config.txt").read_text().splitlines()
+            recorded = "\n".join(line for line in lines if line.split("=")[0] in _PROFILE_KEYS)
+            assert parse_profile(recorded) == parse_profile(text)
+        assert runs["a"] == runs["a again"]
+        assert runs["a"]["detections.csv"] != runs["b"]["detections.csv"]
+        assert runs["a"]["run_config.txt"] != runs["b"]["run_config.txt"]
+        assert "fp_size_range=8.0,30.0" in runs["b"]["run_config.txt"].decode()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_seed_exit_code(self, dataset_dir, tmp_path, capsys, source):
@@ -870,7 +896,9 @@ class TestOutputFiles:
         (b"image_id,fold_id\n", 2, "folds.csv: no folds"),
         (b"image_id,fold_id\n000000,a\n000000,b\n000001,b\n", 2,
          "folds.csv: line 3: image '000000' listed twice"),
-    ], ids=["missing", "header-only", "repeated-image"])
+        (b"image_id,fold_id\n000000,mean\n000001,b\n", 2,
+         "folds.csv: line 2: fold id 'mean' is reserved for the aggregate row"),
+    ], ids=["missing", "header-only", "repeated-image", "aggregate-fold-id"])
     def test_failed_eval_writes_nothing(self, tmp_path, capsys, manifest, code, message):
         # Every input is read before the first artifact is written.
         write_input_files(tmp_path)

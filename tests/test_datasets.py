@@ -232,7 +232,6 @@ class TestStats:
     def test_dontcare_excluded_from_histograms(self):
         anns = [_ann(40), _ann(45, cls="DontCare")]
         stats = compute_stats(anns, bin_edges=(0, 30, 60, 120))
-        assert stats.annotation_count == 1
         assert stats.width_histogram.total == 1
         assert stats.per_class["DontCare"] == 1
 
@@ -254,7 +253,7 @@ class TestStats:
             stats.sqrt_area_histogram,
             stats.aspect_histogram,
         ):
-            assert hist.total == stats.annotation_count == len(anns)
+            assert hist.total == len(anns)
 
     @given(st.lists(st.floats(min_value=1, max_value=600, allow_nan=False), max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -457,10 +456,9 @@ class TestLoaders:
         assert as_label_table(table) is table
         assert_same_reports(table, images)
         stats = compute_stats(table)
-        assert (stats.image_count, stats.annotation_count) == (3, 2)
+        assert (stats.image_count, stats.width_histogram.total) == (3, 2)
         assert stats.per_class == {"Car": 2, "DontCare": 1}
         report = coverage(AnchorConfig(), table)
-        assert report.total_gt == 2
         assert [a.image_id for a in report.attribution] == ["a", "b"]
         counts = [coverage(AnchorConfig(), [image]).anchors_per_image for image in images]
         assert counts[0] == counts[2] < counts[1]

@@ -54,7 +54,8 @@ def rf_by_perturbation(graph: NetGraph, layer: str, n: int = 4096) -> int:
             for src in spec.inputs:
                 masks[src] |= masks[name]
 
-    deps = np.nonzero(masks[graph.input_name])[0]
+    source = next(name for name, spec in graph.layers.items() if spec.kind == "input")
+    deps = np.nonzero(masks[source])[0]
     assert deps.size > 0
     span = int(deps.max() - deps.min() + 1)
     assert 0 < deps.min() and deps.max() < n - 1, "probe receptive field hit the border"
@@ -144,12 +145,12 @@ class TestParsing:
 
     def test_one_conv(self):
         g = parse_arch("input in channels=3\nconv c1 k=3 s=1 p=1 c=8 from in")
-        assert len(g) == 2
+        assert len(g.layers) == 2
         assert g.layers["c1"].kernel == 3
 
     def test_comments_and_blank_lines(self):
         g = parse_arch("# top\n\ninput in channels=3\nconv c1 k=3 s=1 p=1 c=8 from in # tail\n")
-        assert len(g) == 2
+        assert len(g.layers) == 2
 
     def test_dangling_reference(self):
         with pytest.raises(ParseError, match="convX"):
@@ -184,7 +185,7 @@ class TestParsing:
 
     def test_zf_fixture_has_eight_nodes(self):
         g = parse_arch(builtin_arch("zf"))
-        assert len(g) == 8
+        assert len(g.layers) == 8
         assert g.topo_order[0] == "data"
         assert g.sinks() == ["conv5"]
 
