@@ -12,14 +12,14 @@ never by input position, so shuffling the input cannot change any label.
 
 One matching object, built from two tables (the detections, and the
 ``LabelTable`` of the ground truth in play, whose DontCare rows are the
-ignore regions), holds the labels and the arrays of every scope: detections
-are sorted once (by ``_order``, the one ``lexsort`` of the ``sort_key``
-order, which ``simulate`` shares) and their IoU with each ground-truth box
-of their image is computed once (``paired_iou``, the IoU kernel of
-``geometry``), keeping the pairs at or above the threshold. A width bucket
-only changes which ground truth is ignored, so bucketed AP re-runs the
-greedy assignment over those pairs alone; a fold masks the overall labels to
-its images. One routine scores the labels of any scope: PR points, AP, TP, FP.
+ignore regions), holds the labels and the arrays of every scope. Detections
+are sorted once by ``_order`` (shared with ``simulate``: a sort by score,
+then a re-sort of each run of tied scores), and their IoU with each
+ground-truth box of their image is computed once (``geometry.paired_iou``),
+keeping the pairs at or above the threshold. A width bucket only changes
+which ground truth is ignored, so bucketed AP re-runs the greedy assignment
+over those pairs alone; a fold masks the overall labels to its images. One
+routine scores the labels of any scope: PR points, AP, TP, FP.
 
 Like every subcommand, ``scaledet eval`` runs on the ``LabelTable`` of its
 labels, and on columns end to end: ``read_detection_table`` reads a
@@ -143,15 +143,24 @@ class DetectionTable(NamedTuple):
 
 def _order(t: DetectionTable, by_image: bool = False) -> np.ndarray:
     """The rows of ``t`` in ``Detection.sort_key`` order, or with ``by_image`` in
-    ``(image_id,) + sort_key`` order. ``lexsort`` is stable, and ties -0.0 with 0.0
-    as Python does."""
+    ``(image_id,) + sort_key`` order. Rows are sorted by score (after the image
+    with ``by_image``), then each run of rows tied on that is re-sorted by the
+    rest of the key. ``lexsort`` is stable, and ties -0.0 with 0.0 as Python does."""
     def rank(values: list[str]) -> np.ndarray:  # in Python's order: numpy strings drop NULs
         code = {value: k for k, value in enumerate(sorted(set(values)))}
         return np.array([code[value] for value in values], dtype=np.intp)
 
-    image = rank(t.image_ids)
-    keys = (rank(t.classes), *t.boxes.T[::-1], image, -t.scores)
-    return np.lexsort(keys + (image,) if by_image else keys)
+    lead = (-t.scores, rank(t.image_ids)) if by_image else (-t.scores,)
+    order = np.lexsort(lead)
+    same = np.logical_and.reduce([k[1:] == k[:-1] for k in (key[order] for key in lead)])
+    if not same.any():  # no ties: the common case
+        return order
+    tied = np.flatnonzero(np.r_[False, same] | np.r_[same, False])
+    run = np.cumsum(~np.r_[False, same][tied])  # of each tied position
+    rows = order[tied]
+    image, cls = (rank([column[i] for i in rows.tolist()]) for column in (t.image_ids, t.classes))
+    order[tied] = rows[np.lexsort((cls, *t.boxes[rows].T[::-1], image, run))]
+    return order
 
 
 def _detection_table(dets: list[Detection]) -> DetectionTable:

@@ -32,7 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle with strictly positive, finite width and height."""
+    """Axis-aligned rectangle with strictly positive, finite width and height.
+    Four exact ``float`` corners pass with one test; anything else takes the full checks."""
 
     x1: float
     y1: float
@@ -41,6 +42,10 @@ class Box:
 
     def __post_init__(self) -> None:
         x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
+        # Float corners need one test: a NaN fails a comparison, an infinite corner the area.
+        if (type(x1) is type(y1) is type(x2) is type(y2) is float and x2 > x1 and y2 > y1
+                and math.isfinite((x2 - x1) * (y2 - y1))):
+            return
         for c in coords:
             if not (isinstance(c, (int, float)) and math.isfinite(c)):
                 raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")

@@ -57,6 +57,27 @@ def nms_oracle(dets, threshold):
     return kept
 
 
+def assert_sort_key_order(dets):
+    """``_order`` is the ``sort_key`` order, and with ``by_image`` the order of
+    ``(image_id,) + sort_key``; equal keys keep input order."""
+    table = _detection_table(dets)
+    for by_image, key in ((False, Detection.sort_key),
+                          (True, lambda d: (d.image_id,) + d.sort_key())):
+        want = sorted(range(len(dets)), key=lambda i: key(dets[i]))
+        assert _order(table, by_image).tolist() == want
+
+
+def random_dets(rng, n):
+    """``n`` overlapping detections in one image, with scores rounded to force ties."""
+    dets = []
+    for _ in range(n):
+        x1 = rng.uniform(0, 80)
+        y1 = rng.uniform(0, 80)
+        dets.append(det(x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40),
+                        round(float(rng.random()), 2)))
+    return dets
+
+
 def matching_oracle(dets, gts, threshold, ignore_mask=None):
     """Step-by-step simulation of the greedy matching protocol."""
     if ignore_mask is None:
@@ -122,10 +143,19 @@ ground_truth = st.lists(
 )
 # Ties, -0.0 against 0.0, and ids and classes that differ only by a trailing
 # NUL (numpy strings would drop it).
-tied_detections = st.lists(st.builds(
-    Detection, st.sampled_from(["a", "a\x00", "b", ""]), st.sampled_from(["Car", "Car\x00"]),
-    st.sampled_from([Box(0.0, 0, 1, 1), Box(-0.0, 0, 1, 1), Box(0, -0.0, 1, 1), Box(0, 0, 2, 1)]),
-    st.sampled_from([0.5, 0.0, -0.0, 1])), max_size=12)
+def tie_prone_detections(scores, max_size):
+    return st.lists(st.builds(
+        Detection, st.sampled_from(["a", "a\x00", "b", ""]), st.sampled_from(["Car", "Car\x00"]),
+        st.sampled_from([Box(0.0, 0, 1, 1), Box(-0.0, 0, 1, 1), Box(0, -0.0, 1, 1),
+                         Box(0, 0, 2, 1)]),
+        scores), max_size=max_size)
+
+
+tied_detections = tie_prone_detections(st.sampled_from([0.5, 0.0, -0.0, 1]), 12)
+# Longer lists whose scores mostly differ, with tied runs at both ends of the
+# score order (1 first, 0 and -0.0 last).
+rarely_tied_detections = tie_prone_detections(
+    st.floats(0, 1) | st.sampled_from([1.0, 0.0, -0.0]), 40)
 
 
 def annotations_on(image):
@@ -230,15 +260,18 @@ class TestNMS:
     def test_matches_oracle_on_1000_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            n = int(rng.integers(0, 51))
-            dets = []
-            for _ in range(n):
-                x1 = rng.uniform(0, 80)
-                y1 = rng.uniform(0, 80)
-                dets.append(
-                    det(x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40),
-                        round(float(rng.random()), 2))
-                )
+            dets = random_dets(rng, int(rng.integers(0, 51)))
+            threshold = float(rng.uniform(0.2, 0.8))
+            assert nms(dets, threshold) == nms_oracle(dets, threshold)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_blocks_carry_suppression(self, monkeypatch, cells):
+        # n * n > _NMS_CELLS: the overlap matrix comes in blocks of rows, and a
+        # detection suppressed in one block stays suppressed in the next.
+        monkeypatch.setattr("scaledet.evaluation._NMS_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for n in (*rng.integers(2, 141, 10).tolist(), *rng.integers(2, 33, 10).tolist(), 140):
+            dets = random_dets(rng, n)
             threshold = float(rng.uniform(0.2, 0.8))
             assert nms(dets, threshold) == nms_oracle(dets, threshold)
 
@@ -400,12 +433,19 @@ class TestMatchingKernel:
     @given(tied_detections)
     @settings(max_examples=300, deadline=None)
     def test_order_is_sort_key_order(self, dets):
-        # The one lexsort, with and without the leading image id; equal keys keep input order.
-        table = _detection_table(dets)
-        for by_image, key in ((False, Detection.sort_key),
-                              (True, lambda d: (d.image_id,) + d.sort_key())):
-            want = sorted(range(len(dets)), key=lambda i: key(dets[i]))
-            assert _order(table, by_image).tolist() == want
+        # With and without the leading image id; equal keys keep input order.
+        assert_sort_key_order(dets)
+
+    @given(rarely_tied_detections)
+    @example([])
+    @example([det(0, 0, 1, 1, 0.5)])
+    @example([det(0, 0, 1, 1, k / 8, image="ab"[k % 2]) for k in range(8)])  # no ties
+    @example([det(k % 3, 0, 4, 1, 0.5, image="ba"[k % 2], cls=("Car", "Van")[k % 3 == 1])
+              for k in range(9)])  # every score ties
+    @settings(max_examples=300, deadline=None)
+    def test_order_with_rare_ties_is_sort_key_order(self, dets):
+        # Only the tied runs are re-sorted past the score, the first and last runs included.
+        assert_sort_key_order(dets)
 
     @given(detections, *(st.lists(annotations_on(image), min_size=1, max_size=4)
                          for image in ("a", "b", "a")), THRESHOLDS)

@@ -132,6 +132,17 @@ class TestBox:
             accepted = _outcome(Box, coords) is None
             assert bool(valid_boxes(np.array([coords]))[0]) == accepted
 
+    @given(st.lists(st.one_of(
+        st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1e200]),
+    ), min_size=4, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_float_corners_equal_the_generator_form(self, coords):
+        # Four exact floats take the one-test path: NaN, infinities, subnormals
+        # and extents past the float range get the same verdict and message.
+        outcome = _outcome(Box, coords)
+        assert outcome == _outcome(_generator_box_check, coords)
+        assert bool(valid_boxes(np.array([coords]))[0]) == (outcome is None)
+
 
 def _generator_box_check(x1, y1, x2, y2):
     """The box check as written before, with the generator inside all(...)."""
