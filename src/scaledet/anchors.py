@@ -102,6 +102,7 @@ class _Axis:
     Cells ``first[s]..last[s]`` are kept: all of them with ``allow_border``,
     otherwise those whose extent stays inside ``[0, limit]``, a contiguous
     run because both edges grow with ``i``. ``first > last`` means none is.
+    ``alike[s]`` says that every cell of shape ``s`` rounds to the same edges.
     """
 
     def __init__(self, stride: float, half: np.ndarray, limit: float, allow_border: bool):
@@ -115,6 +116,17 @@ class _Axis:
         self.half = half
         self.lo = centers[None, :] - half[:, None]
         self.hi = centers[None, :] + half[:, None]
+        # ``candidates`` needs a cell on a slope to fall short of the next one
+        # after the edges, the overlap and the IoU have rounded. With edges
+        # spaced u apart (their ulp), that holds while the stride exceeds 11 u.
+        # A shape whose cells all round to the same edges needs only its first.
+        self.alike = (self.lo[:, 0] == self.lo[:, -1]) & (self.hi[:, 0] == self.hi[:, -1])
+        edge = self.hi[:, -1]  # of each shape, the largest in magnitude
+        coarse = ~self.alike & (16.0 * np.spacing(edge) > stride)
+        if coarse.any():
+            s = coarse.argmax()
+            raise ConfigError(f"stride {stride:g} is under 16 float steps ({np.spacing(edge[s]):g} "
+                              f"px) of the anchor edges near {edge[s]:.6g} px")
         self.extent = self.hi - self.lo
         self.next_in_class = []
         for row in self.extent:
@@ -138,7 +150,8 @@ class _Axis:
         ``g1 + half`` and ``g2 - half``. The window is that plateau plus one
         cell on each side, clamped to the kept cells. A plateau edge past the
         float range is infinite, beyond every cell like any edge past the
-        grid, so the clamp takes it to the end cell.
+        grid, so the clamp takes it to the end cell. A shape whose cells are
+        alike has its first kept cell for its window.
         """
         with np.errstate(over="ignore"):
             edge_a = g1[:, None] + self.half[None, :]
@@ -147,6 +160,7 @@ class _Axis:
             hi = np.maximum(edge_a, edge_b) / self.stride - 0.5
         start = np.clip(np.ceil(lo) - 1.0, self.first, self.last).astype(np.int64)
         stop = np.clip(np.floor(hi) + 1.0, self.first, self.last).astype(np.int64)
+        stop[:, self.alike] = start[:, self.alike] = self.first[self.alike]
         return start, stop
 
     def candidates(self, s: int, start, stop, g1, g2):
@@ -160,7 +174,8 @@ class _Axis:
         with a little less overlap can round to the same IoU and win the
         tie. Only the plateau's lower neighbour can: a cell further down the
         slope falls short by a stride or more, which, as for cells outside
-        the window, no rounding makes up; and it is one of the first two
+        the window, no rounding makes up at the edge spacing ``__init__``
+        admits; and it is one of the first two
         cells, as the window starts one cell before a plateau found to within
         a cell.
         """
@@ -307,9 +322,11 @@ def coverage(
     both families once.
 
     Raises:
-        ConfigError: on bad thresholds or buckets, or when an image with
+        ConfigError: on bad thresholds or buckets, when an image with
             ground truth keeps no anchor (``allow_border=False`` and no
-            anchor of the family fits inside it).
+            anchor of the family fits inside it), or when the float spacing
+            of an anchor's edges is over 1/16 of the stride and its cells do
+            not all round to the same edges.
     """
     return _coverage((config,), dataset, thresholds, buckets, class_filter)[0]
 

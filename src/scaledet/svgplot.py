@@ -8,7 +8,7 @@ deterministic (fixed canvas, fixed float formatting).
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 __all__ = ["bar_chart", "line_chart"]
 
@@ -31,7 +31,7 @@ def _header(title: str) -> list[str]:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -64,12 +64,12 @@ def bar_chart(title: str, bin_edges, counts) -> str:
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(0.8 * slot)}" height="{_f(h)}" '
             f'fill="#4878a8"/>'
         )
-        label = _edge_label(edges[i], edges[i + 1])
+        label = escape(_edge_label(edges[i], edges[i + 1]), quote=False)
         cx = _MARGIN_L + (i + 0.5) * slot
         parts.append(
             f'<text x="{_f(cx)}" y="{_MARGIN_T + plot_h + 14}" text-anchor="end" '
             f'font-size="9" font-family="sans-serif" '
-            f'transform="rotate(-45 {_f(cx)} {_MARGIN_T + plot_h + 14})">{escape(label)}</text>'
+            f'transform="rotate(-45 {_f(cx)} {_MARGIN_T + plot_h + 14})">{label}</text>'
         )
         parts.append(
             f'<text x="{_f(cx)}" y="{_f(y - 3)}" text-anchor="middle" font-size="9" '

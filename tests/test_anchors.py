@@ -293,6 +293,38 @@ def search_cases(draw):
     return config, image_w, image_h, boxes
 
 
+@st.composite
+def coarse_edge_cases(draw):
+    """A family whose widest anchors have edges spaced (their ulp) from 1/64
+    stride, below the search's cut-off of 1/16, to 4,096 strides, where every
+    cell rounds to the same edges; boxes have edges a few half-strides from an
+    anchor's, or inside the image."""
+    stride = draw(st.sampled_from([1.0, 3.0, 7.5, 16.0]))
+    image_w = stride * draw(st.integers(2, 40))
+    image_h = stride * draw(st.integers(2, 30))
+    spacing = stride * 2.0 ** draw(st.sampled_from([-6, -5, -4, -3, -1, 1, 12]))
+    config = AnchorConfig(
+        scales=tuple(draw(st.lists(st.floats(2.0 ** 52 * spacing, 2.0 ** 53 * spacing),
+                                   min_size=1, max_size=3, unique=True))),
+        ratios=tuple(draw(st.lists(st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+                                   min_size=1, max_size=3, unique=True))),
+        stride=stride,
+    )
+    boxes = [Box(0.0, 0.0, stride, stride)]
+    for _ in range(draw(st.integers(0, 5))):
+        w, h = draw(st.sampled_from(anchor_shapes(config)))
+        k = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        cx = (draw(st.integers(0, int(image_w / stride))) + 0.5) * stride
+        cy = (draw(st.integers(0, int(image_h / stride))) + 0.5) * stride
+        x1, y1, x2, y2 = (c + sign * k * side / 2 + draw(st.integers(-6, 6)) * stride / 2
+                          for c, sign, side in ((cx, -1, w), (cy, -1, h), (cx, 1, w), (cy, 1, h)))
+        if draw(st.booleans()):
+            x1 = draw(st.floats(0.0, image_w))
+        if x2 > x1 and y2 > y1:
+            boxes.append(Box(x1, y1, x2, y2))
+    return config, image_w, image_h, boxes
+
+
 class TestBestAnchorSearch:
     """The windowed search in ``coverage`` against the dense oracle, bit for bit."""
 
@@ -316,6 +348,38 @@ class TestBestAnchorSearch:
         got = [(a.best_iou, a.best_scale, a.best_ratio) for a in report.attribution]
         assert got == expected
         assert report.anchors_per_image == count
+
+    @given(coarse_edge_cases())
+    # 1e16 px anchors at stride 1: an edge's ulp is 2 px, so cells two apart
+    # can round to one IoU, and the search once broke such a tie toward ratio
+    # 0.5 where the dense argmax took ratio 1.0. The family is rejected.
+    @example((AnchorConfig(scales=(1.227068961520091e16, 2.454137923040182e16),
+                           ratios=(0.5, 1.0), stride=1.0), 36.0, 24.0,
+              [Box(32.0, -6212108649037655.0, 1.0113599247190682e16, 6212108649037671.0)]))
+    # Edges one stride apart, where the search broke a tie the same way.
+    @example((AnchorConfig(scales=(1.1026236185441248e17,), ratios=(0.7, 0.5), stride=16.0),
+              48.0, 208.0, [Box(39.32987513901075, -9.22521105948225e16, 1.3178872942117515e17,
+                                9.225211059482267e16)]))
+    # Every cell of each shape has the same edges, and the two shapes tie: the
+    # search must give each the first cell, as the dense argmax does, so that
+    # the tie goes to the lower shape index (ratio 0.25), not to the shape
+    # whose window sits at the last cell.
+    @example((AnchorConfig(scales=(1e100,), ratios=(0.25, 4.0)), 64.0, 64.0,
+              [Box(1e99, 1e99, 5e99, 5e99)]))
+    @settings(max_examples=300, deadline=None)
+    def test_coarse_edges_match_dense_oracle_or_are_rejected(self, case):
+        config, image_w, image_h, boxes = case
+        dataset = [_image_of_boxes(boxes, dims=(image_w, image_h))]
+        try:
+            report = coverage(config, dataset, thresholds=(0.5,))
+        except ConfigError as exc:
+            # Only edges spaced over 1/16 stride are rejected (32: the edge
+            # below may round up past a power of two).
+            edge = max(max(w, h) / 2 + max(image_w, image_h) for w, h in anchor_shapes(config))
+            assert 32 * np.spacing(edge) > config.stride and "float steps" in str(exc), exc
+            return
+        got = [(a.best_iou, a.best_scale, a.best_ratio) for a in report.attribution]
+        assert got == dense_best_anchors(config, image_w, image_h, boxes)[1]
 
     @pytest.mark.parametrize("allow_border", [True, False])
     @pytest.mark.parametrize("scales", [SCALES_BASELINE, SCALES_EXTENDED])

@@ -3,7 +3,9 @@ import math
 import random
 import tempfile
 import xml.etree.ElementTree as ET
+from html import escape
 from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -1056,6 +1058,22 @@ class TestExtremeBoxes:
         overall = [r for r in read_csv(out / "coverage.csv")[1:] if r[1] == ""]
         assert overall == [["0.5", "", "", "0", "1", "0.0"]]
 
+    def test_coverage_rejects_anchor_edges_too_coarse_for_the_stride(self, tmp_path, capsys):
+        # Anchors of 1.2e16 px have edges 1-2 px apart, which stride 1 cannot
+        # tell apart in the search, while 1.3e154 px anchors at stride 16
+        # round every cell to the same edges and run.
+        d = tmp_path / "coarse"
+        d.mkdir()
+        (d / "000000.txt").write_text("Car 0 0 0 32 -6212108649037655 1.0113599247190682e16 "
+                                      "6212108649037671 0 0 0 0 0 0 0\n")
+        assert main(["coverage", str(d), "--image-size", "36x24", "--scales",
+                     "1.227068961520091e16,2.454137923040182e16", "--ratios", "0.5,1",
+                     "--stride", "1", "--out", str(tmp_path / "cov")]) == 1
+        assert ("config error: stride 1 is under 16 float steps (1 px) of the anchor edges "
+                "near 8.67669e+15 px") in capsys.readouterr().err
+        assert main(["coverage", str(d), "--scales", "1.3e154", "--ratios", "1",
+                     "--out", str(tmp_path / "huge")]) == 0
+
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_simulate_keeps_jittered_edges_apart(self, tmp_path, seed):
         # At 1e22 the ulp is 2^21, so x1 + 0.25 rounds to x1: the far edge
@@ -1110,3 +1128,12 @@ class TestSvg:
         a = bar_chart("t", (0, 1, 2), (3, 4))
         b = bar_chart("t", (0, 1, 2), (3, 4))
         assert a == b
+
+    @given(st.text())
+    @example("&<>\"'")
+    @settings(max_examples=300, deadline=None)
+    def test_escape_equals_saxutils(self, text):
+        # svgplot escapes with html.escape(quote=False), which imports less
+        # than xml.sax.saxutils.escape; on any text both give the same bytes.
+        assert escape(text, quote=False) == sax_escape(text)
+        assert f">{sax_escape(text)}</text>" in bar_chart(text, (0, 1), (1,))

@@ -1,10 +1,16 @@
 import ast
+import contextlib
+import errno
 import importlib
 import math
+import os
 import pkgutil
 import re
+import signal
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +19,7 @@ from hypothesis import strategies as st
 import scaledet
 from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, kitti_label_line
 from scaledet.anchors import AnchorConfig, coverage
+from scaledet import datasets
 from scaledet.cli import main
 from scaledet.datasets import (
     DEFAULT_WIDTH_BIN_EDGES,
@@ -351,6 +358,74 @@ def assert_same_reports(table, images):
         assert coverage(config, table) == coverage(config, images)
 
 
+def label_dir(tmp_path_factory, files):
+    """A new directory holding ``files``, as drawn by ``label_file``."""
+    d = tmp_path_factory.mktemp("labels")
+    for name, content in dict(files).items():
+        if content is None:
+            (d / name).mkdir()
+        else:
+            (d / name).write_bytes(content)
+    return d
+
+
+def assert_loads_like_per_file_loader(d, skip_bad):
+    """``load_label_table``, ``load_dataset`` and ``stats`` load the KITTI
+    directory ``d`` as ``per_file_loader`` does, or fail with its message."""
+    try:
+        want = per_file_loader(d, skip_bad)
+    except ParseError as exc:
+        for load in (load_label_table, load_dataset):
+            with pytest.raises(ParseError) as info:
+                load(d, "kitti", skip_bad=skip_bad)
+            assert str(info.value) == str(exc)
+        assert main(["stats", str(d), "--out", str(d / "out")]) == 2
+        return
+    table, skipped = load_label_table(d, "kitti", skip_bad=skip_bad)
+    objects = load_dataset(d, "kitti", skip_bad=skip_bad)
+    assert repr(objects) == repr(want)  # -0.0
+    images, want_skipped = want
+    assert skipped == want_skipped
+    anns = [a for image in images for a in image.annotations]
+    assert table.image_ids == [image.image_id for image in images]
+    assert table.classes == [a.class_name for a in anns]
+    assert table.boxes.tobytes() == boxes_to_array([a.box for a in anns]).tobytes()
+    assert [table.image_ids[i] for i in table.image] == [a.source_image for a in anns]
+    assert_same_table(as_label_table(objects[0]), table)
+    assert_same_reports(table, objects[0])
+
+
+def load_outcome(d, skip_bad):
+    """``load_label_table(d, "kitti")``, or the text of the ParseError it raises."""
+    try:
+        return load_label_table(d, "kitti", skip_bad=skip_bad)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def forked_chunks(cpus):
+    """``load_label_table`` parses one KITTI file per chunk, with ``cpus`` usable CPUs."""
+    with mock.patch.object(datasets, "_FILES_PER_CHUNK", 1), \
+            mock.patch("os.sched_getaffinity", return_value=set(range(cpus))):
+        yield
+
+
+def bad_label_dir(tmp_path):
+    """Label files 000000-000005 of 0-5 lines each; 000003 is malformed."""
+    d = tmp_path / "labels"
+    d.mkdir()
+    for k in range(6):
+        (d / f"{k:06d}.txt").write_text(f"{KITTI_LINE}\n" * k)
+    (d / "000003.txt").write_text("Car 1 2\n")
+    return d
+
+
 class TestLoaders:
     def test_kitti_dir(self, kitti_dir):
         images, skipped = load_dataset(kitti_dir, "kitti")
@@ -406,34 +481,105 @@ class TestLoaders:
         # Files of good and bad lines of every kind, unreadable files, dot
         # files and a directory named like a label file, against the loader
         # that reads and parses one file at a time.
-        d = tmp_path_factory.mktemp("labels")
-        for name, content in dict(files).items():
-            if content is None:
-                (d / name).mkdir()
-            else:
-                (d / name).write_bytes(content)
-        try:
-            want = per_file_loader(d, skip_bad)
-        except ParseError as exc:
-            for load in (load_label_table, load_dataset):
-                with pytest.raises(ParseError) as info:
-                    load(d, "kitti", skip_bad=skip_bad)
-                assert str(info.value) == str(exc)
-            assert main(["stats", str(d), "--out", str(d / "out")]) == 2
-            return
-        table, skipped = load_label_table(d, "kitti", skip_bad=skip_bad)
-        objects = load_dataset(d, "kitti", skip_bad=skip_bad)
-        assert repr(objects) == repr(want)  # -0.0
-        images, want_skipped = want
-        assert skipped == want_skipped
-        anns = [a for image in images for a in image.annotations]
-        assert table.image_ids == [image.image_id for image in images]
-        assert table.classes == [a.class_name for a in anns]
-        assert table.boxes.tobytes() == boxes_to_array([a.box for a in anns]).tobytes()
-        assert [table.image_ids[i] for i in table.image] == [a.source_image for a in anns]
-        assert_same_table(as_label_table(objects[0]), table)
-        assert_same_reports(table, objects[0])
+        assert_loads_like_per_file_loader(label_dir(tmp_path_factory, files), skip_bad)
 
+    @given(st.lists(label_file(), max_size=6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_forked_chunks_equal_one_process(self, tmp_path_factory, files, skip_bad):
+        # With one file per chunk and three CPUs, a directory of 2+ label
+        # files is parsed in 2-3 chunks, all but the first in forked children.
+        d = label_dir(tmp_path_factory, files)
+        want = load_outcome(d, skip_bad)
+        with forked_chunks(3), mock.patch("os.fork", wraps=os.fork) as fork:
+            got = load_outcome(d, skip_bad)
+            assert_loads_like_per_file_loader(d, skip_bad)
+        assert fork.called == (len({name for name, _ in files if name.endswith(".txt")}) > 1)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_table(got[0], want[0])
+            assert got[1] == want[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["fork raises", "child exits 3", "child sends nothing",
+                                         "child is killed", "child sends, then exits 3"])
+    def test_failed_child_chunk_runs_in_process(self, tmp_path, failure):
+        # However a child fails, its chunk is parsed again in the parent, so
+        # the table, the skipped list and the ParseError are one process's.
+        d = bad_label_dir(tmp_path)
+        want = [load_outcome(d, skip_bad) for skip_bad in (False, True)]
+        parent, in_parent, chunk, exit_now = os.getpid(), [], datasets._kitti_chunk, os._exit
+
+        def failing_chunk(files, ids):
+            if os.getpid() == parent:
+                in_parent.append(ids)
+                return chunk(files, ids)
+            if failure == "child sends, then exits 3":
+                return chunk(files[:0], ids[:0])  # a chunk of no files, pickled whole
+            if failure == "child is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            exit_now(3 if failure == "child exits 3" else 0)
+
+        patches = {"fork raises": mock.patch("os.fork", side_effect=OSError(errno.EAGAIN, "no")),
+                   "child sends, then exits 3": mock.patch("os._exit", lambda code: exit_now(3))}
+        with forked_chunks(3), mock.patch.object(datasets, "_kitti_chunk", failing_chunk), \
+                patches.get(failure, contextlib.nullcontext()):
+            got = [load_outcome(d, skip_bad) for skip_bad in (False, True)]
+        assert got[0] == want[0]
+        assert_same_table(got[1][0], want[1][0])
+        assert got[1][1] == want[1][1]
+        chunks = [["000000", "000001"], ["000002", "000003"], ["000004", "000005"]]
+        assert in_parent == chunks * 2
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_load(self, tmp_path):
+        # Loads that raise ParseError, skip a file or return, and one whose
+        # parent raises while its children still run: none leaves a child.
+        d = bad_label_dir(tmp_path)
+        parent, chunk = os.getpid(), datasets._kitti_chunk
+
+        class Stop(Exception):
+            pass
+
+        def stuck_chunk(files, ids):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise Stop
+
+        with forked_chunks(3):
+            with pytest.raises(ParseError, match="000003.txt"):
+                load_label_table(d, "kitti")
+            assert_no_child_left()
+            assert load_label_table(d, "kitti", skip_bad=True)[1]
+            assert_no_child_left()
+            (d / "000003.txt").write_text(KITTI_LINE + "\n")
+            assert len(load_label_table(d, "kitti")[0].image_ids) == 6
+            assert_no_child_left()
+            start = time.monotonic()
+            with mock.patch.object(datasets, "_kitti_chunk", stuck_chunk), pytest.raises(Stop):
+                load_label_table(d, "kitti")
+            assert time.monotonic() - start < 30  # the children were killed, not awaited
+            assert_no_child_left()
+        assert datasets._kitti_chunk is chunk
+
+    def test_paths_are_named_as_pathlib_names_them(self, tmp_path, monkeypatch):
+        # Listed with os.scandir, a file's path reads as Path.glob's: a load
+        # of "." names "x.txt", not "./x.txt".
+        (tmp_path / "x.txt").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for directory in (".", Path("."), str(tmp_path), f"{tmp_path}/"):
+            with pytest.raises(ParseError) as want:
+                per_file_loader(Path(directory), skip_bad=False)
+            with pytest.raises(ParseError) as got:
+                load_label_table(directory, "kitti")
+            assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{tmp_path}/x.txt: cannot read")
+
+    def test_unlistable_directory_is_parse_error(self, kitti_dir):
+        denied = PermissionError(errno.EACCES, "Permission denied")
+        with mock.patch("os.scandir", side_effect=denied), pytest.raises(ParseError) as info:
+            load_label_table(kitti_dir, "kitti")
+        assert str(info.value) == f"{kitti_dir}: cannot read (Permission denied)"
 
     def test_voc_table_with_sizes_empty_image_and_dontcare(self, tmp_path):
         # Two image sizes, an image with no objects and a DontCare row: every
