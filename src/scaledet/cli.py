@@ -29,6 +29,7 @@ import dataclasses
 import os
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from . import anchors as anchors_mod
@@ -297,7 +298,9 @@ def cmd_eval(args) -> int:
         mode=mode, bucket_edges=s["buckets"], folds=folds,
     )
 
-    write_output(out_dir / "pr.csv", report.pr_points, ["recall", "precision"])
+    points = report.pr_points  # Python floats: "%r" writes each as csv.writer does
+    write_output(out_dir / "pr.csv", "recall,precision\n"
+                 + "%r,%r\n" * len(points) % tuple(chain.from_iterable(points)))
     write_output(out_dir / "ap.csv",
                  [["overall", None, None, report.ap, report.tp, report.fp, report.total_gt]]
                  + [["bucket", b.bucket_lo, b.bucket_hi, b.ap, b.tp, b.fp, b.total_gt]
@@ -318,6 +321,9 @@ def cmd_eval(args) -> int:
 
     _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
+    n_class = dets.classes.count(class_name)
+    print(f"detections: read={len(dets.classes)} class={n_class} tp={report.tp} fp={report.fp} "
+          f"ignored={n_class - report.tp - report.fp}")
     zero_gt = "no ground truth for this class; AP defined as 0"
     if report.total_gt == 0:
         print(f"warning: {zero_gt}", file=sys.stderr)

@@ -38,7 +38,9 @@ toolkit is read by ``read_input``: UTF-8, with any failure to read (missing,
 a directory, not UTF-8) raised as one error naming the file.
 ``read_csv_rows`` adds the header and column checks of the CSV inputs.
 Every output file is written by ``write_output``: UTF-8 with ``\n`` line
-ends, and a file that cannot be written is a ConfigError naming it.
+ends, and a file that cannot be written is a ConfigError naming it. It
+formats CSV rows with ``csv.writer``, or takes text already formatted, as
+``eval``'s ``pr.csv`` is.
 """
 
 from __future__ import annotations
@@ -178,6 +180,8 @@ def write_output(path, content, header=None) -> None:
 
     ``content`` is text, or with ``header`` the CSV rows to stream under it;
     ``csv.writer`` formats each cell (None as empty, a float as its repr).
+    Callers may pass CSV they formatted as text: ``eval`` writes ``pr.csv``
+    with one ``%r`` format call, the same bytes as ``csv.writer``.
     A file that cannot be written (a directory in its place, no permission,
     a NUL byte in the path) raises ConfigError naming the file.
     """

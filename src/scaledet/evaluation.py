@@ -36,6 +36,7 @@ curve and the legacy "11-point" average) are available.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, check_edges,
-                       read_csv_rows, write_output)
+                       read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
 from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
 
@@ -479,16 +480,34 @@ def write_detections_csv(path, dets) -> None:
 def read_detection_table(path) -> DetectionTable:
     """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score) into columns.
 
-    The values are checked as columns. On any fault the file is read again
-    one ``Detection`` per row, so the first faulty line raises ParseError.
+    Text with no ``"``, ``\\r`` or NUL (which ``csv`` rejects before Python
+    3.11), whose first line is the header and whose other lines are blank or
+    hold 7 fields no longer than ``csv`` allows, is split in one go; ``csv``
+    reads any other text, as it alone reads quoted fields and ``\\r`` line
+    ends. The values are checked as columns. On any fault the file is read
+    again one ``Detection`` per row, so the first faulty line raises ParseError.
     """
-    image_ids, classes, numbers = [], [], []
+    text = read_input(path)
+    lines = [] if '"' in text or "\r" in text or "\0" in text else text.split("\n")
+    del text  # keep the temporaries below the caller's peak
+    rows = [line for line in lines[1:] if line]
+    flat = (lines[:1] == [",".join(DETECTIONS_CSV_HEADER)]
+            and max(map(len, rows), default=0) <= csv.field_size_limit()
+            and all(line.count(",") == 6 for line in rows))
+    del lines
     try:
-        for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
-            image_ids.append(row[0])
-            classes.append(row[1])
-            numbers += row[2:]
-        values = np.array(numbers, dtype=np.float64).reshape(-1, 5)
+        if flat:
+            cells = np.array(",".join(rows).split(",") if rows else [], object).reshape(-1, 7)
+            del rows
+            image_ids, classes = cells[:, 0].tolist(), cells[:, 1].tolist()
+            values = cells[:, 2:].astype(np.float64)
+        else:
+            image_ids, classes, numbers = [], [], []
+            for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
+                image_ids.append(row[0])
+                classes.append(row[1])
+                numbers += row[2:]
+            values = np.array(numbers, dtype=np.float64).reshape(-1, 5)
         if (valid_boxes(values[:, :4]) & np.isfinite(values[:, 4])).all():
             return DetectionTable(image_ids, classes, values[:, :4], values[:, 4])
     except ValueError:  # ParseError included

@@ -119,7 +119,9 @@ def line_chart(title: str, points) -> str:
     )
     pts = list(points)
     if pts:
-        path = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in pts)
+        # sx and sy inline, formatted in one call as _f formats each value
+        xy = [v for x, y in pts for v in (_MARGIN_L + x * plot_w, _MARGIN_T + (1.0 - y) * plot_h)]
+        path = ("%.2f,%.2f " * len(pts) % tuple(xy))[:-1]
         parts.append(f'<polyline points="{path}" fill="none" stroke="#a83838" stroke-width="1.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,10 +1,12 @@
 import csv
+import io
 import math
 import random
 import tempfile
 import xml.etree.ElementTree as ET
 from html import escape
 from pathlib import Path
+from unittest import mock
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
 from scaledet.cli import SETTINGS, main
-from scaledet.datasets import load_dataset
-from scaledet.evaluation import evaluate_detections, read_detections_csv
+from scaledet.datasets import Annotation, load_dataset
+from scaledet.evaluation import (EvalReport, evaluate_detections, match_detections,
+                                 read_detections_csv)
 from scaledet.geometry import Box
 from scaledet.simulate import _PROFILE_KEYS, parse_profile
 from scaledet.svgplot import bar_chart, line_chart
@@ -530,6 +533,29 @@ class TestSimulateAndEval:
         assert captured.err.splitlines() == ["warning: 1 detection image id(s) not in the dataset"]
         assert "AP (all-point, IoU 0.7): 0.0" in captured.out
         assert read_csv(out / "ap.csv")[1][4:6] == ["0", "2"]
+
+    def test_counts_line(self, tmp_path, capsys):
+        # A TP on the Car, a detection absorbed by the DontCare region, an FP,
+        # and a Pedestrian detection outside the evaluated class.
+        gts = [Annotation("Car", Box(0, 0, 10, 10), "a"),
+               Annotation("DontCare", Box(50, 50, 90, 90), "a")]
+        (tmp_path / "labels").mkdir()
+        (tmp_path / "labels" / "a.txt").write_text("\n".join(map(kitti_label_line, gts)))
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n"
+                        "a,Car,0,0,10,10,0.9\na,Car,52,52,88,88,0.8\na,Car,20,0,30,10,0.7\n"
+                        "a,Pedestrian,0,0,10,10,0.6\n")
+        cars = [d for d in read_detections_csv(dets) if d.class_name == "Car"]
+        labels = [label for _, label in match_detections(cars, gts, 0.7)]
+        assert sorted(labels) == ["fp", "ignored", "tp"]
+        assert main(["eval", str(tmp_path / "labels"), str(dets),
+                     "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert "detections: read=4 class=3 tp=1 fp=1 ignored=1" in captured.out.splitlines()
+        assert captured.err == ""
+        assert main(["eval", str(tmp_path / "labels"), str(dets), "--class", "Pedestrian",
+                     "--out", str(tmp_path / "p")]) == 0
+        assert "detections: read=4 class=1 tp=0 fp=1 ignored=0" in capsys.readouterr().out
 
     def test_seed_override_changes_output(self, dataset_dir, tmp_path):
         profile = self._profile(tmp_path, "detect_prob=0:0.5\nseed=1\n")
@@ -1109,6 +1135,48 @@ class TestExtremeBoxes:
         assert main(["stats", str(d), "--out", str(out)]) == 0
         aspect = [int(r[3]) for r in read_csv(out / "stats.csv")[1:] if r[0] == "aspect"]
         assert aspect == [0] * 8 + [1]
+
+
+def polyline_oracle(points) -> str:
+    """The points of pr.svg's polyline, formatted one value at a time."""
+    def _f(v: float) -> str:
+        return f"{v:.2f}"
+
+    def sx(v: float) -> float:
+        return 50 + v * 575
+
+    def sy(v: float) -> float:
+        return 35 + (1.0 - v) * 270
+
+    return " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in points)
+
+
+class TestPrArtifacts:
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=40))
+    @example([])
+    @example([(0.0, 1.0), (1.0, 0.0), (0.005, 0.995), (1 / 3, 2 / 3)])
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_pr_files_equal_per_point_formatting(self, tmp_path_factory, points):
+        # eval writes pr.csv and pr.svg from the report's points in one format
+        # call each; csv.writer and per-point formatting give the same bytes.
+        root = tmp_path_factory.mktemp("pr")
+        (root / "labels").mkdir()
+        (root / "labels" / "a.txt").write_text(
+            kitti_label_line(Annotation("Car", Box(0, 0, 10, 10), "a")))
+        dets = root / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+        report = EvalReport(0.7, tuple(points), 0.0, (), 0, 0, 1)
+        with mock.patch("scaledet.evaluation.evaluate_tables", return_value=report):
+            assert main(["eval", str(root / "labels"), str(dets), "--out", str(root / "o")]) == 0
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([("recall", "precision"), *points])
+        assert (root / "o" / "pr.csv").read_bytes() == want.getvalue().encode()
+        svg = (root / "o" / "pr.svg").read_text()
+        assert svg == line_chart("PR curve (Car, IoU 0.7)", points)
+        if points:
+            assert f'<polyline points="{polyline_oracle(points)}" fill="none"' in svg
+        else:
+            assert "polyline" not in svg
 
 
 class TestSvg:

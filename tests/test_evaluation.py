@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -728,7 +729,8 @@ def per_row_reader(path):
 def detection_row(draw):
     """A detections CSV row, mostly good: FIELD_FAULTS in its values, or too few columns."""
     fields = ["a", "Car", "0", "0", "10", "10", "0.5"]
-    fields[0] = draw(st.sampled_from(["a", "a\x00", '"b,c"', "d"]))
+    fields[0] = draw(st.sampled_from(["a", "a\x00", '"b,c"', "d", '"e\nf"', '"g""h"', "i\rj",
+                                      *LONG_IDS]))
     for _ in range(draw(st.integers(0, 2))):
         fields[draw(st.integers(2, 6))] = draw(st.sampled_from(FIELD_FAULTS))
     if draw(st.integers(0, 9)) == 0:
@@ -736,6 +738,9 @@ def detection_row(draw):
     return ",".join(fields)
 
 
+HEADER = ",".join(DETECTIONS_CSV_HEADER)
+# Image ids at csv's field size limit and one past it (a parse error).
+LONG_IDS = ["i" * csv.field_size_limit(), "i" * (csv.field_size_limit() + 1)]
 # Values that make a detections row fail each check of Detection and Box, or
 # that only Python's float reads ("1_0"), plus -0.0 and large finite values.
 FIELD_FAULTS = ["x", "nan", "inf", "-0.0", "1_0", "1e308", "-1e308", "5", "20", ""]
@@ -761,13 +766,25 @@ class TestDetectionsCsv:
         with pytest.raises(ParseError, match="line 2"):
             read_detections_csv(path)
 
+    # Text that the one-split path reads, and text that only csv reads: \r
+    # line ends, quoted fields, a blank line before the header, a BOM.
     @given(st.lists(st.one_of(st.just(""), detection_row()), max_size=6),
-           st.sampled_from(["image_id,class,x1,y1,x2,y2,score", "image_id,class"]))
-    @settings(max_examples=300, deadline=None)
-    def test_table_equals_per_row_reader(self, tmp_path_factory, rows, header):
+           st.sampled_from([HEADER, "image_id,class"]),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\ufeff", "\n"]),
+           st.booleans())
+    @example([], HEADER, "\n", "", False)
+    @example(["a,Car,0,0,10,10,0.5", ""], HEADER, "\r\n", "", True)
+    @example(['"g""h",Car,0,0,10,10,0.5'], HEADER, "\n", "\ufeff", True)
+    @example(["i\rj,Car,0,0,10,10,0.5"], HEADER, "\n", "", True)
+    @example([LONG_IDS[1] + ",Car,0,0,10,10,0.5"], HEADER, "\n", "", True)
+    @example(["a,Car,0,0,10,10", "0.5,a,Car,0,0,10,10,0.5"], HEADER, "\n", "", True)
+    @settings(max_examples=400, deadline=None)
+    def test_table_equals_per_row_reader(self, tmp_path_factory, rows, header, newline, before,
+                                         last_newline):
         root = tmp_path_factory.mktemp("dets")
         path = root / "dets.csv"
-        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        text = before + newline.join([header, *rows]) + (newline if last_newline else "")
+        path.write_bytes(text.encode("utf-8"))
         try:
             want = per_row_reader(path)
         except ParseError as exc:
