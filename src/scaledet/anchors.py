@@ -29,7 +29,6 @@ from .geometry import _iou_kernel, iou_matrix  # noqa: F401
 __all__ = [
     "AnchorConfig",
     "CoverageRow",
-    "GtAttribution",
     "CoverageReport",
     "anchor_shapes",
     "coverage",
@@ -262,23 +261,17 @@ class CoverageRow:
         return self.matched / self.total
 
 
-@dataclass(frozen=True)
-class GtAttribution:
-    """Which anchor shape served one ground-truth box best."""
-
-    image_id: str
-    gt_width: float
-    best_scale: float
-    best_ratio: float
-    best_iou: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
-    """Recall rows by threshold, then bucket, and one attribution per counted box."""
+    """Recall rows by threshold, then bucket; and per counted box, in row order, as columns
+    (no per-box object): image id, width, and its best shape's scale, ratio and IoU."""
 
     rows: tuple[CoverageRow, ...]
-    attribution: tuple[GtAttribution, ...]
+    image_ids: list[str]
+    gt_width: np.ndarray
+    best_scale: np.ndarray
+    best_ratio: np.ndarray
+    best_iou: np.ndarray
     anchors_per_image: float
 
     def overall_recall(self, threshold: float) -> float | None:
@@ -374,6 +367,7 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
             batch = members[lo : lo + _SEARCH_BATCH]
             best[batch], cell[batch] = _best_anchors(grids[code], gt[batch])
 
+    image_ids = np.array(table.image_ids, dtype=object)[gt_image].tolist()
     widths = gt[:, 2] - gt[:, 0]
     bucket = bin_index(widths, edges)
     in_bucket = [(lo, hi, bucket == b) for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
@@ -383,12 +377,7 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
         iou_arr = best[:, family].max(axis=1)
         order = np.where(best[:, family] == iou_arr[:, None], cell[:, family] * k + np.arange(k),
                          np.iinfo(np.int64).max)
-        attribution = tuple(
-            GtAttribution(table.image_ids[image], width, config.scales[s // n_ratios],
-                          config.ratios[s % n_ratios], value)
-            for image, width, s, value in zip(gt_image.tolist(), widths.tolist(),
-                                               (order.min(axis=1) % k).tolist(), iou_arr.tolist())
-        )
+        shape = order.min(axis=1) % k
         rows = []
         for t in thresholds:
             hit = iou_arr >= t
@@ -397,5 +386,7 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
                      for lo, hi, inside in in_bucket]
         anchor_total = sum(int(g.count[family].sum()) * n for g, n in zip(grids, images_per_grid))
         per_image = anchor_total / len(image_size) if len(image_size) else 0.0
-        reports.append(CoverageReport(tuple(rows), attribution, per_image))
+        reports.append(CoverageReport(
+            tuple(rows), image_ids, widths, np.array(config.scales)[shape // n_ratios],
+            np.array(config.ratios)[shape % n_ratios], iou_arr, per_image))
     return reports

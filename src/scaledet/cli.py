@@ -201,8 +201,8 @@ def cmd_coverage(args) -> int:
                   for r in report.rows),
                  ["threshold", "bucket_lo", "bucket_hi", "matched", "total", "recall"])
     write_output(out_dir / "attribution.csv",
-                 ([a.gt_width, a.best_scale, a.best_ratio, a.best_iou, a.image_id]
-                  for a in report.attribution),
+                 zip(report.gt_width.tolist(), report.best_scale.tolist(),
+                     report.best_ratio.tolist(), report.best_iou.tolist(), report.image_ids),
                  ["gt_width", "best_scale", "best_ratio", "best_iou", "image_id"])
     if alt:
         write_output(out_dir / "delta.csv",
@@ -212,6 +212,10 @@ def cmd_coverage(args) -> int:
                      ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
                       "delta"])
     _write_run_config(out_dir, s)
+    rows, counted = len(labels.classes), len(report.image_ids)
+    dontcare = labels.classes.count(datasets_mod.DONTCARE_CLASS)
+    print(f"ground truth: rows={rows} counted={counted} dontcare={dontcare} "
+          f"filtered={rows - counted - dontcare}")
     for t in s["thresholds"]:
         recall = report.overall_recall(t)
         print(f"recall@{t:g}: {recall if recall is not None else 'undefined'}")

@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, check_edges,
-                       read_csv_rows, read_input, write_output)
+from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, bin_index,
+                       check_edges, read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
 from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
 
@@ -352,6 +352,9 @@ def scale_bucketed_ap(
 ) -> list[BucketAP]:
     """AP restricted to ground truth whose width falls in each bucket.
 
+    Widths are binned by ``datasets.bin_index``, as in ``coverage``: those
+    outside the edges fall into the end buckets, so the buckets' ``total_gt``
+    add up to the overall count for any edges.
     Out-of-bucket ground truth turns into ignore regions so detections on it
     are neither rewarded nor penalized, keeping buckets independent. Buckets
     without ground truth report ``ap=None`` rather than 0.
@@ -361,11 +364,12 @@ def scale_bucketed_ap(
 
 
 def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
+    """The AP of each width bucket's ground truth (by ``bin_index``), all other boxes ignored."""
     edges = check_edges(bucket_edges)
-    widths = matching.gt_boxes[:, 2] - matching.gt_boxes[:, 0]
+    bucket = bin_index(matching.gt_boxes[:, 2] - matching.gt_boxes[:, 0], edges)
     results: list[BucketAP] = []
-    for lo, hi in zip(edges, edges[1:]):
-        ignore = matching.dontcare | (widths < lo) | (widths >= hi)
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        ignore = matching.dontcare | (bucket != b)
         total_gt = len(ignore) - int(ignore.sum())
         if total_gt == 0:
             results.append(BucketAP(lo, hi, None, 0, 0, 0))
@@ -480,14 +484,14 @@ def write_detections_csv(path, dets) -> None:
 def read_detection_table(path) -> DetectionTable:
     """Read a detections CSV (header image_id,class,x1,y1,x2,y2,score) into columns.
 
-    Text with no ``"``, ``\\r`` or NUL (which ``csv`` rejects before Python
-    3.11), whose first line is the header and whose other lines are blank or
-    hold 7 fields no longer than ``csv`` allows, is split in one go; ``csv``
-    reads any other text, as it alone reads quoted fields and ``\\r`` line
-    ends. The values are checked as columns. On any fault the file is read
-    again one ``Detection`` per row, so the first faulty line raises ParseError.
+    With ``\\r\\n`` read as ``\\n``, text with no ``"``, ``\\r`` or NUL (which ``csv``
+    rejects before Python 3.11), whose first line is the header and whose other
+    lines are blank or hold 7 fields no longer than ``csv`` allows, is split in
+    one go; ``csv`` reads any other text (quoted fields, lone ``\\r`` line ends).
+    The values are checked as columns. On any fault the file is read again one
+    ``Detection`` per row, so the first faulty line raises ParseError.
     """
-    text = read_input(path)
+    text = read_input(path).replace("\r\n", "\n")
     lines = [] if '"' in text or "\r" in text or "\0" in text else text.split("\n")
     del text  # keep the temporaries below the caller's peak
     rows = [line for line in lines[1:] if line]

@@ -83,6 +83,29 @@ def kitti_label_line(annotation: Annotation) -> str:
     return " ".join(fields)
 
 
+# The float64 columns of a CoverageReport, besides its image ids.
+COVERAGE_COLUMNS = ("gt_width", "best_scale", "best_ratio", "best_iou")
+
+
+def assert_bit_equal(got, want) -> None:
+    """Arrays ``got`` and ``want`` agree in dtype, shape and every bit."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), (got.dtype, got.shape,
+                                                                 want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), (got.tolist(), want.tolist())
+
+
+def assert_same_coverage(got, want) -> None:
+    """Two coverage reports agree: rows, anchors per image, image ids, and
+    every float64 column bit for bit."""
+    assert got.rows == want.rows
+    assert got.anchors_per_image == want.anchors_per_image
+    assert got.image_ids == want.image_ids
+    for name in COVERAGE_COLUMNS:
+        assert getattr(got, name).dtype == np.float64, name
+        assert_bit_equal(getattr(got, name), getattr(want, name))
+
+
 @pytest.fixture
 def vehicle_dataset() -> list[ImageAnnotations]:
     return synthetic_vehicle_dataset(seed=20240817)

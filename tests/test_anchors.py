@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_from_center, scale_box, synthetic_vehicle_dataset
+from conftest import (COVERAGE_COLUMNS, assert_bit_equal, assert_same_coverage, box_from_center,
+                      scale_box, synthetic_vehicle_dataset)
 from scaledet.anchors import (
     RATIOS_DEFAULT,
     SCALES_BASELINE,
@@ -14,7 +15,6 @@ from scaledet.anchors import (
     AnchorConfig,
     CoverageReport,
     CoverageRow,
-    GtAttribution,
     _coverage,
     anchor_shapes,
     coverage,
@@ -69,24 +69,44 @@ def dense_best_anchors(config, image_w, image_h, gt_boxes):
 
 def dense_coverage(config, dataset, thresholds, buckets=DEFAULT_WIDTH_BIN_EDGES):
     """Oracle for ``coverage``: the whole report, built from the dense search."""
-    attribution, counts = [], []
+    image_ids, attribution, counts = [], [], []  # attribution: (width, scale, ratio, IoU)
     for image in dataset:
         gts = [a.box for a in image.annotations if not a.is_dontcare]
         count, best = dense_best_anchors(config, image.image_w, image.image_h, gts)
         counts.append(count)
         for box, (value, scale, ratio) in zip(gts, best):
-            attribution.append(GtAttribution(image.image_id, box.width, scale, ratio, value))
+            image_ids.append(image.image_id)
+            attribution.append((box.width, scale, ratio, value))
     rows = []
     for t in thresholds:
-        hits = [a.best_iou >= t for a in attribution]
+        hits = [value >= t for *_, value in attribution]
         rows.append(CoverageRow(t, None, None, sum(hits), len(hits)))
         for i, (lo, hi) in enumerate(zip(buckets, buckets[1:])):
             last = i == len(buckets) - 2
-            inside = [(lo <= a.gt_width < hi) or (last and a.gt_width >= hi) or
-                      (i == 0 and a.gt_width < lo) for a in attribution]
+            inside = [(lo <= width < hi) or (last and width >= hi) or (i == 0 and width < lo)
+                      for width, *_ in attribution]
             rows.append(CoverageRow(t, lo, hi, sum(h and n for h, n in zip(hits, inside)),
                                     sum(inside)))
-    return CoverageReport(tuple(rows), tuple(attribution), sum(counts) / len(counts))
+    columns = np.array(attribution, dtype=np.float64).reshape(-1, 4).T.copy()
+    return CoverageReport(tuple(rows), image_ids, *columns, sum(counts) / len(counts))
+
+
+def best_shapes(report) -> np.ndarray:
+    """One ``(best_iou, best_scale, best_ratio)`` row per counted box of
+    ``report``, as ``dense_best_anchors`` lists them."""
+    return np.column_stack([report.best_iou, report.best_scale, report.best_ratio])
+
+
+def dense_shapes(best) -> np.ndarray:
+    """The list of ``dense_best_anchors`` as an array like ``best_shapes``."""
+    return np.array(best, dtype=np.float64).reshape(-1, 3)
+
+
+def assert_no_attribution(report) -> None:
+    """``report`` counted no box: its image ids and columns are empty."""
+    assert report.image_ids == []
+    for name in COVERAGE_COLUMNS:
+        assert_bit_equal(getattr(report, name), np.zeros(0))
 
 
 class TestShapes:
@@ -198,10 +218,7 @@ class TestCoverage:
         boxes = [box_from_center(center, center, 32.0, 32.0)]
         dataset = [_image_of_boxes(boxes)]
         report = coverage(AnchorConfig(scales=SCALES_EXTENDED), dataset, thresholds=(0.5,))
-        [att] = report.attribution
-        assert att.best_scale == 32.0
-        assert att.best_ratio == 1.0
-        assert att.best_iou == 1.0
+        assert_bit_equal(best_shapes(report), [[1.0, 32.0, 1.0]])
 
     def test_recall_monotone_in_threshold(self, vehicle_dataset):
         report = coverage(
@@ -225,19 +242,21 @@ class TestCoverage:
                           thresholds=(0.5,))
         overall = [r for r in report.rows if r.bucket_lo is None]
         buckets = [r for r in report.rows if r.bucket_lo is not None]
-        assert sum(r.total for r in buckets) == overall[0].total == len(report.attribution)
+        assert sum(r.total for r in buckets) == overall[0].total == len(report.image_ids)
+        assert all(getattr(report, name).shape == (overall[0].total,)
+                   for name in COVERAGE_COLUMNS)
         assert sum(r.matched for r in buckets) == overall[0].matched
 
     def test_empty_dataset_flagged_not_nan(self):
         report = coverage(AnchorConfig(scales=SCALES_BASELINE), [], thresholds=(0.5,))
-        assert report.attribution == ()
+        assert_no_attribution(report)
         assert report.overall_recall(0.5) is None
 
     def test_dontcare_excluded(self):
         ann = Annotation(class_name="DontCare", box=Box(0, 0, 50, 50), source_image="i")
         dataset = [ImageAnnotations("i", 160.0, 96.0, (ann,))]
         report = coverage(AnchorConfig(scales=(32.0,)), dataset, thresholds=(0.5,))
-        assert report.attribution == ()
+        assert_no_attribution(report)
 
     def test_bad_thresholds_rejected(self, vehicle_dataset):
         with pytest.raises(ConfigError):
@@ -345,8 +364,7 @@ class TestBestAnchorSearch:
                 coverage(config, dataset, thresholds=(0.5,))
             return
         report = coverage(config, dataset, thresholds=(0.5,))
-        got = [(a.best_iou, a.best_scale, a.best_ratio) for a in report.attribution]
-        assert got == expected
+        assert_bit_equal(best_shapes(report), dense_shapes(expected))
         assert report.anchors_per_image == count
 
     @given(coarse_edge_cases())
@@ -378,17 +396,16 @@ class TestBestAnchorSearch:
             edge = max(max(w, h) / 2 + max(image_w, image_h) for w, h in anchor_shapes(config))
             assert 32 * np.spacing(edge) > config.stride and "float steps" in str(exc), exc
             return
-        got = [(a.best_iou, a.best_scale, a.best_ratio) for a in report.attribution]
-        assert got == dense_best_anchors(config, image_w, image_h, boxes)[1]
+        assert_bit_equal(best_shapes(report),
+                         dense_shapes(dense_best_anchors(config, image_w, image_h, boxes)[1]))
 
     @pytest.mark.parametrize("allow_border", [True, False])
     @pytest.mark.parametrize("scales", [SCALES_BASELINE, SCALES_EXTENDED])
     def test_vehicle_dataset_report_equals_dense(self, vehicle_dataset, scales, allow_border):
         config = AnchorConfig(scales=scales, allow_border=allow_border)
         thresholds = (0.3, 0.5, 0.7)
-        assert coverage(config, vehicle_dataset, thresholds=thresholds) == dense_coverage(
-            config, vehicle_dataset, thresholds
-        )
+        assert_same_coverage(coverage(config, vehicle_dataset, thresholds=thresholds),
+                             dense_coverage(config, vehicle_dataset, thresholds))
 
     @given(search_cases(), st.lists(st.lists(st.sampled_from([16.0, 45.0, 64.0, 128.0, 512.0]),
                                              min_size=1, max_size=3, unique=True),
@@ -417,7 +434,10 @@ class TestBestAnchorSearch:
             with pytest.raises(ConfigError, match=re.escape(str(exc))):
                 _coverage(families, dataset, thresholds, DEFAULT_WIDTH_BIN_EDGES, None)
             return
-        assert _coverage(families, dataset, thresholds, DEFAULT_WIDTH_BIN_EDGES, None) == want
+        got = _coverage(families, dataset, thresholds, DEFAULT_WIDTH_BIN_EDGES, None)
+        assert len(got) == len(want)
+        for report, expected in zip(got, want):
+            assert_same_coverage(report, expected)
 
     def test_zero_overlap_takes_first_kept_shape(self):
         # Far from every anchor; with the border kept the first anchor is
@@ -425,14 +445,13 @@ class TestBestAnchorSearch:
         far = [Box(5000.0, 5000.0, 5040.0, 5030.0)]
         dataset = [_image_of_boxes(far, dims=(100.0, 60.0))]
         family = {"scales": (64.0, 32.0), "ratios": (1.0, 0.5)}
-        [kept] = coverage(AnchorConfig(**family), dataset, thresholds=(0.5,)).attribution
-        assert (kept.best_scale, kept.best_ratio, kept.best_iou) == (64.0, 1.0, 0.0)
-        [dropped] = coverage(AnchorConfig(**family, allow_border=False), dataset,
-                             thresholds=(0.5,)).attribution
-        _, [expected] = dense_best_anchors(AnchorConfig(**family, allow_border=False),
-                                           100.0, 60.0, far)
-        assert (dropped.best_iou, dropped.best_scale, dropped.best_ratio) == expected
-        assert dropped.best_scale == 32.0
+        kept = coverage(AnchorConfig(**family), dataset, thresholds=(0.5,))
+        assert_bit_equal(best_shapes(kept), [[0.0, 64.0, 1.0]])
+        dropped = coverage(AnchorConfig(**family, allow_border=False), dataset, thresholds=(0.5,))
+        _, expected = dense_best_anchors(AnchorConfig(**family, allow_border=False),
+                                         100.0, 60.0, far)
+        assert_bit_equal(best_shapes(dropped), dense_shapes(expected))
+        assert dropped.best_scale.tolist() == [32.0]
 
     @given(search_cases(), st.just(0) | st.integers(0, 600))
     # Anchors and boxes of area near 10**4 reach [2**1023, 2**1024) at e = 505.
@@ -464,9 +483,8 @@ class TestBestAnchorSearch:
                 coverage(scaled, [_image_of_boxes(big_boxes, dims=dims)])
             return
         got = coverage(scaled, [_image_of_boxes(big_boxes, dims=dims)])
-        assert [(a.best_iou, math.ldexp(a.best_scale, -e), a.best_ratio)
-                for a in got.attribution] == [(a.best_iou, a.best_scale, a.best_ratio)
-                                              for a in want.attribution]
+        assert_bit_equal(np.column_stack([got.best_iou, np.ldexp(got.best_scale, -e),
+                                          got.best_ratio]), best_shapes(want))
         assert got.anchors_per_image == want.anchors_per_image
 
     def test_no_kept_anchor_is_a_config_error(self):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import random
@@ -139,6 +140,33 @@ class TestCoverageCommand:
         delta = [a[:3] + [a[5], b[5], "" if "" in (a[5], b[5]) else repr(float(b[5]) - float(a[5]))]
                  for a, b in zip(base["coverage.csv"][1:], other["coverage.csv"][1:])]
         assert both["delta.csv"][1:] == delta
+
+    def test_ground_truth_line(self, kitti_dir, tmp_path, capsys):
+        # Five rows: three Cars, a Pedestrian and a DontCare region.
+        assert main(["coverage", str(kitti_dir), "--class", "Car", "--out",
+                     str(tmp_path / "car")]) == 0
+        captured = capsys.readouterr()
+        assert "ground truth: rows=5 counted=3 dontcare=1 filtered=1" in captured.out.splitlines()
+        assert captured.err == ""
+        assert len(read_csv(tmp_path / "car" / "attribution.csv")) == 1 + 3
+        assert main(["coverage", str(kitti_dir), "--out", str(tmp_path / "all")]) == 0
+        assert "ground truth: rows=5 counted=4 dontcare=1 filtered=0" in capsys.readouterr().out
+
+    def test_buckets_bin_widths_as_eval_does(self, tmp_path):
+        # Under 10,20,inf the 5 px Car lies below the first edge: both
+        # subcommands count it in the first bucket, so no box is dropped.
+        cars = [Annotation("Car", Box(0, 0, 5, 5), "a"), Annotation("Car", Box(0, 0, 60, 30), "a")]
+        (tmp_path / "labels").mkdir()
+        (tmp_path / "labels" / "a.txt").write_text("\n".join(map(kitti_label_line, cars)))
+        dets = tmp_path / "dets.csv"
+        dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+        assert main(["coverage", str(tmp_path / "labels"), "--thresholds", "0.5",
+                     "--buckets", "10,20,inf", "--out", str(tmp_path / "cov")]) == 0
+        assert main(["eval", str(tmp_path / "labels"), str(dets), "--buckets", "10,20,inf",
+                     "--out", str(tmp_path / "eval")]) == 0
+        coverage_totals = [r[4] for r in read_csv(tmp_path / "cov" / "coverage.csv")[1:]]
+        ap_totals = [r[6] for r in read_csv(tmp_path / "eval" / "ap.csv")[1:]]
+        assert coverage_totals == ap_totals == ["2", "1", "1"]
 
     def test_exact_anchor_dataset_full_recall(self, tmp_path):
         d = tmp_path / "exact"
@@ -616,6 +644,30 @@ class TestSimulateAndEval:
         assert "'abc'" in capsys.readouterr().err
 
 
+# The sha256 of every artifact of test_all_subcommands_byte_identical but
+# run_config.txt (which names the temporary paths), recorded once; any change
+# to these bytes must be deliberate and recorded here.
+DETERMINISM_DIGESTS = {
+    "stats/aspect_histogram.svg":
+        "aed9a7776f2a4354cca1e885d940ab648d7d804aa0ba0f42bb5671107183309a",
+    "stats/height_histogram.svg":
+        "05f4489319c5a03c6361ed2f1389b67b6dfe5b507d5ad61214dda9df9fe5f21f",
+    "stats/sqrt_area_histogram.svg":
+        "e8bda8b2ca23a67c6fa03499442b06d3d759d3f805ff5b378fb3571e6d17ac36",
+    "stats/stats.csv": "882ab2caf6172fd13ab7bc9cba7b83936180566b75a23c93fa5682ddf96cec19",
+    "stats/width_histogram.svg": "52c35b2cc3d5200e8eddbb4e3ed273cef1c458f813540c2b1c24a6a0dbbc0ce6",
+    "cov/attribution.csv": "99602af4bfacacb7d961f97eb694f69b4f8865ca53416c6995503307d568900d",
+    "cov/coverage.csv": "c2ad110db6a911b4e7f7f3284610875230bafebfc223adc4de2316b5fbdd618c",
+    "cov/delta.csv": "60e167b5a6c308df9ee0211efb8ceff95d5b96bf924368b0836c3c347cf16054",
+    "rf/findings.txt": "b0160373b101ade966163db8eaf0688541f48632952b10da3d2d58414928933a",
+    "rf/rf.csv": "6712c9526886808b3ccf2f3dd323c8c419de5b1d4300e70d4072e3ff633f0f90",
+    "sim/detections.csv": "b7fb46e837834f6d842cbaeb2328e2151cd5000247fc8ee9c78ddf1c22bf251d",
+    "eval/ap.csv": "e2adccc438c80a2b70921d06db5c940adcc49c2925bd06d24772f4803eacd92c",
+    "eval/pr.csv": "75eb34dfb3de58921a3b39259b7002c4a9695da6e765ae2be88ce0d9efaec468",
+    "eval/pr.svg": "b78e7691261e066ebaa628524437f848e9529b80a28ca7a78aee592b0a98dea6",
+}
+
+
 class TestDeterminism:
     def test_all_subcommands_byte_identical(self, dataset_dir, tmp_path):
         profile = tmp_path / "profile.txt"
@@ -639,6 +691,10 @@ class TestDeterminism:
                 sub: dir_bytes(base / sub) for sub in ("stats", "cov", "rf", "sim", "eval")
             }
         assert runs["one"] == runs["two"]
+        digests = {f"{sub}/{name}": hashlib.sha256(data).hexdigest()
+                   for sub, files in runs["one"].items() for name, data in files.items()
+                   if name != "run_config.txt"}
+        assert digests == DETERMINISM_DIGESTS
 
 
 class TestConfigPrecedence:

@@ -1,15 +1,17 @@
 import csv
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kitti_label_line
+from conftest import assert_bit_equal, kitti_label_line
+from scaledet.anchors import AnchorConfig, coverage
 from scaledet.cli import main
-from scaledet.datasets import Annotation, load_dataset, read_csv_rows
+from scaledet.datasets import Annotation, as_label_table, load_dataset, read_csv_rows
 from scaledet.errors import ConfigError, ParseError
 from scaledet.evaluation import (
     DETECTIONS_CSV_HEADER,
@@ -21,6 +23,7 @@ from scaledet.evaluation import (
     average_precision,
     default_iou_threshold,
     evaluate_detections,
+    evaluate_tables,
     match_detections,
     nms,
     pr_curve,
@@ -382,8 +385,11 @@ class TestMatchingKernel:
     @settings(max_examples=200, deadline=None)
     def test_buckets_equal_rematching_each_bucket(self, dets, gts, threshold, edges):
         want = []
-        for lo, hi in zip(edges, edges[1:]):
-            ignore = [g.is_dontcare or not lo <= g.box.width < hi for g in gts]
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            # Widths below the first edge, or at or past the last, fall into the end buckets.
+            first, last = i == 0, i == len(edges) - 2
+            ignore = [g.is_dontcare or not (lo <= g.box.width < hi or first and g.box.width < lo
+                                             or last and g.box.width >= hi) for g in gts]
             total_gt = ignore.count(False)
             if total_gt == 0:
                 want.append((lo, hi, None, 0, 0, 0))
@@ -659,6 +665,28 @@ class TestBucketedAP:
         assert buckets[1].ap is None and buckets[1].total_gt == 0
 
 
+    @given(detections,
+           st.lists(st.builds(lambda cls, x1, y1, w, h, image: Annotation(
+                                  cls, Box(x1, y1, x1 + w, y1 + h), image),
+                              st.sampled_from(["Car", "Car", "DontCare", "Van"]),
+                              st.floats(-100, 100), st.floats(-100, 100),
+                              st.floats(1e-3, 1e4), st.floats(1e-3, 1e4),
+                              st.sampled_from(GT_IMAGES)), max_size=10),
+           st.lists(st.floats(-5, 300) | st.sampled_from([-math.inf, 0.0, math.inf]),
+                    min_size=2, max_size=5, unique=True).map(sorted))
+    @example([], [gt(0, 0, 5, 5), gt(0, 0, 60, 30)], [10.0, 20.0, math.inf])
+    @settings(max_examples=150, deadline=None)
+    def test_bucket_totals_equal_coverage(self, dets, gts, edges):
+        # One bucket rule: eval and coverage put each counted box in the same
+        # bucket, and neither drops a width outside the edges.
+        labels = as_label_table(gts)
+        report = evaluate_tables(_detection_table(dets), labels, "Car", 0.5, bucket_edges=edges)
+        rows = coverage(AnchorConfig(scales=(32.0,), ratios=(1.0,)), labels, thresholds=(0.5,),
+                        buckets=edges, class_filter="Car").rows
+        assert [b.total_gt for b in report.per_bucket] == [r.total for r in rows[1:]]
+        assert sum(r.total for r in rows[1:]) == rows[0].total == report.total_gt
+
+
 class TestEvaluateDetections:
     def test_default_thresholds(self):
         assert default_iou_threshold("Car") == 0.7
@@ -759,6 +787,22 @@ class TestDetectionsCsv:
         path.write_text("image,cls,a,b,c,d,e\n")
         with pytest.raises(ParseError, match="header"):
             read_detections_csv(path)
+
+    def test_crlf_file_takes_one_split(self, tmp_path):
+        # \r\n line ends read as \n ones; only a lone \r sends the file to csv.
+        rows = ["a,Car,0,0,10,10,0.5", "", "b,Van,1.5,2,3,4,0.25"]
+        tables, csv_reads = {}, {}
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(newline.join([HEADER, *rows, ""]).encode())
+            with mock.patch("scaledet.evaluation.read_csv_rows", wraps=read_csv_rows) as reader:
+                tables[name] = read_detection_table(path)
+            csv_reads[name] = reader.call_count
+        assert csv_reads == {"lf": 0, "crlf": 0, "cr": 1}
+        for name in ("crlf", "cr"):
+            assert tables[name][:2] == tables["lf"][:2] == (["a", "b"], ["Car", "Van"])
+            assert_bit_equal(tables[name].boxes, tables["lf"].boxes)
+            assert_bit_equal(tables[name].scores, tables["lf"].scores)
 
     def test_bad_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
