@@ -119,18 +119,19 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     """
     if not 0 < iou_threshold < 1:
         raise ConfigError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    scores = [d.score for d in dets]
+    # A stable reverse sort compares scores exactly: the order of (-score, index).
+    order = sorted(range(len(dets)), key=scores.__getitem__, reverse=True)
     boxes = boxes_to_array([dets[i].box for i in order])
-    alive = np.ones(len(order), dtype=bool)
+    alive = [True] * len(order)
     rows = max(1, _NMS_CELLS // max(len(order), 1))  # rows of the overlap matrix held at once
-    kept: list[Detection] = []
     for start in range(0, len(order), rows):
-        suppresses = iou_matrix(boxes[start : start + rows], boxes) > iou_threshold
-        for pos in range(start, min(start + rows, len(order))):
-            if alive[pos]:
-                kept.append(dets[order[pos]])
-                alive &= ~suppresses[pos - start]
-    return kept
+        # Pairs above the threshold in row order: rows before i are settled when i comes up.
+        over = np.nonzero(iou_matrix(boxes[start : start + rows], boxes) > iou_threshold)
+        for i, j in zip((over[0] + start).tolist(), over[1].tolist()):
+            if i < j and alive[i]:
+                alive[j] = False
+    return [dets[i] for i, keep in zip(order, alive) if keep]
 
 
 class DetectionTable(NamedTuple):

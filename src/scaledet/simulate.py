@@ -2,10 +2,10 @@
 
 Generates scored detections from ground truth under a scale-dependent
 detection profile, so the coverage and evaluation stack can be exercised
-end-to-end without a trained model. Every random draw comes from a
-per-image substream derived from (seed, image_id), which makes the output
-independent of processing order: identical dataset + profile means
-byte-identical detections.
+end-to-end without a trained model. Each image draws from its own stream,
+``PCG64`` seeded by ``SeedSequence([seed mod 2^64, key])`` with ``key`` the
+first 8 bytes of the SHA-256 of the UTF-8 image id read little-endian, all
+derived 1,024 images per pass: the output does not depend on processing order.
 
 Profile files are plain ``key=value`` lines; ``detect_prob`` is a
 comma-separated list of ``width:probability`` knots interpreted as a
@@ -25,8 +25,10 @@ outermost knots), e.g.::
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from statistics import NormalDist
 
 import numpy as np
@@ -44,6 +46,13 @@ _MIN_SIZE = 0.25
 # the benchmark use at most 15), and on loc_noise_sigma in pixels, far beyond
 # any image side.
 _MAX_FP, _MAX_JITTER = 1000.0, 1e6
+# NumPy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# Images seeded per pass: bounds the temporary columns and Python ints (in one
+# pass over 7,481 images they raised the peak RSS by about 7 MB).
+_SEED_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,8 @@ class DetectorProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         knots = tuple((float(w), float(p)) for w, p in self.detect_prob)
         object.__setattr__(self, "detect_prob", knots)
         object.__setattr__(self, "fp_size_range", tuple(float(v) for v in self.fp_size_range))
@@ -147,10 +158,49 @@ def parse_profile(text: str) -> DetectorProfile:
     return DetectorProfile(**values)
 
 
-def _image_rng(seed: int, image_id: str) -> np.random.Generator:
-    digest = hashlib.sha256(image_id.encode("utf-8")).digest()
-    key = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), key]))
+def _hash(value, const: list[int], mult: int):
+    """SeedSequence's hash step on uint32 ``value`` (an int, or a uint64 column of uint32
+    words): xor the hash constant ``const[0]``, advance it by ``mult``, multiply by it."""
+    value = value ^ const[0]
+    const[0] = const[0] * mult & _M32
+    value = value * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _seed_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """uint64 [n, 4]: ``SeedSequence([seed mod 2^64, key]).generate_state(4, np.uint64)``
+    for each uint64 ``key``. NumPy's fixed hash runs on uint32 words held in uint64
+    columns, one pass per entropy length (a key below 2^32 is one word)."""
+    seed = int(seed) & (2**64 - 1)
+    words = np.empty((len(keys), 8), np.uint64)
+    for rows, key_words in ((keys <= _M32, 1), (keys > _M32, 2)):
+        k = keys[rows]
+        entropy = [seed & _M32, seed >> 32][: 1 + (seed > _M32)] + [k & _M32, k >> 32][:key_words]
+        const = [_INIT_A]
+        pool = [_hash(v, const, _MULT_A) for v in entropy + [0] * (4 - len(entropy))]
+        for src, dst in permutations(range(4), 2):
+            mixed = (_MIX_L * pool[dst] - _MIX_R * _hash(pool[src], const, _MULT_A)) & _M32
+            pool[dst] = mixed ^ mixed >> 16
+        const = [_INIT_B]
+        for d in range(8):  # generate_state: 8 uint32 words, little-endian pairs per uint64
+            words[rows, d] = _hash(pool[d % 4], const, _MULT_B)
+    return words[:, 0::2] | words[:, 1::2] << 32
+
+
+def _streams(seed: int, keys: np.ndarray):
+    """Per key in turn, one Generator reloaded with ``SeedSequence([seed mod 2^64, key])``'s
+    ``PCG64`` stream, as ``default_rng`` seeds it."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for start in range(0, len(keys), _SEED_BATCH):
+        for w0, w1, w2, w3 in _seed_states(seed, keys[start : start + _SEED_BATCH]).tolist():
+            # PCG64's seeding from the state words: state 0, step, add initstate, step.
+            inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+            state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _score_law(mean: float, sigma: float):
@@ -188,8 +238,9 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
     # Each image draws from its own stream: per counted box a uniform, and for a box that
     # fires its jitter and score uniform; then the false-positive count, and their uniforms
     # in one call (the stream of as many scalar draws). The rest is column arithmetic.
-    for image_id, end in zip(labels.image_ids, ends):
-        rng = _image_rng(profile.seed, image_id)
+    keys = np.frombuffer(b"".join(hashlib.sha256(i.encode("utf-8")).digest()[:8]
+                                  for i in labels.image_ids), "<u8").astype(np.uint64)
+    for rng, end in zip(_streams(profile.seed, keys), ends):
         for j in range(start, end):
             if rng.random() < prob[j]:
                 fired[j] = True

@@ -499,6 +499,16 @@ class TestMatchingKernel:
 
     @given(detections, st.sampled_from([0.25, 1 / 3, 0.5, 0.7]))
     @settings(max_examples=200, deadline=None)
+    # Integer scores past 2^53 that round to one float: the exact larger one leads.
+    @example([det(0, 0, 10, 10, 2**53), det(0, 0, 10, 9, 2**53 + 1)], 0.5)
+    # -0.0 ties 0.0, so the first in input order leads.
+    @example([det(0, 0, 10, 9, -0.0), det(0, 0, 10, 10, 0.0)], 0.5)
+    @example([det(0, 0, 10, 10, 0.0), det(0, 0, 10, 9, -0.0)], 0.5)
+    # Identical boxes: IoU exactly 1.0.
+    @example([det(2, 2, 6, 6, 0.25), det(2, 2, 6, 6, 0.75), det(2, 2, 6, 6, 0.5)], 0.7)
+    # A suppresses B, B overlaps C above the threshold (IoU 7/13 each), yet C survives:
+    # B is dead, and IoU(A, C) is 1/4.
+    @example([det(0, 6, 10, 16, 0.25), det(0, 0, 10, 10, 0.75), det(0, 3, 10, 13, 0.5)], 0.5)
     def test_nms_equals_oracle(self, dets, threshold):
         assert nms(dets, threshold) == nms_oracle(dets, threshold)
 

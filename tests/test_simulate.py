@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import sys
 from collections import Counter
 from statistics import NormalDist
 
@@ -20,7 +22,8 @@ from scaledet.evaluation import (
     scale_bucketed_ap,
 )
 from scaledet.geometry import Box
-from scaledet.simulate import DetectorProfile, _image_rng, parse_profile, simulate, simulate_table
+from scaledet.simulate import (DetectorProfile, _seed_states, _streams, parse_profile, simulate,
+                               simulate_table)
 
 PERFECT = DetectorProfile(detect_prob=((0.0, 1.0),), loc_noise_sigma=0.0, fp_per_image=0.0)
 BLIND = DetectorProfile(
@@ -85,6 +88,8 @@ class TestProfileParsing:
             {"fp_size_range": (0.0, 10.0)},
             {"fp_size_range": (50.0, 10.0)},
             {"score_mean_tp": 0.3, "score_mean_fp": 0.5},
+            {"seed": 1.5},
+            {"seed": "7"},
         ],
     )
     def test_invalid_profiles(self, kwargs):
@@ -210,6 +215,19 @@ def above(near, far):
     return max(far, math.nextafter(near, math.inf))
 
 
+def image_key(image_id):
+    return int.from_bytes(hashlib.sha256(image_id.encode("utf-8")).digest()[:8], "little")
+
+
+def key_rng(seed, key):
+    """A stream seeded on its own: what ``simulate_table`` derives for many images per pass."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), key]))
+
+
+def _image_rng(seed, image_id):
+    return key_rng(seed, image_key(image_id))
+
+
 def simulate_oracle(dataset, profile):
     """The per-box loop that ``simulate`` replaces: one image, one box and one draw at a time."""
     counts = Counter(a.class_name for image in dataset for a in image.annotations
@@ -280,8 +298,44 @@ def detector_profiles(draw):
         score_sigma=draw(st.sampled_from([0.0, 0.08, 0.5])),
         fp_per_image=draw(st.sampled_from([0.0, 0.7, 4.0])),
         fp_size_range=draw(st.sampled_from([(20.0, 120.0), (5.0, 3000.0)])),
-        seed=draw(st.integers(0, 2**64 + 5)),
+        seed=draw(st.integers(-2**64 - 5, 2**64 + 5)),
     )
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**40, 2**64, 2**64 + 2**32 + 7]
+# Keys below 2^32 are one entropy word, the rest two.
+RAW_KEYS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+
+
+class TestSeeding:
+    @given(seed=st.integers(-2**70, 2**70) | st.sampled_from(SEEDS),
+           keys=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1)
+                         | st.sampled_from(RAW_KEYS), max_size=8),
+           image_ids=st.lists(st.text(max_size=6), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, keys=[], image_ids=[])
+    @example(seed=0, keys=RAW_KEYS, image_ids=["000000"])
+    @example(seed=2**32 - 1, keys=RAW_KEYS, image_ids=[])
+    @example(seed=2**32, keys=RAW_KEYS, image_ids=[])
+    @example(seed=2**64 - 1, keys=RAW_KEYS, image_ids=[])
+    @example(seed=-3, keys=RAW_KEYS, image_ids=[])
+    @example(seed=2**64 + 5, keys=RAW_KEYS, image_ids=[])
+    def test_states_and_streams_equal_per_image_seed_sequence(self, seed, keys, image_ids):
+        keys = keys + [image_key(i) for i in image_ids]
+        array = np.array(keys, dtype=np.uint64)
+        words = _seed_states(seed, array)
+        assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+        assert words.tolist() == [
+            np.random.SeedSequence([int(seed) & (2**64 - 1), key]).generate_state(4, np.uint64)
+            .tolist() for key in keys]
+        loaded = 0
+        for rng, key in zip(_streams(seed, array), keys):
+            loaded += 1  # each load reseeds the one Generator: draw before the next
+            want = key_rng(seed, key)
+            assert rng.random() == want.random()
+            assert rng.normal(0.0, 2.5, 4).tolist() == want.normal(0.0, 2.5, 4).tolist()
+            assert rng.poisson(3.0) == want.poisson(3.0)
+        assert loaded == len(keys)
 
 
 class TestOracle:
@@ -311,6 +365,16 @@ class TestOracle:
                         DetectorProfile(detect_prob=((0.0, 0.7),), score_sigma=0.0,
                                         fp_per_image=2.0, seed=5)):
             assert bits(simulate(dataset, profile)) == bits(simulate_oracle(dataset, profile))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_seed_batches_carry_the_streams(self, monkeypatch, batch):
+        # More images than a seeding pass takes: each pass picks up where the last ended.
+        # The package's ``simulate`` function hides the module of that name.
+        monkeypatch.setattr(sys.modules["scaledet.simulate"], "_SEED_BATCH", batch)
+        dataset = synthetic_vehicle_dataset(seed=3, n_images=7)
+        profile = DetectorProfile(detect_prob=((0.0, 0.7),), loc_noise_sigma=2.0,
+                                  fp_per_image=2.0, seed=11)
+        assert bits(simulate(dataset, profile)) == bits(simulate_oracle(dataset, profile))
 
     @given(knots=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0, 1)), min_size=1,
                           max_size=6, unique_by=lambda knot: knot[0]),
