@@ -38,7 +38,7 @@ from . import evaluation as eval_mod
 from . import netgraph as netgraph_mod
 from . import svgplot
 from .datasets import write_output
-from .errors import ConfigError, InvalidBoxError, ParseError
+from .errors import ConfigError, ParseError
 from .simulate import parse_profile, read_key_values, simulate_table
 # Unused here; scalebench's tracer test still patches cli.run_detector.
 from .simulate import simulate as run_detector  # noqa: F401
@@ -166,10 +166,13 @@ def cmd_stats(args) -> int:
     out_dir, s = _settings(args)
     stats = datasets_mod.compute_stats(_load_dataset(s), class_filter=s["class_filter"],
                                        bin_edges=s["bins"])
-    write_output(out_dir / "stats.csv", datasets_mod.stats_csv_rows(stats),
+    hists = [(name, getattr(stats, f"{name}_histogram"))
+             for name in ("width", "height", "sqrt_area", "aspect")]
+    write_output(out_dir / "stats.csv",
+                 ((name, *hist.bin_bounds(i), count)
+                  for name, hist in hists for i, count in enumerate(hist.counts)),
                  ["histogram_name", "bin_lo", "bin_hi", "count"])
-    for name in ("width", "height", "sqrt_area", "aspect"):
-        hist = getattr(stats, f"{name}_histogram")
+    for name, hist in hists:
         write_output(out_dir / f"{name}_histogram.svg",
                      svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts))
     _write_run_config(out_dir, s)
@@ -471,7 +474,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InvalidBoxError) as exc:
+    except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # pragma: no cover - defensive

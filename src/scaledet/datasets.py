@@ -26,16 +26,15 @@ Objects are the library's edge: ``load_dataset`` loads the table as one
 into a table.
 
 Parsers are pure functions on input text, so files can be parsed
-concurrently, and statistics merge associatively. A KITTI directory is
-parsed in ``min(usable CPUs, files // 1024)`` contiguous chunks of its
-files by name (at least one), every chunk after the first in a forked
-child that sends its columns back through a pipe. A chunk whose child
-fails is parsed again in the loading process, which also parses every
-chunk itself when it has other threads or no ``os.fork``; so the table,
-the skipped files and every error are the same for any number of chunks.
-Every input file of the
-toolkit is read by ``read_input``: UTF-8, with any failure to read (missing,
-a directory, not UTF-8) raised as one error naming the file.
+concurrently. A KITTI directory is parsed in
+``min(usable CPUs, files // 1024)`` contiguous chunks of its files by name
+(at least one), every chunk after the first in a forked child that sends
+its columns back through a pipe. A chunk whose child fails is parsed again
+in the loading process, which also parses every chunk itself when it has
+other threads or no ``os.fork``; so the table, the skipped files and every
+error are the same for any number of chunks. Every input file of the
+toolkit is read by ``read_input``: UTF-8, with any failure to read
+(missing, a directory, not UTF-8) raised as one error naming the file.
 ``read_csv_rows`` adds the header and column checks of the CSV inputs.
 Every output file is written by ``write_output``: UTF-8 with ``\n`` line
 ends, and a file that cannot be written is a ConfigError naming it. It
@@ -85,7 +84,6 @@ __all__ = [
     "bin_index",
     "make_histogram",
     "compute_stats",
-    "stats_csv_rows",
     "load_dataset",
     "load_label_table",
     "LabelTable",
@@ -374,21 +372,6 @@ def compute_stats(labels, class_filter: str | None = None,
     )
 
 
-def stats_csv_rows(stats: DatasetStats) -> list[tuple[str, float, float, int]]:
-    """Flatten all histograms into (histogram_name, bin_lo, bin_hi, count) rows."""
-    rows: list[tuple[str, float, float, int]] = []
-    for name, hist in (
-        ("width", stats.width_histogram),
-        ("height", stats.height_histogram),
-        ("sqrt_area", stats.sqrt_area_histogram),
-        ("aspect", stats.aspect_histogram),
-    ):
-        for i, count in enumerate(hist.counts):
-            lo, hi = hist.bin_bounds(i)
-            rows.append((name, lo, hi, count))
-    return rows
-
-
 class LabelTable(NamedTuple):
     """The labels of one directory as columns, one row per object, in file and line order."""
 
@@ -403,6 +386,10 @@ class LabelTable(NamedTuple):
         ``class_filter`` when it is given."""
         return np.flatnonzero([c != DONTCARE_CLASS and (class_filter is None or c == class_filter)
                                for c in self.classes])
+
+
+# Label fields converted to floats per batch: their strings take far more memory.
+_TOKENS_PER_CONVERSION = 1 << 16
 
 
 def _kitti_columns(texts: list[str]):
@@ -421,7 +408,7 @@ def _kitti_columns(texts: list[str]):
                 first.append(done + len(tokens))
                 # A line of fewer than 15 fields reads as NaNs, which fail the occlusion check.
                 tokens += fields[1:] if len(fields) >= 15 else ("nan",) * 14
-        if len(tokens) >= 1 << 16:  # convert in chunks: the strings take far more memory
+        if len(tokens) >= _TOKENS_PER_CONVERSION:
             chunks.append(np.array(tokens, dtype=np.float64))
             done, tokens = done + len(tokens), []
     values = np.concatenate([*chunks, np.array(tokens, dtype=np.float64)])

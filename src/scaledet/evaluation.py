@@ -502,19 +502,15 @@ def read_detection_table(path) -> DetectionTable:
     del lines
     try:
         if flat:
-            cells = np.array(",".join(rows).split(",") if rows else [], object).reshape(-1, 7)
-            del rows
-            image_ids, classes = cells[:, 0].tolist(), cells[:, 1].tolist()
-            values = cells[:, 2:].astype(np.float64)
+            cells = ",".join(rows).split(",") if rows else []
         else:
-            image_ids, classes, numbers = [], [], []
-            for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
-                image_ids.append(row[0])
-                classes.append(row[1])
-                numbers += row[2:]
-            values = np.array(numbers, dtype=np.float64).reshape(-1, 5)
+            cells = [cell for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER) for cell in row]
+        del rows
+        cells = np.array(cells, object).reshape(-1, 7)
+        values = cells[:, 2:].astype(np.float64)
         if (valid_boxes(values[:, :4]) & np.isfinite(values[:, 4])).all():
-            return DetectionTable(image_ids, classes, values[:, :4], values[:, 4])
+            return DetectionTable(cells[:, 0].tolist(), cells[:, 1].tolist(),
+                                  values[:, :4], values[:, 4])
     except ValueError:  # ParseError included
         pass
     for lineno, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):

@@ -64,9 +64,8 @@ _KEYS = {
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One node of the layer graph."""
+    """One node of the layer graph; its name is its key in ``NetGraph.layers``."""
 
-    name: str
     kind: str  # input | conv | pool | concat | resadd
     kernel: int | None = None
     stride: int | None = None
@@ -113,7 +112,6 @@ class Finding:
     node: str
     ok: bool
     message: str
-    channels: int | None = None
     rf_set: frozenset[int] = field(default_factory=frozenset)
 
 
@@ -188,7 +186,7 @@ def parse_arch(text: str) -> NetGraph:
             raise ParseError(f"line {lineno}: repeated input name in 'from' clause")
         if kv:
             raise ParseError(f"line {lineno}: unexpected keys {sorted(kv)}")
-        layers[name] = LayerSpec(name=name, kind=kind, inputs=inputs, **values)
+        layers[name] = LayerSpec(kind=kind, inputs=inputs, **values)
         lines[name] = lineno
 
     if not layers:
@@ -317,8 +315,7 @@ def _analyze(
         else:
             message = (f"merge {name!r} ok: channels={channels}, "
                        f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
-        findings.append(Finding(node=name, ok=not problems, message=message,
-                                channels=channels, rf_set=rf_set))
+        findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set))
 
     return infos, findings, errors
 
@@ -377,7 +374,6 @@ def with_probe_window(graph: NetGraph) -> NetGraph:
         raise ConfigError(f"probe needs a single sink layer, graph has {sinks}")
     layers = dict(graph.layers)
     layers[PROBE_NAME] = LayerSpec(
-        name=PROBE_NAME,
         kind="conv",
         kernel=3,
         stride=1,

@@ -36,7 +36,7 @@ import numpy as np
 from .datasets import LabelTable, as_label_table
 from .errors import ConfigError
 from .evaluation import Detection, DetectionTable, _detections, _order
-from .geometry import Box, valid_boxes
+from .geometry import valid_boxes
 
 __all__ = ["DetectorProfile", "parse_profile", "simulate", "simulate_table"]
 
@@ -224,7 +224,8 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
     truncated-normal score; Poisson-distributed false positives (labeled
     with the dataset's most common class) are placed uniformly per image.
     A far edge lies above its near edge by at least the next float. The rows
-    are in canonical order: image id, then ``Detection.sort_key``.
+    are in canonical order: image id, then ``Detection.sort_key``. A box whose
+    width, height or area overflows the float range raises ConfigError.
     """
     rows = labels.counted()
     rows = rows[np.argsort(labels.image[rows], kind="stable")]  # per image, in row order
@@ -269,7 +270,8 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
     boxes = np.concatenate((tp_boxes, np.hstack((near, far))))
     bad = np.flatnonzero(~valid_boxes(boxes))
     if len(bad):
-        Box(*boxes[bad[0]].tolist())  # raises InvalidBoxError naming the box
+        raise ConfigError(f"simulated box {tuple(boxes[bad[0]].tolist())} has no finite extent; "
+                          "lower loc_noise_sigma, fp_size_range or the image size")
     scores = np.concatenate((tp_scores(uniform[fired]), fp_scores(u[:, 4:])))
 
     counts = Counter(labels.classes[i] for i in rows.tolist())

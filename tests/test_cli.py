@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
 from scaledet.cli import SETTINGS, main
-from scaledet.datasets import Annotation, load_dataset
+from scaledet.datasets import DEFAULT_ASPECT_BIN_EDGES, Annotation, load_dataset
 from scaledet.evaluation import (EvalReport, evaluate_detections, match_detections,
                                  read_detections_csv)
 from scaledet.geometry import Box
@@ -74,6 +74,16 @@ class TestStatsCommand:
         rows = read_csv(out / "stats.csv")
         width_total = sum(int(r[3]) for r in rows[1:] if r[0] == "width")
         assert width_total == 3
+
+    def test_csv_rows_cover_all_bins(self, tmp_path):
+        d = tmp_path / "one"
+        d.mkdir()
+        (d / "a.txt").write_text(kitti_label_line(Annotation("Car", Box(0.0, 0.0, 40.0, 20.0))))
+        out = tmp_path / "out"
+        assert main(["stats", str(d), "--bins", "0,30,60", "--out", str(out)]) == 0
+        rows = read_csv(out / "stats.csv")[1:]
+        assert [r[3] for r in rows if r[0] == "width"] == ["0", "1"]
+        assert len(rows) == 2 * 3 + len(DEFAULT_ASPECT_BIN_EDGES) - 1
 
     def test_parse_error_exit_code(self, kitti_dir, tmp_path):
         (kitti_dir / "broken.txt").write_text("Car 1\n")
@@ -406,6 +416,26 @@ class TestSimulateAndEval:
         code = main(["simulate", str(dataset_dir), str(profile), "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"{line.partition('=')[0]} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label, profile, size, setting", [
+        # Jitter of a 1.7e308-wide box overflows its area.
+        ("Car 0 0 0 0 0 1.7e308 0.5 1 1 1 1 1 1 0",
+         "detect_prob=0:1\nloc_noise_sigma=1e6\nseed=2\n", "1392x512", "loc_noise_sigma"),
+        # A 1e200-square false positive inside a 10^200-square image.
+        ("Car 0 0 0 0 0 10 10 1 1 1 1 1 1 0",
+         "detect_prob=0:1\nfp_per_image=5\nfp_size_range=1e200,1e200\n",
+         f"{10**200}x{10**200}", "fp_size_range"),
+    ])
+    def test_box_past_float_range_is_config_error(self, tmp_path, capsys, label, profile, size,
+                                                  setting):
+        d = tmp_path / "labels"
+        d.mkdir()
+        (d / "a.txt").write_text(label + "\n")
+        code = main(["simulate", str(d), str(self._profile(tmp_path, profile)),
+                     "--image-size", size, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("config error: simulated box (") and setting in err
 
     def test_missing_profile_exit_code(self, dataset_dir, tmp_path):
         assert main(

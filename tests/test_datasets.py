@@ -13,11 +13,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scaledet
-from conftest import KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, assert_same_coverage, kitti_label_line
+from conftest import (KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, assert_same_coverage, kitti_label_line,
+                      synthetic_vehicle_dataset)
 from scaledet.anchors import AnchorConfig, coverage
 from scaledet import datasets
 from scaledet.cli import main
@@ -36,7 +37,6 @@ from scaledet.datasets import (
     read_csv_rows,
     read_input,
     split_folds,
-    stats_csv_rows,
     write_output,
 )
 from scaledet.errors import ConfigError, ParseError
@@ -61,6 +61,11 @@ class TestKittiParsing:
         assert a.class_name == "Car"
         assert a.box == Box(587.01, 173.33, 614.12, 200.12)
         assert a.source_image == "000000"
+
+    def test_empty_class_name_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Annotation(class_name="", box=Box(0, 0, 10, 10))
+        assert str(info.value) == "class_name must be non-empty"
 
     def test_empty_file(self):
         assert parse_kitti_label("", "x") == []
@@ -177,6 +182,18 @@ class TestVocParsing:
         assert str(info.value) == (
             f"size: <{tag}> must be positive and finite, got {float(value)!r}")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("<size><width>500</width><height>375</height><depth>3</depth></size>", "",
+         "missing <size> element"),
+        ("<xmin>100</xmin>", "", "object 0: missing <xmin>"),
+        ("<ymax>200</ymax>", "<ymax>2OO</ymax>", "object 0: <ymax> value '2OO' is not numeric"),
+        ("<name>car</name>", "<name> </name>", "object 0: missing or empty <name>"),
+    ])
+    def test_malformed_element_rejected(self, old, new, message):
+        with pytest.raises(ParseError) as info:
+            parse_voc_xml(VOC_XML.replace(old, new))
+        assert str(info.value) == message
+
     def test_truncated_xml_rejected(self):
         with pytest.raises(ParseError, match="invalid XML"):
             parse_voc_xml(VOC_XML[: len(VOC_XML) // 2])
@@ -279,13 +296,6 @@ class TestStats:
             compute_stats([_ann(10)], bin_edges=(5,))
         with pytest.raises(ConfigError):
             compute_stats([_ann(10)], bin_edges=(0, 10, 10))
-
-    def test_csv_rows_cover_all_bins(self):
-        stats = compute_stats([_ann(40)], bin_edges=(0, 30, 60))
-        rows = stats_csv_rows(stats)
-        width_rows = [r for r in rows if r[0] == "width"]
-        assert [r[3] for r in width_rows] == [0, 1]
-        assert len(rows) == 2 * 3 + len(stats.aspect_histogram.counts)
 
     def test_default_edges_cover_30_60(self):
         assert 30.0 in DEFAULT_WIDTH_BIN_EDGES and 60.0 in DEFAULT_WIDTH_BIN_EDGES
@@ -475,13 +485,17 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="unknown dataset format"):
             load_dataset(kitti_dir, "coco")
 
-    @given(st.lists(label_file(), max_size=6), st.booleans())
+    @given(st.lists(label_file(), max_size=6), st.booleans(), st.integers(1, 64))
+    @example([("000000.txt", KITTI_LINE.encode()),
+              ("000001.txt", KITTI_LINE.replace(" 0 ", " nan ", 1).encode())], False, 14)
     @settings(max_examples=150, deadline=None)
-    def test_table_equals_per_file_loader(self, tmp_path_factory, files, skip_bad):
+    def test_table_equals_per_file_loader(self, tmp_path_factory, files, skip_bad, tokens):
         # Files of good and bad lines of every kind, unreadable files, dot
         # files and a directory named like a label file, against the loader
-        # that reads and parses one file at a time.
-        assert_loads_like_per_file_loader(label_dir(tmp_path_factory, files), skip_bad)
+        # that reads and parses one file at a time. Fields are converted
+        # every ``tokens`` or more, so lines and bad files follow conversions.
+        with mock.patch.object(datasets, "_TOKENS_PER_CONVERSION", tokens):
+            assert_loads_like_per_file_loader(label_dir(tmp_path_factory, files), skip_bad)
 
     @given(st.lists(label_file(), max_size=6), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -501,8 +515,9 @@ class TestLoaders:
             assert got[1] == want[1]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("failure", ["fork raises", "child exits 3", "child sends nothing",
-                                         "child is killed", "child sends, then exits 3"])
+    @pytest.mark.parametrize("failure", ["pipe raises", "fork raises", "child exits 3",
+                                         "child sends nothing", "child is killed",
+                                         "child sends, then exits 3"])
     def test_failed_child_chunk_runs_in_process(self, tmp_path, failure):
         # However a child fails, its chunk is parsed again in the parent, so
         # the table, the skipped list and the ParseError are one process's.
@@ -520,7 +535,8 @@ class TestLoaders:
                 os.kill(os.getpid(), signal.SIGKILL)
             exit_now(3 if failure == "child exits 3" else 0)
 
-        patches = {"fork raises": mock.patch("os.fork", side_effect=OSError(errno.EAGAIN, "no")),
+        patches = {"pipe raises": mock.patch("os.pipe", side_effect=OSError(errno.EMFILE, "no")),
+                   "fork raises": mock.patch("os.fork", side_effect=OSError(errno.EAGAIN, "no")),
                    "child sends, then exits 3": mock.patch("os._exit", lambda code: exit_now(3))}
         with forked_chunks(3), mock.patch.object(datasets, "_kitti_chunk", failing_chunk), \
                 patches.get(failure, contextlib.nullcontext()):
@@ -804,6 +820,18 @@ class TestExports:
                        if name not in used | documented]
         assert unused == []
 
+    def test_library_use_example_runs(self, tmp_path, capsys):
+        # README's example runs as printed, on a small KITTI directory.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        library_use = readme.partition("## Library use")[2].partition("\n## ")[0]
+        code = library_use.partition("```python\n")[2].partition("```")[0]
+        assert '"path/to/labels"' in code
+        for image in synthetic_vehicle_dataset(seed=5, n_images=6):
+            (tmp_path / f"{image.image_id}.txt").write_text(
+                "".join(kitti_label_line(a) + "\n" for a in image.annotations))
+        exec(code.replace('"path/to/labels"', repr(str(tmp_path))), {})
+        assert len(capsys.readouterr().out.splitlines()) == 5  # 3 lines and one per fold
+
 
 class TestFolds:
     def test_sizes_and_disjointness(self):
@@ -823,6 +851,11 @@ class TestFolds:
         assert a == b
         c = split_folds(ids, n_folds=3, test_size=10, seed=10)
         assert a != c
+
+    def test_no_folds_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            split_folds(["a", "b"], n_folds=0, test_size=1)
+        assert str(info.value) == "n_folds must be >= 1, got 0"
 
     def test_bad_test_size(self):
         with pytest.raises(ConfigError):

@@ -299,6 +299,12 @@ class TestMatching:
         labels = match_detections([det(0, 0, 10, 10, 0.9)], [gt(0, 0, 10, 10)], 0.5)
         assert [label for _, label in labels] == [TP]
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_threshold_out_of_range_rejected(self, threshold):
+        with pytest.raises(ConfigError) as info:
+            match_detections([det(0, 0, 10, 10, 0.9)], [gt(0, 0, 10, 10)], threshold)
+        assert str(info.value) == f"matching IoU threshold must lie in (0, 1], got {threshold}"
+
     def test_duplicate_penalized(self):
         dets = [det(0, 0, 10, 10, 0.9), det(0.5, 0, 10.5, 10, 0.8)]
         labels = match_detections(dets, [gt(0, 0, 10, 10)], 0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scaledet.errors import IncompatibleMergeError, ParseError
+from scaledet.errors import ConfigError, IncompatibleMergeError, ParseError
 from scaledet.netgraph import (
     LayerSpec,
     NetGraph,
@@ -140,7 +140,7 @@ class TestParsing:
 
     def test_pool_padding_defaults_to_zero(self):
         g = parse_arch("input in channels=3\npool p1 k=2 s=2 from in")
-        assert g.layers["p1"] == LayerSpec(name="p1", kind="pool", kernel=2, stride=2, padding=0,
+        assert g.layers["p1"] == LayerSpec(kind="pool", kernel=2, stride=2, padding=0,
                                            inputs=("in",))
 
     def test_one_conv(self):
@@ -220,6 +220,12 @@ class TestReceptiveField:
         info = receptive_field(probed, "rpn_window")
         assert info.receptive_field == 171
         assert info.cumulative_stride == 16
+
+    def test_second_probe_window_rejected(self):
+        probed = with_probe_window(parse_arch(builtin_arch("zf")))
+        with pytest.raises(ConfigError) as excinfo:
+            with_probe_window(probed)
+        assert str(excinfo.value) == "graph already has a layer named 'rpn_window'"
 
     def test_multi_kernel_branches_union(self):
         g = parse_arch(builtin_arch("zf_ms"))
@@ -338,21 +344,21 @@ class TestValidation:
         [f] = findings
         assert f.ok
         assert f.node == "fuse45"
-        assert f.channels == 384 + 256
+        assert analyze(g, (1392, 512))[0][f.node].channels == 384 + 256
         assert f.rf_set == frozenset({107, 139})
 
     def test_zf_ms_concat(self):
         g = parse_arch(builtin_arch("zf_ms"))
         [f] = validate_variant(g, 1392, 512)
         assert f.ok
-        assert f.channels == 3 * 128 + 256
+        assert analyze(g, (1392, 512))[0][f.node].channels == 3 * 128 + 256
         assert f.rf_set == frozenset({107, 139, 171})
 
     def test_zf_res_valid_when_channels_match(self):
         g = parse_arch(builtin_arch("zf_res"))
         [f] = validate_variant(g, 1392, 512)
         assert f.ok
-        assert f.channels == 384
+        assert analyze(g, (1392, 512))[0][f.node].channels == 384
         assert f.rf_set == frozenset({107, 171})
 
     def test_zf_res_invalid_when_channels_differ(self):
@@ -369,7 +375,7 @@ class TestValidation:
         findings = validate_variant(g, 1392, 512)
         assert [f.node for f in findings] == ["resout", "fuse"]
         assert all(f.ok for f in findings)
-        assert findings[1].channels == 3 * 128 + 384 + 256
+        assert analyze(g, (1392, 512))[0][findings[1].node].channels == 3 * 128 + 384 + 256
 
     def test_spatial_dim_mismatch_is_violation(self):
         g = parse_arch(
