@@ -163,7 +163,8 @@ class _Axis:
         return start, stop
 
     def candidates(self, s: int, start, stop, g1, g2):
-        """Overlap, extent and cell of the candidate cells of shape ``s``, a row per box.
+        """Overlap, extent and cell of the candidate cells of shape ``s``, a row per box,
+        each row in ascending cell order.
 
         From the window's third cell on, the overlap is the plateau's, the
         same across an extent class (the box's width or the anchor's extent),
@@ -176,11 +177,12 @@ class _Axis:
         the window, no rounding makes up at the edge spacing ``__init__``
         admits; and it is one of the first two
         cells, as the window starts one cell before a plateau found to within
-        a cell.
+        a cell. A class with no cell in the window, and a window shorter than
+        two cells, repeats a cell; a repeat has the same overlap and extent.
         """
         inner = self.next_in_class[s][:, np.minimum(start + 2, stop)].T
-        cell = np.column_stack([start, np.minimum(start + 1, stop),
-                                np.where(inner <= stop[:, None], inner, start[:, None])])
+        cell = np.sort(np.column_stack([start, np.minimum(start + 1, stop),
+                                        np.where(inner <= stop[:, None], inner, start[:, None])]))
         x2 = np.minimum(self.hi[s, cell], g2[:, None])  # as geometry.paired_iou: no overflow
         overlap = x2 - np.minimum(np.maximum(self.lo[s, cell], g1[:, None]), x2)
         return overlap, self.extent[s, cell], cell
@@ -219,7 +221,10 @@ def _best_anchors(grid: _AnchorGrid, gt: np.ndarray) -> tuple[np.ndarray, np.nda
     that keeps no anchor gets IoU -1. Along each axis the overlap peaks on
     its plateau and is lower by at least one stride per cell beyond the
     window, so no cell outside the windows can reach the maximum; the IoU of
-    every pair of x and y candidates is evaluated.
+    every pair of x and y candidates is evaluated. Both axes list their
+    candidates in ascending cell order, so on the flattened ``(y, x)`` grid
+    of pairs the first maximum that ``argmax`` returns is the lowest cell
+    with the best IoU (a repeated candidate has the same IoU).
     """
     n, k = gt.shape[0], grid.count.size
     nx = grid.x.cells
@@ -229,16 +234,17 @@ def _best_anchors(grid: _AnchorGrid, gt: np.ndarray) -> tuple[np.ndarray, np.nda
     y_start, y_stop = grid.y.windows(gy1, gy2)
     best = np.full((n, k), -1.0)
     cell = np.zeros((n, k), dtype=np.int64)
+    rows = np.arange(n)
     for s in np.flatnonzero(grid.count):
         x_overlap, x_extent, x_cell = grid.x.candidates(s, x_start[:, s], x_stop[:, s], gx1, gx2)
         y_overlap, y_extent, y_cell = grid.y.candidates(s, y_start[:, s], y_stop[:, s], gy1, gy2)
         ious = _iou_kernel(y_overlap[:, :, None] * x_overlap[:, None, :],
                            y_extent[:, :, None] * x_extent[:, None, :],
                            gt_area[:, None, None]).reshape(n, -1)
-        best[:, s] = ious.max(axis=1)
-        cells = (y_cell[:, :, None] * nx + x_cell[:, None, :]).reshape(n, -1)
-        cells[ious < best[:, s, None]] = np.iinfo(np.int64).max
-        cell[:, s] = cells.min(axis=1)
+        at = ious.argmax(axis=1)
+        y_at, x_at = np.divmod(at, x_cell.shape[1])
+        best[:, s] = ious[rows, at]
+        cell[:, s] = y_cell[rows, y_at] * nx + x_cell[rows, x_at]
         cell[best[:, s] == 0.0, s] = grid.y.first[s] * nx + grid.x.first[s]
     return best, cell
 

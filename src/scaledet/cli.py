@@ -20,12 +20,16 @@ Every artifact is written by ``datasets.write_output`` (UTF-8, ``\n`` line
 ends); an output file or directory that cannot be written is a config error.
 
 The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
+
+``main`` builds the argparse parser once per process and reuses it for every
+call: parsing leaves a parser unchanged, so each call sees only its own argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from collections import Counter
@@ -437,6 +441,7 @@ SETTINGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scaledet",

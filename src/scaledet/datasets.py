@@ -313,7 +313,8 @@ class Histogram:
 def check_edges(edges) -> tuple[float, ...]:
     """``edges`` as floats; raises ConfigError unless there are 2+ and they strictly increase."""
     edges = tuple(float(e) for e in edges)
-    if len(edges) < 2 or not np.all(np.diff(edges) > 0):
+    # Neighbours are compared, not subtracted: a gap can overflow, inf - inf is NaN.
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ConfigError(f"need 2 or more strictly increasing bin edges, got {list(edges)}")
     return edges
 

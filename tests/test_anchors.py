@@ -15,6 +15,8 @@ from scaledet.anchors import (
     AnchorConfig,
     CoverageReport,
     CoverageRow,
+    _AnchorGrid,
+    _best_anchors,
     _coverage,
     anchor_shapes,
     coverage,
@@ -494,6 +496,98 @@ class TestBestAnchorSearch:
         assert_bit_equal(np.column_stack([got.best_iou, np.ldexp(got.best_scale, -e),
                                           got.best_ratio]), best_shapes(want))
         assert got.anchors_per_image == want.anchors_per_image
+
+    def search(self, config, image_w, image_h, boxes):
+        """``_best_anchors`` on one image: per box and shape, the best IoU and its cell."""
+        grid = _AnchorGrid(np.asarray(anchor_shapes(config)), config.stride,
+                           config.allow_border, image_w, image_h)
+        return _best_anchors(grid, boxes_to_array(boxes))
+
+    def dense_cells(self, config, image_w, image_h, boxes):
+        """Per box and shape, the kept cell ``j * nx + i`` that ``np.argmax`` picks
+        over the shape's anchors in cell order: the lowest with the best IoU;
+        -1 for a shape that keeps no anchor."""
+        stride = config.stride
+        nx, ny = (max(1, math.ceil(side / stride)) for side in (image_w, image_h))
+        cx, cy = ((np.arange(n) + 0.5) * stride for n in (nx, ny))
+        centers = np.stack([a.ravel() for a in np.meshgrid(cx, cy)], axis=1)
+        cells = np.empty((len(boxes), config.k), dtype=np.int64)
+        for s, (w, h) in enumerate(anchor_shapes(config)):
+            anchors = np.column_stack([centers - [w / 2, h / 2], centers + [w / 2, h / 2]])
+            kept = np.arange(nx * ny)
+            if not config.allow_border:
+                kept = kept[(anchors[:, :2] >= 0).all(axis=1)
+                            & (anchors[:, 2] <= image_w) & (anchors[:, 3] <= image_h)]
+            if not kept.size:
+                cells[:, s] = -1
+                continue
+            ious = iou_matrix(anchors[kept], boxes_to_array(boxes))
+            cells[:, s] = kept[np.argmax(ious, axis=0)]
+        return cells
+
+    def assert_search_equals_dense(self, config, image_w, image_h, boxes):
+        dataset = [_image_of_boxes(boxes, dims=(image_w, image_h))]
+        report = coverage(config, dataset, thresholds=(0.5,))
+        assert_bit_equal(best_shapes(report),
+                         dense_shapes(dense_best_anchors(config, image_w, image_h, boxes)[1]))
+        best, cell = self.search(config, image_w, image_h, boxes)
+        want = self.dense_cells(config, image_w, image_h, boxes)
+        assert np.where(best == -1.0, -1, cell).tolist() == want.tolist()
+        return report, cell
+
+    @pytest.mark.parametrize("allow_border, dims", [(True, (16.0, 16.0)), (True, (16.0, 100.0)),
+                                                    (False, (40.0, 40.0))])
+    def test_one_cell_window(self, allow_border, dims):
+        # A single kept cell along an axis: the window is that cell, and every
+        # candidate, each extent class's included, repeats it.
+        config = AnchorConfig(scales=(32.0, 20.0), ratios=(0.5, 1.0, 2.0),
+                              allow_border=allow_border)
+        boxes = [Box(0.0, 0.0, 16.0, 16.0), Box(4.0, 30.0, 12.0, 36.0), Box(-50.0, 2.0, 90.0, 9.0),
+                 Box(8.0, 8.0, 40.0, 40.0)]
+        _, cell = self.assert_search_equals_dense(config, *dims, boxes)
+        if dims == (16.0, 16.0):
+            assert (cell == 0).all()
+
+    @pytest.mark.parametrize("allow_border", [True, False])
+    def test_no_overlap_takes_first_kept_cell(self, allow_border):
+        config = AnchorConfig(scales=(64.0, 32.0), ratios=(1.0, 0.5), allow_border=allow_border)
+        far = [Box(5000.0, 5000.0, 5040.0, 5030.0), Box(-900.0, 10.0, -800.0, 50.0)]
+        grid = _AnchorGrid(np.asarray(anchor_shapes(config)), 16.0, allow_border, 100.0, 60.0)
+        kept = grid.count > 0
+        best, cell = _best_anchors(grid, boxes_to_array(far))
+        assert (best[:, kept] == 0.0).all() and (best[:, ~kept] == -1.0).all()
+        assert (cell[:, kept] == (grid.y.first * grid.x.cells + grid.x.first)[kept]).all()
+        self.assert_search_equals_dense(config, 100.0, 60.0, far)
+
+    def test_equal_iou_between_two_cells_takes_the_lower(self):
+        # Centred at x = 32, between the cells at 24 and 40: both overlap the
+        # box by 24 px and have IoU 0.6 exactly; the lower, (1, 1), wins.
+        config = AnchorConfig(scales=(32.0,), ratios=(1.0,))
+        box = Box(16.0, 8.0, 48.0, 40.0)
+        best, cell = self.search(config, 64.0, 64.0, [box])
+        assert best.tolist() == [[0.6]] and cell.tolist() == [[1 * 4 + 1]]
+        self.assert_search_equals_dense(config, 64.0, 64.0, [box])
+
+    def test_shapes_tied_at_different_cells_take_the_lower_cell(self):
+        # The 32x64 box holds the 32 px anchor (IoU 1024 / 2048) at cells
+        # (1, 1..3) and lies inside the 64 px anchor (IoU 2048 / 4096) at
+        # cells (0..2, 2). The lowest tiling index is the 32 px anchor's at
+        # cell (1, 1), though 64 comes first in the family.
+        config = AnchorConfig(scales=(64.0, 32.0), ratios=(1.0,))
+        box = Box(8.0, 8.0, 40.0, 72.0)
+        best, cell = self.search(config, 128.0, 128.0, [box])
+        assert best.tolist() == [[0.5, 0.5]] and cell.tolist() == [[2 * 8 + 0, 1 * 8 + 1]]
+        report, _ = self.assert_search_equals_dense(config, 128.0, 128.0, [box])
+        assert best_shapes(report).tolist() == [[0.5, 32.0, 1.0]]
+
+    def test_extent_classes_out_of_cell_order(self):
+        # At stride 3.3 the y cells of the 37.3 x 26.1 shape round to three
+        # extent classes, whose first plateau cells (6, 3 and 5) are out of
+        # cell order. The 4.125 px box overlaps each by all its height, all
+        # round to the best IoU, and the lowest cell must win.
+        config = AnchorConfig(scales=(31.202797031196187,), ratios=(0.7, 0.5), stride=3.3)
+        box = Box(-1.65, 16.5, 37.125, 20.625)
+        self.assert_search_equals_dense(config, 43.15325620338991, 36.3, [box])
 
     def test_no_kept_anchor_is_a_config_error(self):
         dataset = [_image_of_boxes([Box(10, 10, 50, 40)], dims=(100.0, 60.0))]

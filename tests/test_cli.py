@@ -4,6 +4,7 @@ import io
 import math
 import random
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from html import escape
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
-from scaledet.cli import SETTINGS, main
+from scaledet.cli import SETTINGS, build_parser, main
 from scaledet.datasets import DEFAULT_ASPECT_BIN_EDGES, Annotation, load_dataset
 from scaledet.evaluation import (EvalReport, evaluate_detections, match_detections,
                                  read_detections_csv)
@@ -829,6 +830,39 @@ class TestConfigFile:
         assert not (out / "coverage.csv").exists()
 
 
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no run's values reach the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_outlive_its_run(self, dataset_dir, tmp_path):
+        for tag, extra in (("dropped", ["--drop-border"]), ("default", [])):
+            assert main(["coverage", str(dataset_dir), *extra, "--out", str(tmp_path / tag)]) == 0
+        assert "allow_border=False" in (tmp_path / "dropped" / "run_config.txt").read_text()
+        assert "allow_border=True" in (tmp_path / "default" / "run_config.txt").read_text()
+
+    def test_config_file_does_not_outlive_its_run(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scales=64\nstride=8\nallow_border=false\n")
+        assert main(["coverage", str(dataset_dir), "--config", str(cfg),
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["coverage", str(dataset_dir), "--thresholds", "0.5,0.7",
+                     "--out", str(tmp_path / "flags")]) == 0
+        assert main(["coverage", str(dataset_dir), "--out", str(tmp_path / "fresh")]) == 0
+        lines = (tmp_path / "flags" / "run_config.txt").read_text().splitlines()
+        assert "scales=128.0,256.0,512.0" in lines and "stride=16.0" in lines
+        assert "allow_border=True" in lines
+        assert dir_bytes(tmp_path / "flags") == dir_bytes(tmp_path / "fresh")
+
+    def test_unknown_flag_after_a_good_run_exit_code(self, kitti_dir, tmp_path, capsys):
+        assert main(["stats", str(kitti_dir), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(kitti_dir), "--no-such-flag", "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
 CONFIG_KEYS = [(name, key, flag) for name, (_, _, rows) in SETTINGS.items()
                for key, flag, *_ in rows if flag.startswith("-")]
 
@@ -1068,6 +1102,25 @@ class TestConfigErrors:
             argv.append(str(dets))
         assert main(argv + [flag, "0,nan,100", "--out", str(tmp_path / "o")]) == 1
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edges, code", [("-1.7e308,1.7e308", 0), ("inf,inf", 1)])
+    @pytest.mark.parametrize("subcommand, flag", [("stats", "--bins"), ("coverage", "--buckets"),
+                                                  ("eval", "--buckets")])
+    def test_extreme_edges_do_not_warn(self, dataset_dir, tmp_path, capsys, subcommand, flag,
+                                       edges, code):
+        # Edges whose gap overflows are valid; repeated infinite edges are
+        # not. Neither may warn on the way to its exit code.
+        argv = [subcommand, str(dataset_dir)]
+        if subcommand == "eval":
+            dets = tmp_path / "dets.csv"
+            dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
+            argv.append(str(dets))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + [f"{flag}={edges}", "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert ("strictly increasing" in err) == (code == 1)
 
     @pytest.mark.parametrize("subcommand", ["stats", "coverage", "eval", "simulate"])
     def test_bad_image_size_names_its_flag(self, dataset_dir, tmp_path, capsys, subcommand):
