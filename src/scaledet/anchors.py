@@ -114,7 +114,12 @@ class _Axis:
         self.stride = stride
         self.half = half
         self.lo = centers[None, :] - half[:, None]
-        self.hi = centers[None, :] + half[:, None]
+        with np.errstate(over="ignore"):
+            self.hi = centers[None, :] + half[:, None]
+            self.extent = self.hi - self.lo
+        if not np.isfinite(self.extent).all():
+            raise ConfigError(f"anchor edges pass the float range: a {2 * half.max():g} px anchor "
+                              f"on a {limit:g} px axis at stride {stride:g}")
         # ``candidates`` needs a cell on a slope to fall short of the next one
         # after the edges, the overlap and the IoU have rounded. With edges
         # spaced u apart (their ulp), that holds while the stride exceeds 11 u.
@@ -126,7 +131,6 @@ class _Axis:
             s = coarse.argmax()
             raise ConfigError(f"stride {stride:g} is under 16 float steps ({np.spacing(edge[s]):g} "
                               f"px) of the anchor edges near {edge[s]:.6g} px")
-        self.extent = self.hi - self.lo
         self.next_in_class = []
         for row in self.extent:
             classes = np.unique(row, return_inverse=True)[1]
@@ -323,9 +327,10 @@ def coverage(
     Raises:
         ConfigError: on bad thresholds or buckets, when an image with
             ground truth keeps no anchor (``allow_border=False`` and no
-            anchor of the family fits inside it), or when the float spacing
-            of an anchor's edges is over 1/16 of the stride and its cells do
-            not all round to the same edges.
+            anchor of the family fits inside it), when an anchor's edges
+            pass the float range, or when the float spacing of an anchor's
+            edges is over 1/16 of the stride and its cells do not all round
+            to the same edges.
     """
     return _coverage((config,), dataset, thresholds, buckets, class_filter)[0]
 
@@ -376,7 +381,8 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
     image_ids = np.array(table.image_ids, dtype=object)[gt_image].tolist()
     widths = gt[:, 2] - gt[:, 0]
     bucket = bin_index(widths, edges)
-    in_bucket = [(lo, hi, bucket == b) for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    scopes = [(None, None, np.ones(len(counted), dtype=bool))]  # overall, then each bucket
+    scopes += [(lo, hi, bucket == b) for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
     reports = []
     for config, family in zip(configs, families):
         k, n_ratios = family.size, len(config.ratios)
@@ -384,12 +390,8 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
         order = np.where(best[:, family] == iou_arr[:, None], cell[:, family] * k + np.arange(k),
                          np.iinfo(np.int64).max)
         shape = order.min(axis=1) % k
-        rows = []
-        for t in thresholds:
-            hit = iou_arr >= t
-            rows.append(CoverageRow(t, None, None, int(hit.sum()), len(counted)))
-            rows += [CoverageRow(t, lo, hi, int((hit & inside).sum()), int(inside.sum()))
-                     for lo, hi, inside in in_bucket]
+        rows = [CoverageRow(t, lo, hi, int(((iou_arr >= t) & inside).sum()), int(inside.sum()))
+                for t in thresholds for lo, hi, inside in scopes]
         anchor_total = sum(int(g.count[family].sum()) * n for g, n in zip(grids, images_per_grid))
         per_image = anchor_total / len(image_size) if len(image_size) else 0.0
         reports.append(CoverageReport(

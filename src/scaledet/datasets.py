@@ -19,11 +19,12 @@ excluded from statistics; evaluation treats them as ignore regions. VOC's
 A directory loads as one ``LabelTable`` (``load_label_table``): columns
 with one row per object. KITTI lines are split and converted in one pass
 and checked as arrays; a file that fails a check is parsed again by
-``parse_kitti_label``, which raises the per-line message. Every subcommand,
-``simulate`` included, runs on the table and builds no per-box objects.
-Objects are the library's edge: ``load_dataset`` loads the table as one
-``ImageAnnotations`` per file, and ``as_label_table`` turns object lists
-into a table.
+``parse_kitti_label``, which raises the per-line message. VOC files load
+as one ``ImageAnnotations`` each, which ``as_label_table`` turns into the
+table. Every subcommand, ``simulate`` included, runs on the table and
+builds no per-box objects. Objects are the library's edge:
+``load_dataset`` loads the table as one ``ImageAnnotations`` per file, and
+``as_label_table`` turns object lists into a table.
 
 Parsers are pure functions on input text, so files can be parsed
 concurrently. A KITTI directory is parsed in
@@ -553,20 +554,17 @@ def load_label_table(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: fl
     base = "" if str(directory) == "." else str(directory)  # as Path: "a.txt", not "./a.txt"
     files = [(name, os.path.join(base, name)) for name in names]
     ids = [name[:-4] or name for name in names]  # Path.stem: a bare ".txt" keeps its name
-    sizes = [(image_w, image_h)] * len(files)
     if fmt == "voc":
         texts, errors = _read_files(files)
-        anns = []  # (file index, annotation)
+        images = []
         for k in [k for k in range(len(files)) if k not in errors]:
             try:
                 w, h, parsed = parse_voc_xml(texts[k], ids[k])
             except ParseError as exc:
                 errors[k] = f"{files[k][0]}: {exc}"
                 continue
-            sizes[k] = (w, h)
-            anns += [(k, a) for a in parsed]
-        owner = [k for k, _ in anns]
-        columns = ([a.class_name for _, a in anns], boxes_to_array([a.box for _, a in anns]))
+            images.append(ImageAnnotations(ids[k], w, h, tuple(parsed)))
+        table = as_label_table(images)
     else:
         affinity = getattr(os, "sched_getaffinity", None)
         cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -575,15 +573,14 @@ def load_label_table(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: fl
         parts = _run_chunks(_kitti_chunk, [(files[lo:hi], ids[lo:hi])
                                            for lo, hi in zip(bounds, bounds[1:])])
         owner = np.concatenate([part[0] + lo for part, lo in zip(parts, bounds)])
-        columns = ([c for part in parts for c in part[1]],
-                   np.concatenate([part[2] for part in parts]))
         errors = {lo + k: message for part, lo in zip(parts, bounds)
                   for k, message in part[3].items()}
+        kept = [k for k in range(len(files)) if k not in errors]
+        table = LabelTable([ids[k] for k in kept], [(image_w, image_h)] * len(kept),
+                           np.searchsorted(kept, owner), [c for part in parts for c in part[1]],
+                           np.concatenate([part[2] for part in parts]))
     if errors and not skip_bad:
         raise ParseError(errors[min(errors)])
-    kept = [k for k in range(len(files)) if k not in errors]
-    table = LabelTable([ids[k] for k in kept], [sizes[k] for k in kept],
-                       np.searchsorted(kept, owner), *columns)
     return table, [errors[k] for k in sorted(errors)]
 
 

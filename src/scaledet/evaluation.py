@@ -372,10 +372,8 @@ def _bucket_aps(matching: _Matching, bucket_edges, mode: str) -> list[BucketAP]:
     for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
         ignore = matching.dontcare | (bucket != b)
         total_gt = len(ignore) - int(ignore.sum())
-        if total_gt == 0:
-            results.append(BucketAP(lo, hi, None, 0, 0, 0))
-            continue
-        ap, tp, fp = _score(matching.labels(ignore), total_gt, mode)[2:]
+        ap, tp, fp = (_score(matching.labels(ignore), total_gt, mode)[2:] if total_gt
+                      else (None, 0, 0))
         results.append(BucketAP(lo, hi, ap, tp, fp, total_gt))
     return results
 

@@ -18,8 +18,10 @@ maximum of its ``rf_set``. Padding never changes the receptive field, only
 the offset and the spatial dimensions, which follow
 floor((n + 2p - k) / s) + 1 per axis.
 
-One pass does the analysis: :func:`analyze` returns the per-layer facts and
-the findings (merge checks and non-positive output dims) and never raises.
+One pass does the analysis and builds one record per layer: :func:`analyze`
+returns the per-layer facts and the findings (merge checks and non-positive
+output dims), and raises :class:`ParseError` only for a layer whose numbers
+(stride, receptive field, channels or offset) pass the float range.
 :func:`receptive_field` reads one layer from the same pass and raises
 :class:`IncompatibleMergeError` where the receptive field is undefined;
 :func:`validate_variant` returns the findings at a given input size.
@@ -27,6 +29,7 @@ the findings (merge checks and non-positive output dims) and never raises.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from importlib import resources
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 PROBE_NAME = "rpn_window"  # the layer ``with_probe_window`` appends
+_FLOAT_MAX = int(sys.float_info.max)  # past it, a layer's numbers are an input error
 _MERGE_KINDS = ("concat", "resadd")
 # Integer keys of each layer kind, in the order they are checked:
 # (key, LayerSpec field, minimum). A pool's p defaults to 0.
@@ -93,7 +97,8 @@ class RFInfo:
 
     ``rf_set`` holds the receptive fields reaching the layer via distinct
     branches; ``receptive_field`` is its maximum. ``offset`` is the input-
-    space center of the first output unit (max-RF branch at merges).
+    space center of the first output unit (max-RF branch at merges), kept
+    exact as twice its value in an int through the pass and rounded once.
     ``spatial_dims`` is (w, h) when an input size was supplied, else None.
     """
 
@@ -235,28 +240,22 @@ def _analyze(
     or spatial dims differ. A resadd channel mismatch is only a finding.
     """
     infos: dict[str, RFInfo] = {}
+    twice_offset: dict[str, int] = {}  # 2 * offset, exact
     findings: list[Finding] = []
     errors: list[str] = []
 
     for name in graph.topo_order:
         spec = graph.layers[name]
         if spec.kind == "input":
+            rf_set, stride, twice, channels = frozenset({1}), 1, 1, spec.channels_out
             dims = (int(input_size[0]), int(input_size[1])) if input_size else None
-            infos[name] = RFInfo(
-                receptive_field=1,
-                cumulative_stride=1,
-                offset=0.5,
-                rf_set=frozenset({1}),
-                channels=spec.channels_out,
-                spatial_dims=dims,
-            )
-            continue
-
-        if spec.kind in ("conv", "pool"):
+        elif spec.kind in ("conv", "pool"):
             src = infos[spec.inputs[0]]
             k, s, p = spec.kernel, spec.stride, spec.padding
             jump = src.cumulative_stride
             rf_set = frozenset(r + (k - 1) * jump for r in src.rf_set)
+            stride = jump * s
+            twice = twice_offset[spec.inputs[0]] + (k - 1 - 2 * p) * jump
             dims = None
             if src.spatial_dims is not None:
                 dims = tuple((n + 2 * p - k) // s + 1 for n in src.spatial_dims)
@@ -266,56 +265,50 @@ def _analyze(
                     findings.append(Finding(node=name, ok=False, message=msg))
                     dims = (max(dims[0], 1), max(dims[1], 1))
             channels = spec.channels_out if spec.kind == "conv" else src.channels
-            infos[name] = RFInfo(
-                receptive_field=max(rf_set),
-                cumulative_stride=jump * s,
-                offset=src.offset + ((k - 1) / 2 - p) * jump,
-                rf_set=rf_set,
-                channels=channels,
-                spatial_dims=dims,
-            )
-            continue
-
-        # Merge node: union receptive fields, require consistent stride/dims.
-        branches = [infos[src] for src in spec.inputs]
-        problems: list[str] = []
-        if len({b.cumulative_stride for b in branches}) > 1:
-            problems.append(
-                f"merge {name!r}: branch strides differ "
-                f"({[b.cumulative_stride for b in branches]})"
-            )
-        dims = None
-        if all(b.spatial_dims is not None for b in branches):
-            dim_set = {b.spatial_dims for b in branches}
-            if len(dim_set) > 1:
-                problems.append(f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
-            dims = branches[0].spatial_dims
-        errors.extend(problems)
-        if spec.kind == "concat":
-            channels = sum(b.channels or 0 for b in branches)
         else:
-            chan_set = {b.channels for b in branches}
-            if len(chan_set) > 1:
-                problems.append(
-                    f"resadd {name!r}: branch channels differ ({sorted(c or 0 for c in chan_set)})"
-                )
-            channels = branches[0].channels
-        rf_set = frozenset().union(*(b.rf_set for b in branches))
-        deepest = max(branches, key=lambda b: b.receptive_field)
+            # Merge node: union receptive fields, require consistent stride/dims.
+            branches = [infos[src] for src in spec.inputs]
+            problems: list[str] = []
+            strides = [b.cumulative_stride for b in branches]
+            if len(set(strides)) > 1:
+                problems.append(f"merge {name!r}: branch strides differ ({strides})")
+            dims = None
+            if all(b.spatial_dims is not None for b in branches):
+                dim_set = {b.spatial_dims for b in branches}
+                if len(dim_set) > 1:
+                    problems.append(
+                        f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
+                dims = branches[0].spatial_dims
+            errors.extend(problems)
+            if spec.kind == "concat":
+                channels = sum(b.channels or 0 for b in branches)
+            else:
+                chan_set = {b.channels for b in branches}
+                if len(chan_set) > 1:
+                    problems.append(f"resadd {name!r}: branch channels differ "
+                                    f"({sorted(c or 0 for c in chan_set)})")
+                channels = branches[0].channels
+            rf_set = frozenset().union(*(b.rf_set for b in branches))
+            stride = strides[0]
+            twice = twice_offset[max(spec.inputs, key=lambda src: infos[src].receptive_field)]
+            if problems:
+                message = "; ".join(problems)
+            else:
+                message = (f"merge {name!r} ok: channels={channels}, "
+                           f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
+            findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set))
+        if max(stride, max(rf_set), channels or 0, abs(twice) // 2) > _FLOAT_MAX:
+            raise ParseError(f"layer {name!r}: stride, receptive field, channels or offset "
+                             f"past the float range (max {sys.float_info.max:g})")
+        twice_offset[name] = twice
         infos[name] = RFInfo(
             receptive_field=max(rf_set),
-            cumulative_stride=branches[0].cumulative_stride,
-            offset=deepest.offset,
+            cumulative_stride=stride,
+            offset=twice / 2,
             rf_set=rf_set,
             channels=channels,
             spatial_dims=dims,
         )
-        if problems:
-            message = "; ".join(problems)
-        else:
-            message = (f"merge {name!r} ok: channels={channels}, "
-                       f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
-        findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set))
 
     return infos, findings, errors
 
@@ -327,7 +320,8 @@ def analyze(
 
     There is one finding per merge node, ok or not, and one per layer whose
     output dims are not positive (its dims are then clamped to 1 so the pass
-    can go on). Never raises: every inconsistency becomes a finding.
+    can go on). Every inconsistency becomes a finding; raises ParseError only
+    for a layer whose numbers pass the float range.
     """
     infos, findings, _ = _analyze(graph, input_size)
     return infos, findings
@@ -343,6 +337,7 @@ def receptive_field(
     size is given), downstream of ``layer`` or not, raises
     :class:`IncompatibleMergeError`, as does any layer with non-positive
     output dims; the first such problem in topological order is named.
+    Raises ParseError as :func:`analyze` does.
     """
     if layer not in graph.layers:
         raise KeyError(f"no layer named {layer!r}")
@@ -357,7 +352,7 @@ def validate_variant(graph: NetGraph, input_w: int, input_h: int) -> list[Findin
 
     Concat requires equal branch spatial dims (channels add); resadd
     additionally requires equal channels. Violations come back as findings,
-    never as exceptions.
+    not as exceptions.
     """
     return analyze(graph, (int(input_w), int(input_h)))[1]
 

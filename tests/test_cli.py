@@ -239,7 +239,8 @@ def arch_texts(draw):
     Most lines are well formed and take earlier layers, so many files parse.
     One draw in 25 instead drops or adds a key, gives a value below 1,
     reuses a name, changes the number of sources, repeats one, or names
-    the next layer (a cycle).
+    the next layer (a cycle). One value in 25 is 10**18, 2**1100 or 10**400,
+    so that a layer's numbers can pass the float range.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
@@ -259,7 +260,13 @@ def arch_texts(draw):
         name = rng.choice(names) if rarely() else f"l{i}"
         tokens = [kind, name]
         for key in keys:
-            tokens.append(f"{key}={rng.randint(-1, 0) if rarely() else rng.randint(1, 7)}")
+            if rarely():
+                value = rng.randint(-1, 0)
+            elif rarely():
+                value = rng.choice((10**18, 2**1100, 10**400))
+            else:
+                value = rng.randint(1, 7)
+            tokens.append(f"{key}={value}")
         if kind != "input" or rarely():
             pool = names + [f"l{i + 1}"] if rarely() else names
             count = rng.randint(0, 3) if rarely() else 1 if kind in ("conv", "pool") else 2
@@ -272,7 +279,37 @@ def arch_texts(draw):
     return "\n".join(lines)
 
 
+def chain_arch(layers: int, stride: int) -> str:
+    """Input c0, then ``layers`` 3 x 3 same-padded convs c1, c2, ... in a chain."""
+    return "input c0 channels=3\n" + "".join(
+        f"conv c{i} k=3 s={stride} p=1 c=8 from c{i - 1}\n" for i in range(1, layers + 1))
+
+
+# Valid arch files whose numbers pass the float range, and the first layer
+# where they do: c39's stride is 1e312; c1023's receptive field is 2**1024 - 1.
+PAST_FLOAT_RANGE = {
+    "padding": (f"input data channels=3\nconv c1 k=3 s=1 p={10**400} c=8 from data\n", "c1"),
+    "kernel": (f"input data channels=3\nconv c1 k={10**400} s=1 p=1 c=8 from data\n", "c1"),
+    "stride": (f"input data channels=3\nconv c1 k=3 s={10**400} p=1 c=8 from data\n"
+               "conv c2 k=3 s=1 p=1 c=8 from c1\n", "c1"),
+    "45-strides-of-1e8": (chain_arch(45, 100000000), "c39"),
+    "1100-strides-of-2": (chain_arch(1100, 2), "c1023"),
+}
+
+
 class TestRfCommand:
+    @pytest.mark.parametrize("extra", [[], ["--input-size", "1392x512"],
+                                       ["--probe", "rpn_window"]])
+    @pytest.mark.parametrize("case", sorted(PAST_FLOAT_RANGE))
+    def test_numbers_past_the_float_range_exit_code(self, tmp_path, capsys, case, extra):
+        text, layer = PAST_FLOAT_RANGE[case]
+        arch = tmp_path / "big.arch"
+        arch.write_text(text)
+        out = tmp_path / "rf"
+        assert main(["rf", str(arch), *extra, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: layer {layer!r}: ")
+        assert list(out.iterdir()) == []
+
     def test_zf_probe(self, tmp_path, capsys):
         out = tmp_path / "rf"
         assert main(["rf", "zf", "--probe", "rpn_window", "--out", str(out)]) == 0
@@ -344,6 +381,7 @@ class TestRfCommand:
         assert "findings: 0 merge node(s), 2 violation(s)" in capsys.readouterr().out
 
     @given(text=arch_texts(), size=st.none() | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    @example(text=f"input in channels=3\nconv l0 k=3 s=1 p={2**1100} c=8 from in", size=None)
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_arch_text_exits_0_or_2(self, tmp_path, capsys, text, size):
@@ -882,6 +920,159 @@ def fuzz_inputs(tmp_path):
             "eval": [str(labels), str(dets)], "simulate": [str(labels), str(profile)]}
 
 
+# Magnitudes that the exit-code fuzz builds its valid inputs at, beside ordinary values.
+EXTREMES = (5e-324, 1e16, 1.3e154, 1e200, 1.7e308)
+
+
+def box_ok(x1, y1, x2, y2) -> bool:
+    """The box rule of the label and detection formats."""
+    return x2 > x1 and y2 > y1 and math.isfinite((x2 - x1) * (y2 - y1))
+
+
+@st.composite
+def fuzz_boxes(draw):
+    """Corners of a box that is valid as written and as VOC reads it (xmin - 1,
+    ymin - 1): its sides have a finite product with room to spare."""
+    sides = (3.0, 50.0, *EXTREMES)
+    w = draw(st.sampled_from(sides))
+    h = draw(st.sampled_from([s for s in sides if math.isfinite(w * s * 4)]))
+    x1, y1 = (draw(st.sampled_from((0.0, 10.0, 600.0))) - draw(st.sampled_from((0, 0.5, 1))) * side
+              for side in (w, h))
+    corners = (x1, y1, x1 + w, y1 + h)
+    if box_ok(*corners) and box_ok(x1 + 1.0 - 1.0, y1 + 1.0 - 1.0, *corners[2:]):
+        return corners
+    return 0.0, 0.0, w, h
+
+
+def voc_text(size, objects) -> str:
+    body = "".join(f"<object><name>{c}</name><bndbox><xmin>{x1 + 1.0!r}</xmin><ymin>{y1 + 1.0!r}"
+                   f"</ymin><xmax>{x2!r}</xmax><ymax>{y2!r}</ymax></bndbox></object>"
+                   for c, (x1, y1, x2, y2) in objects)
+    return (f"<annotation><size><width>{size[0]!r}</width><height>{size[1]!r}</height></size>"
+            f"{body}</annotation>")
+
+
+def anchor_sides(scales, ratios):
+    return [(s / math.sqrt(r), s * math.sqrt(r)) for s in scales for r in ratios]
+
+
+@st.composite
+def cli_runs(draw):
+    """One run of stats, coverage, eval or simulate, in the layout of ``fuzz_inputs``:
+    ``(argv, files, codes)``, "@" marking a path under the run's root.
+
+    Every input is valid by construction, at EXTREMES and at ordinary values, so
+    the run exits 0. One draw in 5 breaks one input, and ``codes`` holds its
+    exit code: 2 for a malformed label, detections or folds file, 1 for an
+    out-of-range setting. Where validity turns on rounding or on the random
+    draws (anchor edges too coarse for the stride, a jittered or false-positive
+    box whose area overflows), ``codes`` allows 0 or 1.
+    """
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    name = pick(("stats", "coverage", "eval", "simulate"))
+    fmt = pick(("kitti", "voc"))
+    fields = ("0", "-1", "5e-324", "1.3e154", "-1.7e308")
+    files, labels, sizes = {}, [], []
+    for image_id in ("000000", "000001"):
+        objects = draw(st.lists(st.tuples(st.sampled_from(("Car", "Van", "DontCare")),
+                                          fuzz_boxes()), max_size=3))
+        lines = [" ".join([c, pick(fields), pick(fields), pick(fields), *map(repr, box),
+                           *(pick(fields) for _ in range(7))]) for c, box in objects]
+        files[f"labels/{image_id}.txt"] = "".join(line + "\n" for line in lines)
+        sizes.append((pick((500.0, *EXTREMES)), pick((375.0, *EXTREMES))))
+        files[f"labels/{image_id}.xml"] = voc_text(sizes[-1], objects)
+        labels += [box for c, box in objects if c != "DontCare"]
+    argv = [name, "@labels", "--format", fmt]
+    if fmt == "kitti":
+        size = (pick((1392, 1, *map(int, EXTREMES[1:]))), pick((512, 1, *map(int, EXTREMES[1:]))))
+        argv += ["--image-size", "%dx%d" % size]
+        sizes = [tuple(map(float, size))]
+    positional = {"eval": "@dets.csv", "simulate": "@profile.txt"}
+    if name in positional:
+        argv.insert(2, positional[name])
+
+    def edges():
+        values = sorted(set(draw(st.lists(st.sampled_from((0.0, 30.0, math.inf, *EXTREMES)),
+                                          min_size=2, max_size=4))))
+        return ",".join(map(repr, values if len(values) > 1 else [0.0, math.inf]))
+
+    codes = {0}
+    broken = [(2, f"labels/000001.{'txt' if fmt == 'kitti' else 'xml'}", "Car 1 2\n"),
+              (1, "--image-size", "0x512")]
+    if name == "stats":
+        argv += ["--bins", edges(), "--class", pick(("Car", "Van", "Truck"))]
+        broken.append((1, "--bins", "5,5"))
+    elif name == "coverage":
+        ratios = sorted(set(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, *EXTREMES)),
+                                          min_size=1, max_size=3))))
+        usable = [s for s in (32.0, 128.0, *EXTREMES)
+                  if all(math.isfinite(w * h) for w, h in anchor_sides([s], ratios))]
+        scales = sorted(set(draw(st.lists(st.sampled_from(usable), min_size=1, max_size=3))))
+        side = max(max(size) for size in sizes)
+        stride = max(pick((16.0, *EXTREMES)), side / 4096)  # at most 8,192 cells per axis
+        thresholds = sorted(set(draw(st.lists(st.sampled_from((5e-324, 0.5, 0.7, 1.0)),
+                                              min_size=1, max_size=2))))
+        argv += ["--scales", ",".join(map(repr, scales)), "--ratios", ",".join(map(repr, ratios)),
+                 "--stride", repr(stride), "--thresholds", ",".join(map(repr, thresholds)),
+                 "--buckets", edges()]
+        half = max(max(w, h) for w, h in anchor_sides(scales, ratios)) / 2
+        if 64 * math.ulp(side + half) > stride:
+            codes = {0, 1}
+        broken += [(1, "--thresholds", "0"), (1, "--stride", "-16"), (1, "--buckets", "1")]
+    elif name == "eval":
+        rows = [f"{pick(('000000', '000001', 'other'))},{pick(('Car', 'Van'))},"
+                + ",".join(map(repr, box)) + f",{pick((0.5, 0.9, 5e-324, -1.7e308, 1.7e308))!r}"
+                for box in draw(st.lists(fuzz_boxes(), max_size=4))]
+        files["dets.csv"] = "image_id,class,x1,y1,x2,y2,score\n" + "".join(f"{row}\n" for row in rows)
+        files["folds.csv"] = "image_id,fold_id\n000000,a\n000001,b\n"
+        argv += ["--class", pick(("Car", "Van")), "--mode", pick(("all-point", "11-point")),
+                 "--buckets", edges(), "--folds", "@folds.csv"]
+        if draw(st.booleans()):
+            argv += ["--iou", repr(pick((5e-324, 0.5, 1.0)))]
+        broken += [(2, "dets.csv", files["dets.csv"] + "000000,Car,1,1,2,2,nan\n"),
+                   (2, "folds.csv", files["folds.csv"] + "000000,c\n"),
+                   (1, "--iou", "1.5"), (1, "--mode", "11point")]
+    else:
+        widths = sorted(set(draw(st.lists(st.sampled_from((0.0, 16.0, -1.7e308, *EXTREMES)),
+                                          min_size=1, max_size=3))))
+        knots = ",".join(f"{w!r}:{pick((0.0, 5e-324, 0.5, 1.0))!r}" for w in widths)
+        means = sorted(set(draw(st.lists(st.sampled_from((-1.7e308, 0.3, 0.8, *EXTREMES)),
+                                         min_size=2, max_size=2, unique=True))))
+        sigma, rate = pick((0.0, 5e-324, 1.5, 1e6)), pick((0.0, 5e-324, 1.5, 15.0))
+        lo, hi = sorted(draw(st.lists(st.sampled_from((20.0, 120.0, *EXTREMES)),
+                                      min_size=2, max_size=2)))
+        files["profile.txt"] = (
+            f"detect_prob={knots}\nloc_noise_sigma={sigma!r}\nscore_mean_fp={means[0]!r}\n"
+            f"score_mean_tp={means[1]!r}\nfp_per_image={rate!r}\nfp_size_range={lo!r},{hi!r}\n"
+            f"score_sigma={pick((0.0, 5e-324, 0.08, *EXTREMES))!r}\n")
+        argv += ["--seed", str(pick((0, 7, -3, 2**64 + 5)))]
+        # Bounds on the sides of a jittered box, and of a false positive of up to
+        # ``hi`` px: either may take the next float above its near edge.
+        def jittered(near, far):
+            return far - near + 100 * sigma + 1 + math.ulp(near)
+
+        def false_positive(side):
+            return 2 * (min(hi, side) + math.ulp(side))
+
+        if (sigma > 0 and not all(math.isfinite(jittered(x1, x2) * jittered(y1, y2))
+                                  for x1, y1, x2, y2 in labels)) or (
+                rate > 0 and not all(math.isfinite(false_positive(w) * false_positive(h))
+                                     for w, h in sizes)):
+            codes = {0, 1}
+        broken += [(1, "profile.txt", files["profile.txt"] + "loc_noise_sigma=2e6\n"),
+                   (1, "profile.txt", files["profile.txt"] + f"score_mean_tp={means[0]!r}\n")]
+    if draw(st.integers(0, 4)) == 0:
+        code, target, value = pick(broken)
+        if target.startswith("-"):
+            argv += [target, value]
+        else:
+            files[target] = value
+        codes = {code}
+    return argv, files, codes
+
+
 class TestExitCodeFuzz:
     @given(case=st.sampled_from(CONFIG_KEYS),
            text=st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
@@ -909,6 +1100,19 @@ class TestExitCodeFuzz:
                 argv += ["--config", str(work / "run.cfg")]
             code = main(argv)
             assert code in (0, 1), (argv, capsys.readouterr().err)
+
+    @given(run=cli_runs())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_valid_inputs_exit_as_predicted(self, tmp_path, capsys, run):
+        argv, files, codes = run
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        for relpath, text in files.items():
+            (root / relpath).parent.mkdir(exist_ok=True)
+            (root / relpath).write_text(text)
+        argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+        assert main(argv + ["--out", str(root / "out")]) in codes, (
+            argv, files, capsys.readouterr().err)
 
 
 # One good file of each input kind, the subcommand that reads it ("@" marks a
@@ -1222,6 +1426,19 @@ class TestExtremeBoxes:
                      "--thresholds", "0.5", "--out", str(out)]) == 0
         overall = [r for r in read_csv(out / "coverage.csv")[1:] if r[1] == ""]
         assert overall == [["0.5", "", "", "0", "1", "0.0"]]
+
+    def test_coverage_rejects_anchor_edges_past_the_float_range(self, tmp_path, capsys):
+        # An anchor 1.695e308 px high, centred up to 1.7e308 px down the image:
+        # its far edge overflows, which warned before it was a config error.
+        d = tmp_path / "tall"
+        d.mkdir()
+        (d / "000000.txt").write_text("Car 0 0 0 10 10 50 40 0 0 0 0 0 0 0\n")
+        assert main(["coverage", str(d), "--image-size", f"1392x{int(1.7e308)}",
+                     "--scales", "1.3e154", "--ratios", "1.7e308", "--stride", "4.150390625e304",
+                     "--out", str(tmp_path / "cov")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: anchor edges pass the float range: a 1.69499e+308 px anchor "
+            "on a 1.7e+308 px axis at stride 4.15039e+304\n")
 
     def test_coverage_rejects_anchor_edges_too_coarse_for_the_stride(self, tmp_path, capsys):
         # Anchors of 1.2e16 px have edges 1-2 px apart, which stride 1 cannot

@@ -464,6 +464,20 @@ class TestLoaders:
         assert images[0].image_w == 500.0
         assert images[0].annotations[0].class_name == "car"
 
+    def test_voc_bad_file_between_good_files(self, tmp_path):
+        (tmp_path / "a.xml").write_text(VOC_XML)
+        (tmp_path / "b.xml").write_text(VOC_XML.replace("<xmax>200<", "<xmax>x<"))
+        (tmp_path / "c.xml").write_text(
+            VOC_XML.replace("<width>500<", "<width>640<").replace("<name>car<", "<name>van<"))
+        with pytest.raises(ParseError, match="^b.xml: "):
+            load_label_table(tmp_path, "voc")
+        table, skipped = load_label_table(tmp_path, "voc", skip_bad=True)
+        assert (table.image_ids, table.sizes) == (["a", "c"], [(500.0, 375.0), (640.0, 375.0)])
+        assert (table.image.tolist(), table.classes) == ([0, 1], ["car", "van"])
+        assert table.boxes.tolist() == [[99.0, 99.0, 200.0, 200.0]] * 2
+        assert len(skipped) == 1 and skipped[0].startswith("b.xml: ")
+        assert_same_table(table, as_label_table(load_dataset(tmp_path, "voc", skip_bad=True)[0]))
+
     def test_missing_dir(self, tmp_path):
         with pytest.raises(ParseError):
             load_dataset(tmp_path / "nope", "kitti")

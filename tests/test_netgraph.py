@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,19 @@ class TestReceptiveField:
             receptive_field(g, "a", (64, 64))
         assert str(excinfo.value) == "merge 'm': branch strides differ ([2, 1])"
 
+    def test_numbers_past_the_float_range_raise(self):
+        # A receptive field equal to the float maximum is kept; one more is an
+        # input error naming the layer, from every entry point.
+        top = int(sys.float_info.max)
+        text = ("input in channels=3\nconv c1 k={} s=1 p=0 c=8 from in\n"
+                "conv c2 k=1 s=1 p=0 c=8 from c1\n")
+        assert analyze(parse_arch(text.format(top)))[0]["c2"].receptive_field == top
+        g = parse_arch(text.format(top + 1))
+        for call in (lambda: analyze(g), lambda: receptive_field(g, "c2"),
+                     lambda: validate_variant(g, 64, 64)):
+            with pytest.raises(ParseError, match="^layer 'c1': "):
+                call()
+
     def test_resadd_channel_mismatch_does_not_raise(self):
         g = parse_arch(
             "input in channels=3\n"
@@ -401,3 +416,21 @@ class TestValidation:
         # shifts by (k-1)/2 * jump = 1 * 2.
         assert infos["conv1"].offset == 0.5
         assert infos["pool1"].offset == 2.5
+
+    def test_merge_offset_is_the_largest_rf_branch_offset(self):
+        # zf_combin: the unpadded pools shift by (k-1)/2 * jump (1 * 2, then
+        # 1 * 8), its same-padded convs keep the offset, and both merges take it.
+        infos, _ = analyze(parse_arch(builtin_arch("zf_combin")))
+        layers = ["conv1", "pool1", "conv2", "pool2", "conv4", "ms5", "resout", "fuse"]
+        assert [infos[n].offset for n in layers] == [0.5, 2.5, 2.5, 10.5, 10.5, 10.5, 10.5, 10.5]
+        # An unpadded strided conv shifts by 1 * 1; a padded pool by (1 - 2) * 2.
+        # Each merge takes the pool's offset, its largest-RF branch, listed second.
+        g = parse_arch("input in channels=3\n"
+                       "conv a k=3 s=2 p=0 c=8 from in\n"
+                       "pool b k=3 s=1 p=2 from a\n"
+                       "conv c k=1 s=1 p=0 c=8 from a\n"
+                       "concat m from c,b\n"
+                       "resadd r from c,b\n")
+        infos, _ = analyze(g)
+        assert {n: (infos[n].receptive_field, infos[n].offset) for n in "abcmr"} == {
+            "a": (3, 1.5), "b": (7, -0.5), "c": (3, 1.5), "m": (7, -0.5), "r": (7, -0.5)}
