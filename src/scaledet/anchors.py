@@ -335,6 +335,13 @@ def coverage(
     return _coverage((config,), dataset, thresholds, buckets, class_filter)[0]
 
 
+def _check_thresholds(thresholds) -> tuple[float, ...]:
+    thresholds = tuple(float(t) for t in thresholds)
+    if not thresholds or any(not 0 < t <= 1 for t in thresholds):
+        raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thresholds}")
+    return thresholds
+
+
 def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[CoverageReport]:
     """``coverage`` of each family in ``configs`` (which share stride and
     ``allow_border``), from one search of their distinct shapes.
@@ -343,9 +350,7 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
     it. A family takes its shapes' largest IoU, ties going to the lowest
     cell and then to its lowest shape index: its lowest tiling index.
     """
-    thresholds = tuple(float(t) for t in thresholds)
-    if not thresholds or any(not 0 < t <= 1 for t in thresholds):
-        raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thresholds}")
+    thresholds = _check_thresholds(thresholds)
     edges = check_edges(buckets)
 
     table = as_label_table(dataset)

@@ -23,6 +23,9 @@ The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
 
 ``main`` builds the argparse parser once per process and reuses it for every
 call: parsing leaves a parser unchanged, so each call sees only its own argv.
+Every subcommand runs in one skeleton: ``main`` resolves its settings, runs
+it, and writes the ``run_config.txt`` record it returns. It checks settings,
+and reads a profile or folds manifest, before it reads labels or detections.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def _load_dataset(s: dict):
 # ---------------------------------------------------------------- stats ----
 
 
-def cmd_stats(args) -> int:
-    out_dir, s = _settings(args)
+def cmd_stats(out_dir: Path, s: dict) -> dict:
+    datasets_mod.check_edges(s["bins"])
     stats = datasets_mod.compute_stats(_load_dataset(s), class_filter=s["class_filter"],
                                        bin_edges=s["bins"])
     hists = [(name, getattr(stats, f"{name}_histogram"))
@@ -179,7 +182,6 @@ def cmd_stats(args) -> int:
     for name, hist in hists:
         write_output(out_dir / f"{name}_histogram.svg",
                      svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts))
-    _write_run_config(out_dir, s)
     modal = stats.width_histogram.modal_bin()
     print(f"images: {stats.image_count}")
     print(f"annotations (after filter): {stats.width_histogram.total}")
@@ -187,19 +189,20 @@ def cmd_stats(args) -> int:
         print(f"class {name}: {count}")
     print(f"modal width bin: [{modal[0]:g}, {modal[1]:g})")
     print(f"wrote {out_dir / 'stats.csv'}")
-    return EXIT_OK
+    return s
 
 
 # ------------------------------------------------------------- coverage ----
 
 
-def cmd_coverage(args) -> int:
-    out_dir, s = _settings(args)
+def cmd_coverage(out_dir: Path, s: dict) -> dict:
     families = [
         anchors_mod.AnchorConfig(scales=scales, ratios=s["ratios"], stride=s["stride"],
                                  allow_border=s["allow_border"])
         for scales in (s["scales"], s["compare"]) if scales is not None
     ]
+    anchors_mod._check_thresholds(s["thresholds"])
+    datasets_mod.check_edges(s["buckets"])
     labels = _load_dataset(s)
     report, *alt = anchors_mod._coverage(families, labels, s["thresholds"], s["buckets"],
                                          s["class_filter"])
@@ -218,7 +221,6 @@ def cmd_coverage(args) -> int:
                       for a, b in zip(report.rows, alt[0].rows)),
                      ["threshold", "bucket_lo", "bucket_hi", "recall_base", "recall_compare",
                       "delta"])
-    _write_run_config(out_dir, s)
     rows, counted = len(labels.classes), len(report.image_ids)
     dontcare = labels.classes.count(datasets_mod.DONTCARE_CLASS)
     print(f"ground truth: rows={rows} counted={counted} dontcare={dontcare} "
@@ -228,14 +230,13 @@ def cmd_coverage(args) -> int:
         print(f"recall@{t:g}: {recall if recall is not None else 'undefined'}")
     print(f"anchors per image: {report.anchors_per_image:g}")
     print(f"wrote {out_dir / 'coverage.csv'}")
-    return EXIT_OK
+    return s
 
 
 # ------------------------------------------------------------------- rf ----
 
 
-def cmd_rf(args) -> int:
-    out_dir, s = _settings(args)
+def cmd_rf(out_dir: Path, s: dict) -> dict:
     arch_path = Path(s["arch"])
     if arch_path.is_file():
         graph = netgraph_mod.parse_arch(datasets_mod.read_input(arch_path))
@@ -268,7 +269,6 @@ def cmd_rf(args) -> int:
                  ["layer", "rf", "stride", "rf_set", "channels", "out_w", "out_h"])
     findings_text = "\n".join(("ok  " if f.ok else "BAD ") + f.message for f in findings)
     write_output(out_dir / "findings.txt", (findings_text or "no merge nodes") + "\n")
-    _write_run_config(out_dir, {**s, "arch": arch_label})
     report_layers = [probe] if probe else graph.sinks()
     for name in report_layers:
         info = infos[name]
@@ -280,16 +280,18 @@ def cmd_rf(args) -> int:
     bad = [f for f in findings if not f.ok]
     print(f"findings: {merges} merge node(s), {len(bad)} violation(s)")
     print(f"wrote {out_dir / 'rf.csv'}")
-    return EXIT_OK
+    return {**s, "arch": arch_label}
 
 
 # ----------------------------------------------------------------- eval ----
 
 
-def cmd_eval(args) -> int:
-    out_dir, s = _settings(args)
-    labels = _load_dataset(s)
-    dets = eval_mod.read_detection_table(s["detections_csv"])
+def cmd_eval(out_dir: Path, s: dict) -> dict:
+    class_name, mode, iou = s["class_name"], s["mode"], s.pop("iou")
+    eval_mod._check_mode(mode)
+    if iou is not None:
+        eval_mod._check_iou(iou)
+    datasets_mod.check_edges(s["buckets"])
     folds = None
     if s["folds"] is not None:
         folds, name = {}, Path(s["folds"]).name
@@ -303,11 +305,10 @@ def cmd_eval(args) -> int:
             folds[image_id] = fold_id
         if not folds:
             raise ParseError(f"{name}: no folds")
-    class_name, mode = s["class_name"], s["mode"]
-    report = eval_mod.evaluate_tables(
-        dets, labels, class_name=class_name, iou_threshold=s.pop("iou"),
-        mode=mode, bucket_edges=s["buckets"], folds=folds,
-    )
+    labels = _load_dataset(s)
+    dets = eval_mod.read_detection_table(s["detections_csv"])
+    report = eval_mod.evaluate_detections(dets, labels, class_name=class_name, iou_threshold=iou,
+                                          mode=mode, bucket_edges=s["buckets"], folds=folds)
 
     points = report.pr_points  # Python floats: "%r" writes each as csv.writer does
     write_output(out_dir / "pr.csv", "recall,precision\n"
@@ -330,7 +331,6 @@ def cmd_eval(args) -> int:
         write_output(out_dir / "folds.csv", fold_rows,
                      ["fold_id", "ap", "tp", "fp", "total_gt", "images"])
 
-    _write_run_config(out_dir, {**s, "iou_threshold": report.iou_threshold})
     print(f"AP ({mode}, IoU {report.iou_threshold:g}): {report.ap!r}")
     n_class = dets.classes.count(class_name)
     print(f"detections: read={len(dets.classes)} class={n_class} tp={report.tp} fp={report.fp} "
@@ -351,30 +351,26 @@ def cmd_eval(args) -> int:
         print(f"folds: n={len(report.per_fold)} mean={agg.mean!r} min={agg.minimum!r} "
               f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")
-    return EXIT_OK
+    return {**s, "iou_threshold": report.iou_threshold}
 
 
 # ------------------------------------------------------------- simulate ----
 
 
-def cmd_simulate(args) -> int:
-    out_dir, s = _settings(args)
-    labels = _load_dataset(s)
+def cmd_simulate(out_dir: Path, s: dict) -> dict:
     profile = parse_profile(datasets_mod.read_input(s["profile"], ConfigError))
     if s["seed"] is not None:
         profile = dataclasses.replace(profile, seed=s["seed"])
-
-    detections = simulate_table(labels, profile)
+    detections = simulate_table(_load_dataset(s), profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
     # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt"),
     # and every field of the resolved profile in profile syntax (a float's str is its repr).
     knots = ",".join(f"{w!r}:{p!r}" for w, p in profile.detect_prob)
     record = {**dataclasses.asdict(profile), "detect_prob": knots,
               "fp_size_range": "%r,%r" % profile.fp_size_range}
-    _write_run_config(out_dir, {**s, **record, "profile": Path(s["profile"])})
     print(f"detections: {len(detections.scores)}")
     print(f"wrote {out_dir / 'detections.csv'}")
-    return EXIT_OK
+    return {**s, **record, "profile": Path(s["profile"])}
 
 
 # ------------------------------------------------------- settings table ----
@@ -475,7 +471,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        return args.func(args)
+        out_dir, s = _settings(args)
+        _write_run_config(out_dir, args.func(out_dir, s))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

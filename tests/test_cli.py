@@ -736,6 +736,27 @@ DETERMINISM_DIGESTS = {
     "eval/pr.svg": "b78e7691261e066ebaa628524437f848e9529b80a28ca7a78aee592b0a98dea6",
 }
 
+# run_config.txt of each run of test_all_subcommands_byte_identical, with the
+# temporary root written as "<tmp>": every resolved setting, one per line.
+RUN_CONFIGS = {
+    "stats": "bins=0.0,30.0,60.0,90.0,120.0,180.0,256.0,384.0,512.0,inf\n"
+             "class_filter=\ndataset_dir=<tmp>/labels\nformat=kitti\nimage_size=1392x512\n"
+             "skip_bad=False\nsubcommand=stats\n",
+    "cov": "allow_border=True\nbuckets=0.0,30.0,60.0,90.0,120.0,180.0,256.0,384.0,512.0,inf\n"
+           "class_filter=\ncompare=128.0\ndataset_dir=<tmp>/labels\nformat=kitti\n"
+           "image_size=1392x512\nratios=0.5,1.0,2.0\nscales=32.0,64.0,128.0\nskip_bad=False\n"
+           "stride=16.0\nsubcommand=coverage\nthresholds=0.5,0.7\n",
+    "rf": "arch=builtin:zf_combin\ninput_size=1392x512\nprobe=\nsubcommand=rf\n",
+    "sim": "dataset_dir=<tmp>/labels\ndetect_prob=16.0:0.1,64.0:0.9\nformat=kitti\n"
+           "fp_per_image=1.0\nfp_size_range=20.0,120.0\nimage_size=1392x512\n"
+           "loc_noise_sigma=1.0\nprofile=<tmp>/profile.txt\nscore_mean_fp=0.3\n"
+           "score_mean_tp=0.8\nscore_sigma=0.08\nseed=5\nskip_bad=False\nsubcommand=simulate\n",
+    "eval": "buckets=0.0,128.0,inf\nclass_name=Car\ndataset_dir=<tmp>/labels\n"
+            "detections_csv=<tmp>/shared_sim/detections.csv\nfolds=\nformat=kitti\n"
+            "image_size=1392x512\niou_threshold=0.7\nmode=all-point\nskip_bad=False\n"
+            "subcommand=eval\n",
+}
+
 
 class TestDeterminism:
     def test_all_subcommands_byte_identical(self, dataset_dir, tmp_path):
@@ -764,6 +785,9 @@ class TestDeterminism:
                    for sub, files in runs["one"].items() for name, data in files.items()
                    if name != "run_config.txt"}
         assert digests == DETERMINISM_DIGESTS
+        configs = {sub: files["run_config.txt"].decode().replace(str(tmp_path), "<tmp>")
+                   for sub, files in runs["one"].items()}
+        assert configs == RUN_CONFIGS
 
 
 class TestConfigPrecedence:
@@ -964,7 +988,8 @@ def cli_runs(draw):
     Every input is valid by construction, at EXTREMES and at ordinary values, so
     the run exits 0. One draw in 5 breaks one input, and ``codes`` holds its
     exit code: 2 for a malformed label, detections or folds file, 1 for an
-    out-of-range setting. Where validity turns on rounding or on the random
+    out-of-range setting. One draw in 10 breaks the label file and one setting
+    together: settings are checked before labels are read, so it exits 1. Where validity turns on rounding or on the random
     draws (anchor edges too coarse for the stride, a jittered or false-positive
     box whose area overflows), ``codes`` allows 0 or 1.
     """
@@ -1063,13 +1088,16 @@ def cli_runs(draw):
             codes = {0, 1}
         broken += [(1, "profile.txt", files["profile.txt"] + "loc_noise_sigma=2e6\n"),
                    (1, "profile.txt", files["profile.txt"] + f"score_mean_tp={means[0]!r}\n")]
-    if draw(st.integers(0, 4)) == 0:
-        code, target, value = pick(broken)
-        if target.startswith("-"):
-            argv += [target, value]
-        else:
-            files[target] = value
-        codes = {code}
+    roll = draw(st.integers(0, 9))
+    if roll < 3:  # 0 or 1: one input broken; 2: the label file and one setting
+        breaks = ([broken[0], pick([b for b in broken if b[0] == 1])] if roll == 2
+                  else [pick(broken)])
+        for _, target, value in breaks:
+            if target.startswith("-"):
+                argv += [target, value]
+            else:
+                files[target] = value
+        codes = {breaks[-1][0]}
     return argv, files, codes
 
 
@@ -1274,6 +1302,40 @@ class TestOutputFiles:
 
 
 class TestConfigErrors:
+    # Settings are checked, and the profile and folds manifest read, before any
+    # label file: a bad setting beside a malformed label file is a config error.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("eval", "iou", "1.5"), ("eval", "mode", "11point"), ("eval", "folds", "@missing.csv"),
+        ("coverage", "thresholds", "0"), ("coverage", "buckets", "5,1"), ("stats", "bins", "5,1"),
+    ])
+    def test_bad_setting_before_bad_labels_exit_code(self, tmp_path, capsys, subcommand, key,
+                                                     value, source):
+        write_input_files(tmp_path)
+        (tmp_path / "kitti" / "b.txt").write_text("Car 1 2\n")
+        value = str(tmp_path / value[1:]) if value.startswith("@") else value
+        argv = [subcommand, str(tmp_path / "kitti"), "--out", str(tmp_path / "out")]
+        if subcommand == "eval":
+            argv.insert(2, str(tmp_path / "dets.csv"))
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key}={value}\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("profile", [b"detect_prob=0:2\n", None], ids=["bad", "missing"])
+    def test_bad_profile_before_bad_labels_exit_code(self, tmp_path, capsys, profile):
+        write_input_files(tmp_path)
+        (tmp_path / "kitti" / "b.txt").write_text("Car 1 2\n")
+        (tmp_path / "profile.txt").unlink()
+        if profile is not None:
+            (tmp_path / "profile.txt").write_bytes(profile)
+        assert main(["simulate", str(tmp_path / "kitti"), str(tmp_path / "profile.txt"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])
     def test_bad_number_exit_code(self, dataset_dir, tmp_path, capsys, subcommand, key, source):
@@ -1522,7 +1584,7 @@ class TestPrArtifacts:
         dets = root / "dets.csv"
         dets.write_text("image_id,class,x1,y1,x2,y2,score\n")
         report = EvalReport(0.7, tuple(points), 0.0, (), 0, 0, 1)
-        with mock.patch("scaledet.evaluation.evaluate_tables", return_value=report):
+        with mock.patch("scaledet.evaluation.evaluate_detections", return_value=report):
             assert main(["eval", str(root / "labels"), str(dets), "--out", str(root / "o")]) == 0
         want = io.StringIO()
         csv.writer(want, lineterminator="\n").writerows([("recall", "precision"), *points])

@@ -23,7 +23,6 @@ from scaledet.evaluation import (
     average_precision,
     default_iou_threshold,
     evaluate_detections,
-    evaluate_tables,
     match_detections,
     nms,
     pr_curve,
@@ -696,7 +695,8 @@ class TestBucketedAP:
         # One bucket rule: eval and coverage put each counted box in the same
         # bucket, and neither drops a width outside the edges.
         labels = as_label_table(gts)
-        report = evaluate_tables(_detection_table(dets), labels, "Car", 0.5, bucket_edges=edges)
+        report = evaluate_detections(_detection_table(dets), labels, "Car", 0.5,
+                                     bucket_edges=edges)
         rows = coverage(AnchorConfig(scales=(32.0,), ratios=(1.0,)), labels, thresholds=(0.5,),
                         buckets=edges, class_filter="Car").rows
         assert [b.total_gt for b in report.per_bucket] == [r.total for r in rows[1:]]
@@ -732,6 +732,26 @@ class TestEvaluateDetections:
         dets = [det(0, 0, 50, 30, 0.9), det(500, 400, 600, 470, 0.8)]
         report = evaluate_detections(dets, gts, class_name="Car")
         assert report.pr_points[-1][0] == report.tp / report.total_gt
+
+    @given(detections, ground_truth, st.sampled_from(["Car", "Van"]), THRESHOLDS,
+           st.sampled_from(["all-point", "11-point"]),
+           st.none() | st.lists(st.sampled_from([0.0, 3.0, 6.0, 10.0, math.inf]), min_size=2,
+                                max_size=4, unique=True).map(sorted),
+           st.none() | st.dictionaries(st.sampled_from(DET_IMAGES + ["d"]),
+                                       st.sampled_from(["f0", "f1"])))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_and_objects_give_one_report(self, dets, gts, class_name, threshold, mode,
+                                                edges, folds):
+        # One evaluation: a DetectionTable or a Detection list, with a LabelTable
+        # or an Annotation list, in all four pairings. Detection image "c" has
+        # no labels, and the folds may name images in neither.
+        forms = [(d, g) for d in (dets, _detection_table(dets)) for g in (gts, as_label_table(gts))]
+        reports = [evaluate_detections(d, g, class_name, threshold, mode, edges, folds)
+                   for d, g in forms]
+        for report in reports[1:]:
+            for field in ("iou_threshold", "pr_points", "ap", "tp", "fp", "total_gt",
+                          "per_bucket", "per_fold"):
+                assert getattr(report, field) == getattr(reports[0], field), field
 
 
 class TestFolds:
