@@ -44,7 +44,7 @@ from .netgraph import (
     receptive_field,
     validate_variant,
 )
-from .simulate import DetectorProfile, parse_profile, simulate
+from .simulate import DetectorProfile, simulate
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "nms",
     "parse_arch",
     "parse_kitti_label",
-    "parse_profile",
     "parse_voc_xml",
     "receptive_field",
     "scale_bucketed_ap",

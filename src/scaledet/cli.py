@@ -6,7 +6,9 @@ read alike by argparse, by ``--config`` files (``key=value`` lines) and by
 ``run_config.txt``. A setting comes from its flag, else the config file, else
 the default; flag and file text go through the same parser, so a bad value
 is a config error either way. Config keys outside the table are rejected,
-and booleans take ``true`` or ``false``.
+and booleans take ``true`` or ``false``. A detector profile's lines are read
+by the value kinds of ``_PROFILE``: one grammar reads and writes ``--config``
+files, profiles and ``run_config.txt``, where ``_record`` writes each value.
 
 Every run writes its artifacts (CSV plus SVG where a plot makes sense) into
 an output directory along with ``run_config.txt``, every resolved setting.
@@ -31,7 +33,6 @@ and reads a profile or folds manifest, before it reads labels or detections.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -46,7 +47,7 @@ from . import netgraph as netgraph_mod
 from . import svgplot
 from .datasets import write_output
 from .errors import ConfigError, ParseError
-from .simulate import parse_profile, read_key_values, simulate_table
+from .simulate import DetectorProfile, simulate_table
 # Unused here; scalebench's tracer test still patches cli.run_detector.
 from .simulate import simulate as run_detector  # noqa: F401
 
@@ -74,11 +75,17 @@ def _number(text: str, name: str) -> float:
         raise ConfigError(f"{name}: {text!r} is not a number") from None
 
 
+def _nonempty(text: str, name: str) -> str:
+    if not text:
+        raise ConfigError(f"{name} must not be empty")
+    return text
+
+
 def _integer(text: str, name: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{name} expects an integer, got {text!r}") from None
+        raise ConfigError(f"{name}: {text!r} is not an integer") from None
 
 
 def _numbers(text: str, name: str) -> tuple[float, ...]:
@@ -86,6 +93,12 @@ def _numbers(text: str, name: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError(f"{name}: empty list")
     return values
+
+
+def _knots(text: str, name: str) -> tuple[tuple[float, float], ...]:
+    """``width:probability`` knots, comma-separated."""
+    return tuple((_number(w, name), _number(p, name))
+                 for w, _, p in (k.partition(":") for k in text.split(",")))
 
 
 def _size(text: str, name: str) -> tuple[int, int]:
@@ -109,9 +122,33 @@ def _record(value, parse) -> str:
     """A resolved setting as ``run_config.txt`` writes it."""
     if parse is _numbers and value is not None:
         return ",".join(map(repr, value))
+    if parse is _knots:
+        return ",".join(f"{w!r}:{p!r}" for w, p in value)
     if parse is _size:
         return "%dx%d" % value
     return "" if value is None else str(value)
+
+
+def read_key_values(text: str, where: str, keys) -> dict[str, tuple[int, str]]:
+    """``key=value`` lines as ``{key: (line number, value)}``; the last repeat wins.
+
+    ``#`` starts a comment and blank lines are skipped. A line without ``=``
+    or with a key not in ``keys`` raises ConfigError naming ``where`` and
+    the line.
+    """
+    values: dict[str, tuple[int, str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where} line {lineno}: expected key=value, got {line!r}")
+        if key not in keys:
+            raise ConfigError(f"{where} line {lineno}: unknown key {key!r}")
+        values[key] = (lineno, value.strip())
+    return values
 
 
 # --------------------------------------------------------------- settings ----
@@ -148,7 +185,8 @@ def _settings(args) -> tuple[Path, dict]:
 
 
 def _write_run_config(out_dir: Path, settings: dict) -> None:
-    parsers = {key: parse for key, _, parse, _, _ in SETTINGS[settings["subcommand"]][2]}
+    rows = SETTINGS[settings["subcommand"]][2]
+    parsers = {**_PROFILE, **{key: parse for key, _, parse, _, _ in rows}}
     write_output(out_dir / "run_config.txt", "".join(
         f"{key}={_record(settings[key], parsers.get(key))}\n" for key in sorted(settings)))
 
@@ -357,20 +395,37 @@ def cmd_eval(out_dir: Path, s: dict) -> dict:
 # ------------------------------------------------------------- simulate ----
 
 
+# A profile's keys (every field of DetectorProfile) and their value kinds.
+_PROFILE = {
+    "detect_prob": _knots,
+    "loc_noise_sigma": _number,
+    "score_mean_tp": _number,
+    "score_mean_fp": _number,
+    "score_sigma": _number,
+    "fp_per_image": _number,
+    "fp_size_range": _numbers,
+    "seed": _integer,
+}
+
+
+def _read_profile(text: str, seed: int | None = None) -> DetectorProfile:
+    """The DetectorProfile of profile text; a ``seed`` not None replaces the text's."""
+    values = {key: _PROFILE[key](value, f"profile line {lineno}: {key}")
+              for key, (lineno, value) in read_key_values(text, "profile", _PROFILE).items()}
+    if seed is not None:
+        values["seed"] = seed
+    return DetectorProfile(**values)
+
+
 def cmd_simulate(out_dir: Path, s: dict) -> dict:
-    profile = parse_profile(datasets_mod.read_input(s["profile"], ConfigError))
-    if s["seed"] is not None:
-        profile = dataclasses.replace(profile, seed=s["seed"])
+    profile = _read_profile(datasets_mod.read_input(s["profile"], ConfigError), s["seed"])
     detections = simulate_table(_load_dataset(s), profile)
     eval_mod.write_detections_csv(out_dir / "detections.csv", detections)
-    # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt"),
-    # and every field of the resolved profile in profile syntax (a float's str is its repr).
-    knots = ",".join(f"{w!r}:{p!r}" for w, p in profile.detect_prob)
-    record = {**dataclasses.asdict(profile), "detect_prob": knots,
-              "fp_size_range": "%r,%r" % profile.fp_size_range}
     print(f"detections: {len(detections.scores)}")
     print(f"wrote {out_dir / 'detections.csv'}")
-    return {**s, **record, "profile": Path(s["profile"])}
+    # run_config.txt records the profile path normalised by Path ("./p.txt" as "p.txt"),
+    # and every field of the profile run.
+    return {**s, **{key: getattr(profile, key) for key in _PROFILE}, "profile": Path(s["profile"])}
 
 
 # ------------------------------------------------------- settings table ----
@@ -393,13 +448,13 @@ _OUT = ("out", "--out", _text, None, "output directory (default $SCALEDET_OUTPUT
 
 SETTINGS = {
     "stats": (cmd_stats, "scale/aspect distribution of a dataset", _DATASET + (
-        ("class_filter", "--class", _text, None, "restrict histograms to one class"),
+        ("class_filter", "--class", _nonempty, None, "restrict histograms to one class"),
         ("bins", "--bins", _numbers, datasets_mod.DEFAULT_WIDTH_BIN_EDGES,
          "comma-separated histogram bin edges (inf allowed)"),
         _OUT,
     )),
     "coverage": (cmd_coverage, "anchor-vs-ground-truth recall report", _DATASET + (
-        ("class_filter", "--class", _text, None, "restrict ground truth to one class"),
+        ("class_filter", "--class", _nonempty, None, "restrict ground truth to one class"),
         ("scales", "--scales", _numbers, anchors_mod.SCALES_BASELINE,
          "comma-separated anchor scales (sqrt of area)"),
         ("ratios", "--ratios", _numbers, anchors_mod.RATIOS_DEFAULT,
@@ -422,7 +477,7 @@ SETTINGS = {
     "eval": (cmd_eval, "evaluate a detections CSV against ground truth", _DATASET + (
         ("detections_csv", "detections_csv", _text, None,
          "CSV with header image_id,class,x1,y1,x2,y2,score"),
-        ("class_name", "--class", _text, "Car", "class to evaluate (default Car)"),
+        ("class_name", "--class", _nonempty, "Car", "class to evaluate (default Car)"),
         ("iou", "--iou", _number, None, "IoU threshold (default 0.7 for Car, else 0.5)"),
         ("mode", "--mode", _text, "all-point", "AP interpolation: all-point or 11-point"),
         _BUCKETS,

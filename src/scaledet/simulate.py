@@ -6,20 +6,6 @@ end-to-end without a trained model. Each image draws from its own stream,
 ``PCG64`` seeded by ``SeedSequence([seed mod 2^64, key])`` with ``key`` the
 first 8 bytes of the SHA-256 of the UTF-8 image id read little-endian, all
 derived 1,024 images per pass: the output does not depend on processing order.
-
-Profile files are plain ``key=value`` lines; ``detect_prob`` is a
-comma-separated list of ``width:probability`` knots interpreted as a
-piecewise-linear function of ground-truth width (clamped beyond the
-outermost knots), e.g.::
-
-    detect_prob=16:0.0,48:0.6,128:0.95,512:1.0
-    loc_noise_sigma=1.5
-    score_mean_tp=0.8
-    score_mean_fp=0.3
-    score_sigma=0.08
-    fp_per_image=2.0
-    fp_size_range=20,120
-    seed=42
 """
 
 from __future__ import annotations
@@ -38,7 +24,7 @@ from .errors import ConfigError
 from .evaluation import Detection, DetectionTable, _detections, _order
 from .geometry import valid_boxes
 
-__all__ = ["DetectorProfile", "parse_profile", "simulate", "simulate_table"]
+__all__ = ["DetectorProfile", "simulate", "simulate_table"]
 
 # Floor on generated detection extent after localization jitter.
 _MIN_SIZE = 0.25
@@ -53,6 +39,17 @@ _PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 # Images seeded per pass: bounds the temporary columns and Python ints (in one
 # pass over 7,481 images they raised the peak RSS by about 7 MB).
 _SEED_BATCH = 1024
+
+
+def _floats(name: str, values, count: int) -> tuple[float, ...]:
+    """``values`` as ``count`` floats; anything else raises ConfigError naming ``name``."""
+    try:
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        floats = ()
+    if len(floats) != count:
+        raise ConfigError(f"{name} must be {count} numbers, got {values!r}")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class DetectorProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, numbers.Integral):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        knots = tuple((float(w), float(p)) for w, p in self.detect_prob)
+        knots = tuple(_floats("detect_prob knot", knot, 2) for knot in self.detect_prob)
         object.__setattr__(self, "detect_prob", knots)
-        object.__setattr__(self, "fp_size_range", tuple(float(v) for v in self.fp_size_range))
+        object.__setattr__(self, "fp_size_range", _floats("fp_size_range", self.fp_size_range, 2))
         for key in ("detect_prob", "loc_noise_sigma", "score_mean_tp", "score_mean_fp",
                     "score_sigma", "fp_per_image", "fp_size_range"):
             if not np.isfinite(getattr(self, key)).all():
@@ -85,7 +82,7 @@ class DetectorProfile:
         if any(not 0 <= p <= 1 for _, p in knots):
             raise ConfigError(f"detect_prob probabilities must lie in [0, 1]: {knots}")
         if self.loc_noise_sigma < 0 or self.score_sigma < 0:
-            raise ConfigError("sigmas must be >= 0")
+            raise ConfigError("loc_noise_sigma and score_sigma must be >= 0")
         if self.loc_noise_sigma > _MAX_JITTER:
             raise ConfigError(f"loc_noise_sigma must be <= {_MAX_JITTER:g}")
         if not 0 <= self.fp_per_image <= _MAX_FP:
@@ -102,60 +99,6 @@ class DetectorProfile:
     def prob_at(self, width):
         """``detect_prob`` at ``width``: a float64, or an array for an array of widths."""
         return np.interp(width, *zip(*self.detect_prob))
-
-
-def read_key_values(text: str, where: str, keys) -> dict[str, tuple[int, str]]:
-    """``key=value`` lines as ``{key: (line number, value)}``; the last repeat wins.
-
-    ``#`` starts a comment and blank lines are skipped. A line without ``=``
-    or with a key not in ``keys`` raises ConfigError naming ``where`` and
-    the line.
-    """
-    values: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ConfigError(f"{where} line {lineno}: expected key=value, got {line!r}")
-        if key not in keys:
-            raise ConfigError(f"{where} line {lineno}: unknown key {key!r}")
-        values[key] = (lineno, value.strip())
-    return values
-
-
-def _knots(value: str) -> tuple[tuple[float, float], ...]:
-    return tuple((float(w), float(p)) for w, _, p in (k.partition(":") for k in value.split(",")))
-
-
-def _pair(value: str) -> tuple[float, float]:
-    lo, _, hi = value.partition(",")
-    return float(lo), float(hi)
-
-
-_PROFILE_KEYS = {
-    "detect_prob": _knots,
-    "loc_noise_sigma": float,
-    "score_mean_tp": float,
-    "score_mean_fp": float,
-    "score_sigma": float,
-    "fp_per_image": float,
-    "fp_size_range": _pair,
-    "seed": int,
-}
-
-
-def parse_profile(text: str) -> DetectorProfile:
-    """Parse key=value profile text; unknown keys are rejected."""
-    values: dict[str, object] = {}
-    for key, (lineno, value) in read_key_values(text, "profile", _PROFILE_KEYS).items():
-        try:
-            values[key] = _PROFILE_KEYS[key](value)
-        except ValueError:
-            raise ConfigError(f"profile line {lineno}: bad value for {key}: {value!r}") from None
-    return DetectorProfile(**values)
 
 
 def _hash(value, const: list[int], mult: int):

@@ -16,12 +16,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import VOC_XML, kitti_label_line, synthetic_vehicle_dataset
-from scaledet.cli import SETTINGS, build_parser, main
+from scaledet.cli import (SETTINGS, _PROFILE, _integer, _knots, _number, _numbers, _record,
+                          build_parser, main)
+from scaledet.cli import _read_profile as parse_profile
 from scaledet.datasets import DEFAULT_ASPECT_BIN_EDGES, Annotation, load_dataset
 from scaledet.evaluation import (EvalReport, evaluate_detections, match_detections,
                                  read_detections_csv)
 from scaledet.geometry import Box
-from scaledet.simulate import _PROFILE_KEYS, parse_profile
 from scaledet.svgplot import bar_chart, line_chart
 
 
@@ -437,7 +438,7 @@ class TestSimulateAndEval:
         assert float(buckets[("128.0", "inf")]) > 0.95
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300"])
-    @pytest.mark.parametrize("key", sorted(_PROFILE_KEYS))
+    @pytest.mark.parametrize("key", sorted(_PROFILE))
     def test_extreme_profile_value_exit_code(self, dataset_dir, tmp_path, capsys, key, value):
         # The value stands where the key takes a number: a knot width, the
         # upper end of a range, or the whole value.
@@ -692,7 +693,7 @@ class TestSimulateAndEval:
             assert main(["simulate", str(dataset_dir), str(path), "--out", str(out)]) == 0
             runs[tag] = dir_bytes(out)
             lines = (out / "run_config.txt").read_text().splitlines()
-            recorded = "\n".join(line for line in lines if line.split("=")[0] in _PROFILE_KEYS)
+            recorded = "\n".join(line for line in lines if line.split("=")[0] in _PROFILE)
             assert parse_profile(recorded) == parse_profile(text)
         assert runs["a"] == runs["a again"]
         assert runs["a"]["detections.csv"] != runs["b"]["detections.csv"]
@@ -893,6 +894,55 @@ class TestConfigFile:
 
 
 
+# Values of each profile kind, at the edges of float64 and past 64-bit seeds.
+FLOATS = st.floats() | st.sampled_from((5e-324, -5e-324, 1e308, -1.7e308, -0.0))
+KIND_VALUES = {
+    _number: FLOATS,
+    _numbers: st.lists(FLOATS, min_size=1, max_size=4).map(tuple),
+    _knots: st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=4).map(tuple),
+    _integer: st.integers() | st.integers(2**64 - 2, 2**200) | st.integers(-2**200, -2**64),
+}
+
+
+class TestRunConfigRoundTrip:
+    @given(case=st.sampled_from(sorted(_PROFILE)).flatmap(
+        lambda key: st.tuples(st.just(_PROFILE[key]), KIND_VALUES[_PROFILE[key]])))
+    def test_each_profile_kind_reads_its_record(self, case):
+        kind, value = case
+        assert set(KIND_VALUES) == set(_PROFILE.values())
+        # repr tells -0.0 from 0.0 and compares nan.
+        assert repr(kind(_record(value, kind), "key")) == repr(value)
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "@kitti", "--class", "Van", "--bins", "0,50,inf", "--skip-bad",
+         "--image-size", "800x600"],
+        ["coverage", "@kitti", "--class", "Car", "--scales", "32,64", "--ratios", "1,2",
+         "--drop-border", "--stride", "8", "--thresholds", "0.5", "--buckets", "0,64,inf",
+         "--compare", "128"],
+        ["rf", "zf", "--input-size", "640x480", "--probe", "conv1"],
+        ["eval", "@kitti", "@dets.csv", "--class", "Van", "--mode", "11-point",
+         "--buckets", "0,64,inf", "--folds", "@folds.csv", "--format", "kitti"],
+        ["simulate", "@kitti", "@profile.txt", "--seed", str(2**64 + 5)],
+    ], ids=lambda argv: argv[0])
+    def test_recorded_settings_reproduce_run_config(self, tmp_path, argv):
+        # The non-empty lines of run_config.txt that a config file may set,
+        # read back as --config, resolve to the same run_config.txt.
+        write_input_files(tmp_path)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        rows = SETTINGS[argv[0]][2]
+        positional = 1 + sum(not flag.startswith("-") for _, flag, *_ in rows)
+        settable = {key for key, flag, *_ in rows if flag.startswith("-")}
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        recorded = (tmp_path / "a" / "run_config.txt").read_text()
+        lines = [line for line in recorded.splitlines()
+                 if line.partition("=")[0] in settable and line.partition("=")[2]]
+        assert len(lines) >= 2
+        (tmp_path / "recorded.cfg").write_text("".join(f"{line}\n" for line in lines))
+        assert main(argv[:positional] + ["--config", str(tmp_path / "recorded.cfg"),
+                                         "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "run_config.txt").read_text() == recorded
+
+
 class TestParserReuse:
     """``main`` reuses one parser per process; no run's values reach the next."""
 
@@ -988,7 +1038,7 @@ def cli_runs(draw):
     Every input is valid by construction, at EXTREMES and at ordinary values, so
     the run exits 0. One draw in 5 breaks one input, and ``codes`` holds its
     exit code: 2 for a malformed label, detections or folds file, 1 for an
-    out-of-range setting. One draw in 10 breaks the label file and one setting
+    out-of-range setting, an empty class or a malformed profile line. One draw in 10 breaks the label file and one setting
     together: settings are checked before labels are read, so it exits 1. Where validity turns on rounding or on the random
     draws (anchor edges too coarse for the stride, a jittered or false-positive
     box whose area overflows), ``codes`` allows 0 or 1.
@@ -1028,7 +1078,7 @@ def cli_runs(draw):
               (1, "--image-size", "0x512")]
     if name == "stats":
         argv += ["--bins", edges(), "--class", pick(("Car", "Van", "Truck"))]
-        broken.append((1, "--bins", "5,5"))
+        broken += [(1, "--bins", "5,5"), (1, "--class", "")]
     elif name == "coverage":
         ratios = sorted(set(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, *EXTREMES)),
                                           min_size=1, max_size=3))))
@@ -1045,7 +1095,8 @@ def cli_runs(draw):
         half = max(max(w, h) for w, h in anchor_sides(scales, ratios)) / 2
         if 64 * math.ulp(side + half) > stride:
             codes = {0, 1}
-        broken += [(1, "--thresholds", "0"), (1, "--stride", "-16"), (1, "--buckets", "1")]
+        broken += [(1, "--thresholds", "0"), (1, "--stride", "-16"), (1, "--buckets", "1"),
+                   (1, "--class", "")]
     elif name == "eval":
         rows = [f"{pick(('000000', '000001', 'other'))},{pick(('Car', 'Van'))},"
                 + ",".join(map(repr, box)) + f",{pick((0.5, 0.9, 5e-324, -1.7e308, 1.7e308))!r}"
@@ -1058,7 +1109,7 @@ def cli_runs(draw):
             argv += ["--iou", repr(pick((5e-324, 0.5, 1.0)))]
         broken += [(2, "dets.csv", files["dets.csv"] + "000000,Car,1,1,2,2,nan\n"),
                    (2, "folds.csv", files["folds.csv"] + "000000,c\n"),
-                   (1, "--iou", "1.5"), (1, "--mode", "11point")]
+                   (1, "--iou", "1.5"), (1, "--mode", "11point"), (1, "--class", "")]
     else:
         widths = sorted(set(draw(st.lists(st.sampled_from((0.0, 16.0, -1.7e308, *EXTREMES)),
                                           min_size=1, max_size=3))))
@@ -1086,8 +1137,9 @@ def cli_runs(draw):
                 rate > 0 and not all(math.isfinite(false_positive(w) * false_positive(h))
                                      for w, h in sizes)):
             codes = {0, 1}
-        broken += [(1, "profile.txt", files["profile.txt"] + "loc_noise_sigma=2e6\n"),
-                   (1, "profile.txt", files["profile.txt"] + f"score_mean_tp={means[0]!r}\n")]
+        broken += [(1, "profile.txt", files["profile.txt"] + line) for line in (
+            "loc_noise_sigma=2e6\n", f"score_mean_tp={means[0]!r}\n", f"fp_size_range={lo!r}\n",
+            f"fp_size_range={lo!r},{hi!r},{hi!r}\n", f"detect_prob={widths[0]!r}:0.5:1\n")]
     roll = draw(st.integers(0, 9))
     if roll < 3:  # 0 or 1: one input broken; 2: the label file and one setting
         breaks = ([broken[0], pick([b for b in broken if b[0] == 1])] if roll == 2
@@ -1335,6 +1387,26 @@ class TestConfigErrors:
         assert main(["simulate", str(tmp_path / "kitti"), str(tmp_path / "profile.txt"),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("subcommand, key", [("stats", "class_filter"),
+                                                 ("coverage", "class_filter"),
+                                                 ("eval", "class_name")])
+    def test_empty_class_exit_code(self, tmp_path, capsys, subcommand, key, source):
+        # Class names are never empty, so an empty one would count nothing.
+        write_input_files(tmp_path)
+        argv = [subcommand, str(tmp_path / "kitti"), "--out", str(tmp_path / "out")]
+        if subcommand == "eval":
+            argv.insert(2, str(tmp_path / "dets.csv"))
+        if source == "flag":
+            argv.append("--class=")
+        else:
+            (tmp_path / "empty.cfg").write_text(f"{key}=\n")
+            argv += ["--config", str(tmp_path / "empty.cfg")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        name = "--class" if source == "flag" else f"empty.cfg line 1: {key} (--class)"
+        assert err == f"config error: {name} must not be empty\n"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])

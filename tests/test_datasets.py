@@ -21,7 +21,7 @@ from conftest import (KITTI_FILE_MIXED, KITTI_LINE, VOC_XML, assert_same_coverag
                       synthetic_vehicle_dataset)
 from scaledet.anchors import AnchorConfig, coverage
 from scaledet import datasets
-from scaledet.cli import main
+from scaledet.cli import main, read_key_values
 from scaledet.datasets import (
     DEFAULT_WIDTH_BIN_EDGES,
     Annotation,
@@ -42,7 +42,6 @@ from scaledet.datasets import (
 from scaledet.errors import ConfigError, ParseError
 from scaledet.evaluation import read_detections_csv
 from scaledet.geometry import Box, boxes_to_array
-from scaledet.simulate import read_key_values
 
 
 def _not_numeric(token):

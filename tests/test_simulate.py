@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_vehicle_dataset
+from scaledet.cli import _read_profile as parse_profile
 from scaledet.datasets import Annotation, ImageAnnotations, as_label_table
 from scaledet.errors import ConfigError
 from scaledet.evaluation import (
@@ -22,8 +23,7 @@ from scaledet.evaluation import (
     scale_bucketed_ap,
 )
 from scaledet.geometry import Box
-from scaledet.simulate import (DetectorProfile, _seed_states, _streams, parse_profile, simulate,
-                               simulate_table)
+from scaledet.simulate import DetectorProfile, _seed_states, _streams, simulate, simulate_table
 
 PERFECT = DetectorProfile(detect_prob=((0.0, 1.0),), loc_noise_sigma=0.0, fp_per_image=0.0)
 BLIND = DetectorProfile(
@@ -90,10 +90,14 @@ class TestProfileParsing:
             {"score_mean_tp": 0.3, "score_mean_fp": 0.5},
             {"seed": 1.5},
             {"seed": "7"},
+            {"fp_size_range": (1.0, 2.0, 3.0)},
+            {"fp_size_range": (5.0,)},
+            {"detect_prob": ((16.0, 0.5, 1.0),)},
+            {"detect_prob": ((16.0, "x"),)},
         ],
     )
     def test_invalid_profiles(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="|".join(kwargs)):
             DetectorProfile(**kwargs)
 
 
