@@ -21,7 +21,7 @@ cannot be read is a config error; any other unreadable input a parse error.
 Every artifact is written by ``datasets.write_output`` (UTF-8, ``\n`` line
 ends); an output file or directory that cannot be written is a config error.
 
-The default output directory comes from ``SCALEDET_OUTPUT_DIR`` when set.
+The default output directory comes from ``SCALEDET_OUTPUT_DIR``; it is never empty.
 
 ``main`` builds the argparse parser once per process and reuses it for every
 call: parsing leaves a parser unchanged, so each call sees only its own argv.
@@ -78,6 +78,13 @@ def _number(text: str, name: str) -> float:
 def _nonempty(text: str, name: str) -> str:
     if not text:
         raise ConfigError(f"{name} must not be empty")
+    return text
+
+
+def _class(text: str, name: str) -> str:
+    """A class to count: never empty, and never DontCare, whose regions are never counted."""
+    if _nonempty(text, name) == datasets_mod.DONTCARE_CLASS:
+        raise ConfigError(f"{name}: {text!r} regions are never counted")
     return text
 
 
@@ -175,8 +182,8 @@ def _settings(args) -> tuple[Path, dict]:
             settings[key] = parse(text, f"{where} line {lineno}: {key} ({flag})")
         else:
             settings[key] = default
-    out = settings.pop("out")
-    out = Path(os.environ.get(_ENV_OUTPUT_DIR, "scaledet_out") if out is None else out)
+    out = Path(settings.pop("out")
+               or _nonempty(os.environ.get(_ENV_OUTPUT_DIR, "scaledet_out"), _ENV_OUTPUT_DIR))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -220,12 +227,12 @@ def cmd_stats(out_dir: Path, s: dict) -> dict:
     for name, hist in hists:
         write_output(out_dir / f"{name}_histogram.svg",
                      svgplot.bar_chart(f"{name} distribution", hist.bin_edges, hist.counts))
-    modal = stats.width_histogram.modal_bin()
+    width = stats.width_histogram
     print(f"images: {stats.image_count}")
-    print(f"annotations (after filter): {stats.width_histogram.total}")
+    print(f"annotations (after filter): {width.total}")
     for name, count in stats.per_class.items():
         print(f"class {name}: {count}")
-    print(f"modal width bin: [{modal[0]:g}, {modal[1]:g})")
+    print("modal width bin: " + ("[%g, %g)" % width.modal_bin() if width.total else "none"))
     print(f"wrote {out_dir / 'stats.csv'}")
     return s
 
@@ -325,7 +332,7 @@ def cmd_rf(out_dir: Path, s: dict) -> dict:
 
 
 def cmd_eval(out_dir: Path, s: dict) -> dict:
-    class_name, mode, iou = s["class_name"], s["mode"], s.pop("iou")
+    class_name, mode, iou = s["class_name"], s["mode"], s["iou"]
     eval_mod._check_mode(mode)
     if iou is not None:
         eval_mod._check_iou(iou)
@@ -389,7 +396,7 @@ def cmd_eval(out_dir: Path, s: dict) -> dict:
         print(f"folds: n={len(report.per_fold)} mean={agg.mean!r} min={agg.minimum!r} "
               f"max={agg.maximum!r} stddev={agg.stddev!r}")
     print(f"wrote {out_dir / 'ap.csv'}")
-    return {**s, "iou_threshold": report.iou_threshold}
+    return {**s, "iou": report.iou_threshold}
 
 
 # ------------------------------------------------------------- simulate ----
@@ -444,17 +451,17 @@ _DATASET = (
 )
 _BUCKETS = ("buckets", "--buckets", _numbers, datasets_mod.DEFAULT_WIDTH_BIN_EDGES,
             "comma-separated width bucket edges")
-_OUT = ("out", "--out", _text, None, "output directory (default $SCALEDET_OUTPUT_DIR)")
+_OUT = ("out", "--out", _nonempty, None, "output directory (default $SCALEDET_OUTPUT_DIR)")
 
 SETTINGS = {
     "stats": (cmd_stats, "scale/aspect distribution of a dataset", _DATASET + (
-        ("class_filter", "--class", _nonempty, None, "restrict histograms to one class"),
+        ("class_filter", "--class", _class, None, "restrict histograms to one class"),
         ("bins", "--bins", _numbers, datasets_mod.DEFAULT_WIDTH_BIN_EDGES,
          "comma-separated histogram bin edges (inf allowed)"),
         _OUT,
     )),
     "coverage": (cmd_coverage, "anchor-vs-ground-truth recall report", _DATASET + (
-        ("class_filter", "--class", _nonempty, None, "restrict ground truth to one class"),
+        ("class_filter", "--class", _class, None, "restrict ground truth to one class"),
         ("scales", "--scales", _numbers, anchors_mod.SCALES_BASELINE,
          "comma-separated anchor scales (sqrt of area)"),
         ("ratios", "--ratios", _numbers, anchors_mod.RATIOS_DEFAULT,
@@ -477,7 +484,7 @@ SETTINGS = {
     "eval": (cmd_eval, "evaluate a detections CSV against ground truth", _DATASET + (
         ("detections_csv", "detections_csv", _text, None,
          "CSV with header image_id,class,x1,y1,x2,y2,score"),
-        ("class_name", "--class", _nonempty, "Car", "class to evaluate (default Car)"),
+        ("class_name", "--class", _class, "Car", "class to evaluate (default Car)"),
         ("iou", "--iou", _number, None, "IoU threshold (default 0.7 for Car, else 0.5)"),
         ("mode", "--mode", _text, "all-point", "AP interpolation: all-point or 11-point"),
         _BUCKETS,

@@ -15,13 +15,12 @@ jump' = jump * s, applied in topological order. Merge nodes union the
 receptive fields arriving over their branches into ``rf_set`` and require
 equal cumulative strides; the scalar receptive field of any layer is the
 maximum of its ``rf_set``. Padding never changes the receptive field, only
-the offset and the spatial dimensions, which follow
-floor((n + 2p - k) / s) + 1 per axis.
+the spatial dimensions, which follow floor((n + 2p - k) / s) + 1 per axis.
 
 One pass does the analysis and builds one record per layer: :func:`analyze`
 returns the per-layer facts and the findings (merge checks and non-positive
 output dims), and raises :class:`ParseError` only for a layer whose numbers
-(stride, receptive field, channels or offset) pass the float range.
+(stride, receptive field, channels or output dims) pass the float range.
 :func:`receptive_field` reads one layer from the same pass and raises
 :class:`IncompatibleMergeError` where the receptive field is undefined;
 :func:`validate_variant` returns the findings at a given input size.
@@ -96,15 +95,12 @@ class RFInfo:
     """Receptive-field facts for one layer.
 
     ``rf_set`` holds the receptive fields reaching the layer via distinct
-    branches; ``receptive_field`` is its maximum. ``offset`` is the input-
-    space center of the first output unit (max-RF branch at merges), kept
-    exact as twice its value in an int through the pass and rounded once.
-    ``spatial_dims`` is (w, h) when an input size was supplied, else None.
+    branches; ``receptive_field`` is its maximum. ``spatial_dims`` is (w, h)
+    when an input size was supplied, else None.
     """
 
     receptive_field: int
     cumulative_stride: int
-    offset: float
     rf_set: frozenset[int]
     channels: int | None
     spatial_dims: tuple[int, int] | None
@@ -240,14 +236,13 @@ def _analyze(
     or spatial dims differ. A resadd channel mismatch is only a finding.
     """
     infos: dict[str, RFInfo] = {}
-    twice_offset: dict[str, int] = {}  # 2 * offset, exact
     findings: list[Finding] = []
     errors: list[str] = []
 
     for name in graph.topo_order:
         spec = graph.layers[name]
         if spec.kind == "input":
-            rf_set, stride, twice, channels = frozenset({1}), 1, 1, spec.channels_out
+            rf_set, stride, channels = frozenset({1}), 1, spec.channels_out
             dims = (int(input_size[0]), int(input_size[1])) if input_size else None
         elif spec.kind in ("conv", "pool"):
             src = infos[spec.inputs[0]]
@@ -255,7 +250,6 @@ def _analyze(
             jump = src.cumulative_stride
             rf_set = frozenset(r + (k - 1) * jump for r in src.rf_set)
             stride = jump * s
-            twice = twice_offset[spec.inputs[0]] + (k - 1 - 2 * p) * jump
             dims = None
             if src.spatial_dims is not None:
                 dims = tuple((n + 2 * p - k) // s + 1 for n in src.spatial_dims)
@@ -272,13 +266,11 @@ def _analyze(
             strides = [b.cumulative_stride for b in branches]
             if len(set(strides)) > 1:
                 problems.append(f"merge {name!r}: branch strides differ ({strides})")
-            dims = None
-            if all(b.spatial_dims is not None for b in branches):
-                dim_set = {b.spatial_dims for b in branches}
-                if len(dim_set) > 1:
-                    problems.append(
-                        f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
-                dims = branches[0].spatial_dims
+            # Every layer's dims derive from the input's, so all are None or all set.
+            dim_set = {b.spatial_dims for b in branches}
+            if len(dim_set) > 1:
+                problems.append(f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
+            dims = branches[0].spatial_dims
             errors.extend(problems)
             if spec.kind == "concat":
                 channels = sum(b.channels or 0 for b in branches)
@@ -290,21 +282,18 @@ def _analyze(
                 channels = branches[0].channels
             rf_set = frozenset().union(*(b.rf_set for b in branches))
             stride = strides[0]
-            twice = twice_offset[max(spec.inputs, key=lambda src: infos[src].receptive_field)]
             if problems:
                 message = "; ".join(problems)
             else:
                 message = (f"merge {name!r} ok: channels={channels}, "
                            f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
             findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set))
-        if max(stride, max(rf_set), channels or 0, abs(twice) // 2) > _FLOAT_MAX:
-            raise ParseError(f"layer {name!r}: stride, receptive field, channels or offset "
+        if max(stride, max(rf_set), channels or 0, *(dims or ())) > _FLOAT_MAX:
+            raise ParseError(f"layer {name!r}: stride, receptive field, channels or output dims "
                              f"past the float range (max {sys.float_info.max:g})")
-        twice_offset[name] = twice
         infos[name] = RFInfo(
             receptive_field=max(rf_set),
             cumulative_stride=stride,
-            offset=twice / 2,
             rf_set=rf_set,
             channels=channels,
             spatial_dims=dims,

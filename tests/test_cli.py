@@ -3,9 +3,11 @@ import hashlib
 import io
 import math
 import random
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from html import escape
 from pathlib import Path
 from unittest import mock
@@ -76,6 +78,12 @@ class TestStatsCommand:
         rows = read_csv(out / "stats.csv")
         width_total = sum(int(r[3]) for r in rows[1:] if r[0] == "width")
         assert width_total == 3
+
+    def test_empty_histogram_has_no_modal_bin(self, kitti_dir, tmp_path, capsys):
+        assert main(["stats", str(kitti_dir), "--class", "Truck", "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "annotations (after filter): 0" in printed
+        assert "modal width bin: none" in printed
 
     def test_csv_rows_cover_all_bins(self, tmp_path):
         d = tmp_path / "one"
@@ -295,6 +303,9 @@ PAST_FLOAT_RANGE = {
                "conv c2 k=3 s=1 p=1 c=8 from c1\n", "c1"),
     "45-strides-of-1e8": (chain_arch(45, 100000000), "c39"),
     "1100-strides-of-2": (chain_arch(1100, 2), "c1023"),
+    # Padding moves only the output dims, here past the float range at any input size.
+    "output-dims": (f"input data channels=3\nconv c1 k=1 s=1 p={int(1e308)} c=8 from data\n",
+                    "c1"),
 }
 
 
@@ -754,7 +765,7 @@ RUN_CONFIGS = {
            "score_mean_tp=0.8\nscore_sigma=0.08\nseed=5\nskip_bad=False\nsubcommand=simulate\n",
     "eval": "buckets=0.0,128.0,inf\nclass_name=Car\ndataset_dir=<tmp>/labels\n"
             "detections_csv=<tmp>/shared_sim/detections.csv\nfolds=\nformat=kitti\n"
-            "image_size=1392x512\niou_threshold=0.7\nmode=all-point\nskip_bad=False\n"
+            "image_size=1392x512\niou=0.7\nmode=all-point\nskip_bad=False\n"
             "subcommand=eval\n",
 }
 
@@ -921,7 +932,7 @@ class TestRunConfigRoundTrip:
          "--compare", "128"],
         ["rf", "zf", "--input-size", "640x480", "--probe", "conv1"],
         ["eval", "@kitti", "@dets.csv", "--class", "Van", "--mode", "11-point",
-         "--buckets", "0,64,inf", "--folds", "@folds.csv", "--format", "kitti"],
+         "--buckets", "0,64,inf", "--folds", "@folds.csv", "--format", "kitti", "--iou", "0.6"],
         ["simulate", "@kitti", "@profile.txt", "--seed", str(2**64 + 5)],
     ], ids=lambda argv: argv[0])
     def test_recorded_settings_reproduce_run_config(self, tmp_path, argv):
@@ -1030,40 +1041,72 @@ def anchor_sides(scales, ratios):
     return [(s / math.sqrt(r), s * math.sqrt(r)) for s in scales for r in ratios]
 
 
+def anchor_fit(scales, ratios, stride, size):
+    """Whether some anchor of the family, on the grid at ``stride``, fits inside an
+    image of ``size`` without crossing its border: True or False, or None where
+    that turns on rounding. Exact arithmetic, with a margin of a few float steps
+    of the edges each way."""
+    def fits(side, limit, slack):
+        # The first cell whose anchor starts at ``slack`` or later, if any, ends
+        # lowest; it must end by ``limit - slack``.
+        half, step = Fraction(side) / 2, Fraction(stride)
+        i = max(0, math.ceil((half + slack) / step - Fraction(1, 2)))
+        return (i < max(1, math.ceil(limit / stride))
+                and (i + Fraction(1, 2)) * step + half <= limit - slack)
+
+    strict, loose = (any(all(fits(side, limit, sign * Fraction(
+        4 * math.ulp(min(limit + side + stride, sys.float_info.max))))
+        for side, limit in zip(shape, size)) for shape in anchor_sides(scales, ratios))
+        for sign in (1, -1))
+    return True if strict else None if loose else False
+
+
 @st.composite
 def cli_runs(draw):
     """One run of stats, coverage, eval or simulate, in the layout of ``fuzz_inputs``:
     ``(argv, files, codes)``, "@" marking a path under the run's root.
 
     Every input is valid by construction, at EXTREMES and at ordinary values, so
-    the run exits 0. One draw in 5 breaks one input, and ``codes`` holds its
-    exit code: 2 for a malformed label, detections or folds file, 1 for an
-    out-of-range setting, an empty class or a malformed profile line. One draw in 10 breaks the label file and one setting
-    together: settings are checked before labels are read, so it exits 1. Where validity turns on rounding or on the random
-    draws (anchor edges too coarse for the stride, a jittered or false-positive
+    the run exits 0, except that ``coverage --drop-border`` exits 1 when no
+    anchor of a family fits inside an image with ground truth. One draw in 5
+    breaks one input, and ``codes`` holds its exit code: 2 for a malformed
+    label, detections or folds file, 1 for an out-of-range setting, an empty or
+    DontCare class or a malformed profile line; with ``--skip-bad`` a malformed
+    label file is left out and the run goes on without it. One draw in 10
+    breaks the label file and one setting together: settings are checked
+    before labels are read, so it exits 1. Where validity turns on rounding or
+    on the random draws (anchor edges too coarse for the stride, an anchor
+    that fits only to within a few float steps, a jittered or false-positive
     box whose area overflows), ``codes`` allows 0 or 1.
     """
     def pick(values):
         return draw(st.sampled_from(values))
 
+    def predict(kept):
+        """The exit codes of the run as drawn, on the label files of images ``kept``."""
+        return {0}
+
     name = pick(("stats", "coverage", "eval", "simulate"))
     fmt = pick(("kitti", "voc"))
     fields = ("0", "-1", "5e-324", "1.3e154", "-1.7e308")
-    files, labels, sizes = {}, [], []
+    files, labels, sizes = {}, {}, {}  # labels: per image, its boxes other than DontCare
     for image_id in ("000000", "000001"):
         objects = draw(st.lists(st.tuples(st.sampled_from(("Car", "Van", "DontCare")),
                                           fuzz_boxes()), max_size=3))
         lines = [" ".join([c, pick(fields), pick(fields), pick(fields), *map(repr, box),
                            *(pick(fields) for _ in range(7))]) for c, box in objects]
         files[f"labels/{image_id}.txt"] = "".join(line + "\n" for line in lines)
-        sizes.append((pick((500.0, *EXTREMES)), pick((375.0, *EXTREMES))))
-        files[f"labels/{image_id}.xml"] = voc_text(sizes[-1], objects)
-        labels += [box for c, box in objects if c != "DontCare"]
+        sizes[image_id] = (pick((500.0, *EXTREMES)), pick((375.0, *EXTREMES)))
+        files[f"labels/{image_id}.xml"] = voc_text(sizes[image_id], objects)
+        labels[image_id] = [box for c, box in objects if c != "DontCare"]
     argv = [name, "@labels", "--format", fmt]
     if fmt == "kitti":
         size = (pick((1392, 1, *map(int, EXTREMES[1:]))), pick((512, 1, *map(int, EXTREMES[1:]))))
         argv += ["--image-size", "%dx%d" % size]
-        sizes = [tuple(map(float, size))]
+        sizes = dict.fromkeys(sizes, tuple(map(float, size)))
+    skip_bad = draw(st.booleans())
+    if skip_bad:
+        argv.append("--skip-bad")
     positional = {"eval": "@dets.csv", "simulate": "@profile.txt"}
     if name in positional:
         argv.insert(2, positional[name])
@@ -1073,30 +1116,43 @@ def cli_runs(draw):
                                           min_size=2, max_size=4))))
         return ",".join(map(repr, values if len(values) > 1 else [0.0, math.inf]))
 
-    codes = {0}
     broken = [(2, f"labels/000001.{'txt' if fmt == 'kitti' else 'xml'}", "Car 1 2\n"),
               (1, "--image-size", "0x512")]
     if name == "stats":
         argv += ["--bins", edges(), "--class", pick(("Car", "Van", "Truck"))]
-        broken += [(1, "--bins", "5,5"), (1, "--class", "")]
+        broken += [(1, "--bins", "5,5"), (1, "--class", ""), (1, "--class", "DontCare")]
     elif name == "coverage":
         ratios = sorted(set(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, *EXTREMES)),
                                           min_size=1, max_size=3))))
         usable = [s for s in (32.0, 128.0, *EXTREMES)
                   if all(math.isfinite(w * h) for w, h in anchor_sides([s], ratios))]
-        scales = sorted(set(draw(st.lists(st.sampled_from(usable), min_size=1, max_size=3))))
-        side = max(max(size) for size in sizes)
+        families = [sorted(set(draw(st.lists(st.sampled_from(usable), min_size=1, max_size=3))))]
+        side = max(max(size) for size in sizes.values())
         stride = max(pick((16.0, *EXTREMES)), side / 4096)  # at most 8,192 cells per axis
         thresholds = sorted(set(draw(st.lists(st.sampled_from((5e-324, 0.5, 0.7, 1.0)),
                                               min_size=1, max_size=2))))
-        argv += ["--scales", ",".join(map(repr, scales)), "--ratios", ",".join(map(repr, ratios)),
-                 "--stride", repr(stride), "--thresholds", ",".join(map(repr, thresholds)),
-                 "--buckets", edges()]
-        half = max(max(w, h) for w, h in anchor_sides(scales, ratios)) / 2
-        if 64 * math.ulp(side + half) > stride:
-            codes = {0, 1}
+        argv += ["--scales", ",".join(map(repr, families[0])),
+                 "--ratios", ",".join(map(repr, ratios)), "--stride", repr(stride),
+                 "--thresholds", ",".join(map(repr, thresholds)), "--buckets", edges()]
+        if draw(st.booleans()):
+            families.append(sorted(set(draw(st.lists(st.sampled_from(usable), min_size=1,
+                                                     max_size=2)))))
+            argv += ["--compare", ",".join(map(repr, families[1]))]
+        drop_border = draw(st.booleans())
+        if drop_border:
+            argv.append("--drop-border")
+        half = max(max(w, h) for scales in families for w, h in anchor_sides(scales, ratios)) / 2
+        coarse = 64 * math.ulp(side + half) > stride
+
+        def predict(kept):
+            fits = {anchor_fit(scales, ratios, stride, sizes[i])
+                    for scales in families for i in kept if labels[i] and drop_border}
+            if False in fits:
+                return {1}
+            return {0, 1} if coarse or None in fits else {0}
+
         broken += [(1, "--thresholds", "0"), (1, "--stride", "-16"), (1, "--buckets", "1"),
-                   (1, "--class", "")]
+                   (1, "--class", ""), (1, "--class", "DontCare")]
     elif name == "eval":
         rows = [f"{pick(('000000', '000001', 'other'))},{pick(('Car', 'Van'))},"
                 + ",".join(map(repr, box)) + f",{pick((0.5, 0.9, 5e-324, -1.7e308, 1.7e308))!r}"
@@ -1109,7 +1165,8 @@ def cli_runs(draw):
             argv += ["--iou", repr(pick((5e-324, 0.5, 1.0)))]
         broken += [(2, "dets.csv", files["dets.csv"] + "000000,Car,1,1,2,2,nan\n"),
                    (2, "folds.csv", files["folds.csv"] + "000000,c\n"),
-                   (1, "--iou", "1.5"), (1, "--mode", "11point"), (1, "--class", "")]
+                   (1, "--iou", "1.5"), (1, "--mode", "11point"), (1, "--class", ""),
+                   (1, "--class", "DontCare")]
     else:
         widths = sorted(set(draw(st.lists(st.sampled_from((0.0, 16.0, -1.7e308, *EXTREMES)),
                                           min_size=1, max_size=3))))
@@ -1132,14 +1189,18 @@ def cli_runs(draw):
         def false_positive(side):
             return 2 * (min(hi, side) + math.ulp(side))
 
-        if (sigma > 0 and not all(math.isfinite(jittered(x1, x2) * jittered(y1, y2))
-                                  for x1, y1, x2, y2 in labels)) or (
-                rate > 0 and not all(math.isfinite(false_positive(w) * false_positive(h))
-                                     for w, h in sizes)):
-            codes = {0, 1}
+        def predict(kept):
+            if (sigma > 0 and not all(math.isfinite(jittered(x1, x2) * jittered(y1, y2))
+                                      for i in kept for x1, y1, x2, y2 in labels[i])) or (
+                    rate > 0 and not all(math.isfinite(false_positive(w) * false_positive(h))
+                                         for w, h in map(sizes.get, kept))):
+                return {0, 1}
+            return {0}
+
         broken += [(1, "profile.txt", files["profile.txt"] + line) for line in (
             "loc_noise_sigma=2e6\n", f"score_mean_tp={means[0]!r}\n", f"fp_size_range={lo!r}\n",
             f"fp_size_range={lo!r},{hi!r},{hi!r}\n", f"detect_prob={widths[0]!r}:0.5:1\n")]
+    kept = ("000000", "000001")
     roll = draw(st.integers(0, 9))
     if roll < 3:  # 0 or 1: one input broken; 2: the label file and one setting
         breaks = ([broken[0], pick([b for b in broken if b[0] == 1])] if roll == 2
@@ -1149,8 +1210,10 @@ def cli_runs(draw):
                 argv += [target, value]
             else:
                 files[target] = value
-        codes = {breaks[-1][0]}
-    return argv, files, codes
+        if not (skip_bad and breaks == [broken[0]]):
+            return argv, files, {breaks[-1][0]}
+        kept = ("000000",)  # the malformed label file is skipped
+    return argv, files, predict(kept)
 
 
 class TestExitCodeFuzz:
@@ -1393,20 +1456,46 @@ class TestConfigErrors:
                                                  ("coverage", "class_filter"),
                                                  ("eval", "class_name")])
     def test_empty_class_exit_code(self, tmp_path, capsys, subcommand, key, source):
-        # Class names are never empty, so an empty one would count nothing.
+        # Class names are never empty, and DontCare regions are never counted,
+        # so either class would count nothing.
         write_input_files(tmp_path)
-        argv = [subcommand, str(tmp_path / "kitti"), "--out", str(tmp_path / "out")]
-        if subcommand == "eval":
-            argv.insert(2, str(tmp_path / "dets.csv"))
+        name = "--class" if source == "flag" else f"class.cfg line 1: {key} (--class)"
+        for value, message in (("", f"{name} must not be empty"),
+                               ("DontCare", f"{name}: 'DontCare' regions are never counted")):
+            out = tmp_path / f"out{value}"
+            argv = [subcommand, str(tmp_path / "kitti"), "--out", str(out)]
+            if subcommand == "eval":
+                argv.insert(2, str(tmp_path / "dets.csv"))
+            if source == "flag":
+                argv.append(f"--class={value}")
+            else:
+                (tmp_path / "class.cfg").write_text(f"{key}={value}\n")
+                argv += ["--config", str(tmp_path / "class.cfg")]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_empty_output_dir_exit_code(self, tmp_path, capsys, monkeypatch, source):
+        # An empty output directory would be the working directory; it names its source.
+        write_input_files(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["stats", str(tmp_path / "kitti")]
         if source == "flag":
-            argv.append("--class=")
+            argv.append("--out=")
+            name = "--out"
+        elif source == "config":
+            (tmp_path / "out.cfg").write_text("out=\n")
+            argv += ["--config", str(tmp_path / "out.cfg")]
+            name = "out.cfg line 1: out (--out)"
         else:
-            (tmp_path / "empty.cfg").write_text(f"{key}=\n")
-            argv += ["--config", str(tmp_path / "empty.cfg")]
+            monkeypatch.setenv("SCALEDET_OUTPUT_DIR", "")
+            name = "SCALEDET_OUTPUT_DIR"
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        name = "--class" if source == "flag" else f"empty.cfg line 1: {key} (--class)"
-        assert err == f"config error: {name} must not be empty\n"
+        assert capsys.readouterr().err == f"config error: {name} must not be empty\n"
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("subcommand, key", [("eval", "iou"), ("coverage", "stride")])

@@ -311,6 +311,14 @@ class TestReceptiveField:
             with pytest.raises(ParseError, match="^layer 'c1': "):
                 call()
 
+    def test_output_dims_past_the_float_range_raise(self):
+        # Padding moves only the output dims: without an input size there are
+        # none to bound, and with one the layer is an input error.
+        g = parse_arch(f"input in channels=3\nconv c1 k=1 s=1 p={10**400} c=8 from in\n")
+        assert analyze(g)[0]["c1"].spatial_dims is None
+        with pytest.raises(ParseError, match="^layer 'c1': "):
+            analyze(g, (64, 64))
+
     def test_resadd_channel_mismatch_does_not_raise(self):
         g = parse_arch(
             "input in channels=3\n"
@@ -409,22 +417,9 @@ class TestValidation:
         assert infos["conv1"].spatial_dims == (696, 256)
         assert infos["conv5"].spatial_dims == (86, 31)
 
-    def test_offset_tracks_padding(self):
-        g = parse_arch(builtin_arch("zf"))
-        infos, _ = analyze(g)
-        # Same-padding conv1 keeps the input offset; the unpadded pool
-        # shifts by (k-1)/2 * jump = 1 * 2.
-        assert infos["conv1"].offset == 0.5
-        assert infos["pool1"].offset == 2.5
-
-    def test_merge_offset_is_the_largest_rf_branch_offset(self):
-        # zf_combin: the unpadded pools shift by (k-1)/2 * jump (1 * 2, then
-        # 1 * 8), its same-padded convs keep the offset, and both merges take it.
-        infos, _ = analyze(parse_arch(builtin_arch("zf_combin")))
-        layers = ["conv1", "pool1", "conv2", "pool2", "conv4", "ms5", "resout", "fuse"]
-        assert [infos[n].offset for n in layers] == [0.5, 2.5, 2.5, 10.5, 10.5, 10.5, 10.5, 10.5]
-        # An unpadded strided conv shifts by 1 * 1; a padded pool by (1 - 2) * 2.
-        # Each merge takes the pool's offset, its largest-RF branch, listed second.
+    def test_merge_rf_is_the_largest_branch_rf(self):
+        # A merge's receptive field is that of its largest-RF branch, here
+        # the pool, listed second.
         g = parse_arch("input in channels=3\n"
                        "conv a k=3 s=2 p=0 c=8 from in\n"
                        "pool b k=3 s=1 p=2 from a\n"
@@ -432,5 +427,5 @@ class TestValidation:
                        "concat m from c,b\n"
                        "resadd r from c,b\n")
         infos, _ = analyze(g)
-        assert {n: (infos[n].receptive_field, infos[n].offset) for n in "abcmr"} == {
-            "a": (3, 1.5), "b": (7, -0.5), "c": (3, 1.5), "m": (7, -0.5), "r": (7, -0.5)}
+        assert {n: infos[n].receptive_field for n in "abcmr"} == {
+            "a": 3, "b": 7, "c": 3, "m": 7, "r": 7}
