@@ -198,7 +198,7 @@ class _AnchorGrid:
 
     def __init__(self, shapes: np.ndarray, stride: float, allow_border: bool,
                  image_w: float, image_h: float):
-        if image_w <= 0 or image_h <= 0:
+        if not (image_w > 0 and image_h > 0):  # NaN too
             raise ConfigError(f"image dimensions must be positive, got {(image_w, image_h)}")
         self.x = _Axis(stride, 0.5 * shapes[:, 0], image_w, allow_border)
         self.y = _Axis(stride, 0.5 * shapes[:, 1], image_h, allow_border)
@@ -366,18 +366,9 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
     counted = table.counted(class_filter)
     gt, gt_image = table.boxes[counted], table.image[counted]
     gt_size = image_size[gt_image]
-    searched = list(dict.fromkeys(gt_size.tolist()))
-    for config, family in zip(configs, families):
-        for code in searched:
-            if not grids[code].count[family].any():
-                w, h = list(size_code)[code]
-                raise ConfigError(f"no anchor of scales {config.scales}, ratios {config.ratios}, "
-                                  f"stride {config.stride:g} fits inside a {w:g}x{h:g} image "
-                                  "without crossing its border")
-
     best = np.zeros((len(counted), len(shapes)))
     cell = np.zeros((len(counted), len(shapes)), dtype=np.int64)
-    for code in searched:
+    for code in dict.fromkeys(gt_size.tolist()):
         members = np.flatnonzero(gt_size == code)
         for lo in range(0, len(members), _SEARCH_BATCH):
             batch = members[lo : lo + _SEARCH_BATCH]
@@ -392,6 +383,11 @@ def _coverage(configs, dataset, thresholds, buckets, class_filter) -> list[Cover
     for config, family in zip(configs, families):
         k, n_ratios = family.size, len(config.ratios)
         iou_arr = best[:, family].max(axis=1)
+        if (iou_arr < 0).any():  # a box whose image keeps no anchor of the family
+            w, h = list(size_code)[gt_size[np.argmax(iou_arr < 0)]]
+            raise ConfigError(f"no anchor of scales {config.scales}, ratios {config.ratios}, "
+                              f"stride {config.stride:g} fits inside a {w:g}x{h:g} image "
+                              "without crossing its border")
         order = np.where(best[:, family] == iou_arr[:, None], cell[:, family] * k + np.arange(k),
                          np.iinfo(np.int64).max)
         shape = order.min(axis=1) % k

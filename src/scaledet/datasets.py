@@ -19,12 +19,12 @@ excluded from statistics; evaluation treats them as ignore regions. VOC's
 A directory loads as one ``LabelTable`` (``load_label_table``): columns
 with one row per object. KITTI lines are split and converted in one pass
 and checked as arrays; a file that fails a check is parsed again by
-``parse_kitti_label``, which raises the per-line message. VOC files load
-as one ``ImageAnnotations`` each, which ``as_label_table`` turns into the
-table. Every subcommand, ``simulate`` included, runs on the table and
-builds no per-box objects. Objects are the library's edge:
-``load_dataset`` loads the table as one ``ImageAnnotations`` per file, and
-``as_label_table`` turns object lists into a table.
+``parse_kitti_label``, which raises the per-line message. Only VOC loads
+through per-box objects: ``parse_voc_xml`` builds the ``Annotation`` objects
+of one file, and ``as_label_table`` turns them into the table. Every
+subcommand, ``simulate`` included, then runs on the table. Objects are the
+library's edge: ``load_dataset`` loads the table as one ``ImageAnnotations``
+per file, and ``as_label_table`` turns object lists into a table.
 
 Parsers are pure functions on input text, so files can be parsed
 concurrently. A KITTI directory is parsed in

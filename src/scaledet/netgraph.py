@@ -17,12 +17,12 @@ equal cumulative strides; the scalar receptive field of any layer is the
 maximum of its ``rf_set``. Padding never changes the receptive field, only
 the spatial dimensions, which follow floor((n + 2p - k) / s) + 1 per axis.
 
-One pass does the analysis and builds one record per layer: :func:`analyze`
-returns the per-layer facts and the findings (merge checks and non-positive
-output dims), and raises :class:`ParseError` only for a layer whose numbers
-(stride, receptive field, channels or output dims) pass the float range.
-:func:`receptive_field` reads one layer from the same pass and raises
-:class:`IncompatibleMergeError` where the receptive field is undefined;
+:func:`analyze` is the one pass; it builds one record per layer, returns
+the per-layer facts and the findings (merge checks and non-positive output
+dims), and raises :class:`ParseError` only for a layer whose numbers (stride,
+receptive field, channels or output dims) pass the float range.
+:func:`receptive_field` reads one layer from the same pass and raises the
+first finding's ``undefined`` as :class:`IncompatibleMergeError`;
 :func:`validate_variant` returns the findings at a given input size.
 """
 
@@ -108,12 +108,14 @@ class RFInfo:
 
 @dataclass(frozen=True)
 class Finding:
-    """Validation result for one merge node."""
+    """Validation result for one merge node or one layer's non-positive dims;
+    ``undefined`` is what :func:`receptive_field` raises, or empty."""
 
     node: str
     ok: bool
     message: str
     rf_set: frozenset[int] = field(default_factory=frozenset)
+    undefined: str = ""
 
 
 def _parse_int(token: str, key: str, lineno: int, minimum: int) -> int:
@@ -226,18 +228,18 @@ def builtin_arch(name: str) -> str:
     return res.read_text(encoding="utf-8")
 
 
-def _analyze(
-    graph: NetGraph, input_size: tuple[int, int] | None
-) -> tuple[dict[str, RFInfo], list[Finding], list[str]]:
-    """The one pass behind :func:`analyze`, in topological order.
+def analyze(
+    graph: NetGraph, input_size: tuple[int, int] | None = None
+) -> tuple[dict[str, RFInfo], list[Finding]]:
+    """RFInfo for every layer and the findings of the graph, in one topological pass.
 
-    Also returns, in order, the problems that leave a receptive field
-    undefined: non-positive output dims, and merge branches whose strides
-    or spatial dims differ. A resadd channel mismatch is only a finding.
+    There is one finding per merge node, ok or not, and one per layer whose
+    output dims are not positive (its dims are then clamped to 1 so the pass
+    can go on). Every inconsistency becomes a finding; raises ParseError only
+    for a layer whose numbers pass the float range.
     """
     infos: dict[str, RFInfo] = {}
     findings: list[Finding] = []
-    errors: list[str] = []
 
     for name in graph.topo_order:
         spec = graph.layers[name]
@@ -255,8 +257,7 @@ def _analyze(
                 dims = tuple((n + 2 * p - k) // s + 1 for n in src.spatial_dims)
                 if dims[0] < 1 or dims[1] < 1:
                     msg = f"layer {name!r} output dims {dims} are not positive"
-                    errors.append(msg)
-                    findings.append(Finding(node=name, ok=False, message=msg))
+                    findings.append(Finding(node=name, ok=False, message=msg, undefined=msg))
                     dims = (max(dims[0], 1), max(dims[1], 1))
             channels = spec.channels_out if spec.kind == "conv" else src.channels
         else:
@@ -271,7 +272,7 @@ def _analyze(
             if len(dim_set) > 1:
                 problems.append(f"merge {name!r}: branch spatial dims differ ({sorted(dim_set)})")
             dims = branches[0].spatial_dims
-            errors.extend(problems)
+            undefined = problems[0] if problems else ""
             if spec.kind == "concat":
                 channels = sum(b.channels or 0 for b in branches)
             else:
@@ -287,7 +288,8 @@ def _analyze(
             else:
                 message = (f"merge {name!r} ok: channels={channels}, "
                            f"rf_set={{{', '.join(str(r) for r in sorted(rf_set))}}}")
-            findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set))
+            findings.append(Finding(node=name, ok=not problems, message=message, rf_set=rf_set,
+                                    undefined=undefined))
         if max(stride, max(rf_set), channels or 0, *(dims or ())) > _FLOAT_MAX:
             raise ParseError(f"layer {name!r}: stride, receptive field, channels or output dims "
                              f"past the float range (max {sys.float_info.max:g})")
@@ -299,20 +301,6 @@ def _analyze(
             spatial_dims=dims,
         )
 
-    return infos, findings, errors
-
-
-def analyze(
-    graph: NetGraph, input_size: tuple[int, int] | None = None
-) -> tuple[dict[str, RFInfo], list[Finding]]:
-    """RFInfo for every layer, and the findings of the graph.
-
-    There is one finding per merge node, ok or not, and one per layer whose
-    output dims are not positive (its dims are then clamped to 1 so the pass
-    can go on). Every inconsistency becomes a finding; raises ParseError only
-    for a layer whose numbers pass the float range.
-    """
-    infos, findings, _ = _analyze(graph, input_size)
     return infos, findings
 
 
@@ -330,9 +318,10 @@ def receptive_field(
     """
     if layer not in graph.layers:
         raise KeyError(f"no layer named {layer!r}")
-    infos, _, errors = _analyze(graph, input_size)
-    if errors:
-        raise IncompatibleMergeError(errors[0])
+    infos, findings = analyze(graph, input_size)
+    for finding in findings:
+        if finding.undefined:
+            raise IncompatibleMergeError(finding.undefined)
     return infos[layer]
 
 

@@ -167,9 +167,15 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
     truncated-normal score; Poisson-distributed false positives (labeled
     with the dataset's most common class) are placed uniformly per image.
     A far edge lies above its near edge by at least the next float. The rows
-    are in canonical order: image id, then ``Detection.sort_key``. A box whose
-    width, height or area overflows the float range raises ConfigError.
+    are in canonical order: image id, then ``Detection.sort_key``. Raises
+    ConfigError for an image size not positive and finite, and for a box
+    whose width, height or area overflows the float range.
     """
+    sizes = np.array(labels.sizes, dtype=np.float64).reshape(-1, 2)
+    bad = np.flatnonzero(~((sizes > 0) & (sizes < np.inf)).all(axis=1))  # NaN too
+    if len(bad):
+        raise ConfigError(f"image {labels.image_ids[bad[0]]!r}: size {labels.sizes[bad[0]]} "
+                          "must be positive and finite")
     rows = labels.counted()
     rows = rows[np.argsort(labels.image[rows], kind="stable")]  # per image, in row order
     prob = profile.prob_at(labels.boxes[rows, 2] - labels.boxes[rows, 0]).tolist()
@@ -205,7 +211,7 @@ def simulate_table(labels: LabelTable, profile: DetectorProfile) -> DetectionTab
         tp_boxes[:, 2:] = np.maximum(np.maximum(tp_boxes[:, 2:], near + _MIN_SIZE),
                                      np.nextafter(near, np.inf))
     fp_image = np.repeat(np.arange(len(fp_counts)), fp_counts)
-    size = np.array(labels.sizes, dtype=np.float64).reshape(-1, 2)[fp_image]
+    size = sizes[fp_image]
     lo, hi = profile.fp_size_range
     extent = np.minimum(lo + u[:, :2] * (hi - lo), size)
     near = u[:, 2:4] * np.maximum(size - extent, 0.0)

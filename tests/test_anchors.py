@@ -258,9 +258,10 @@ class TestCoverage:
         assert excinfo.value.args == ("no overall row for threshold 0.7",)
 
     def test_non_positive_image_size_rejected(self):
-        with pytest.raises(ConfigError) as excinfo:
-            coverage(AnchorConfig(), [ImageAnnotations("i", 0.0, 96.0)], thresholds=(0.5,))
-        assert str(excinfo.value) == "image dimensions must be positive, got (0.0, 96.0)"
+        for width in (0.0, math.nan):
+            with pytest.raises(ConfigError) as excinfo:
+                coverage(AnchorConfig(), [ImageAnnotations("i", width, 96.0)], thresholds=(0.5,))
+            assert str(excinfo.value) == f"image dimensions must be positive, got ({width}, 96.0)"
 
     def test_dontcare_excluded(self):
         ann = Annotation(class_name="DontCare", box=Box(0, 0, 50, 50), source_image="i")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -22,9 +23,12 @@ from scaledet.cli import (SETTINGS, _PROFILE, _integer, _knots, _number, _number
                           build_parser, main)
 from scaledet.cli import _read_profile as parse_profile
 from scaledet.datasets import DEFAULT_ASPECT_BIN_EDGES, Annotation, load_dataset
+from scaledet.errors import IncompatibleMergeError, ParseError
 from scaledet.evaluation import (EvalReport, evaluate_detections, match_detections,
                                  read_detections_csv)
 from scaledet.geometry import Box
+from scaledet.netgraph import analyze, parse_arch, receptive_field
+from scaledet.simulate import DetectorProfile
 from scaledet.svgplot import bar_chart, line_chart
 
 
@@ -235,6 +239,16 @@ class TestCoverageCommand:
         assert "100x60" in err
         assert "(128.0, 256.0, 512.0)" in err
 
+    def test_drop_border_without_fitting_compare_anchor_exit_code(self, dataset_dir, tmp_path,
+                                                                   capsys):
+        # A 32 px anchor fits inside 100x60 px; no 128 px anchor does.
+        out = tmp_path / "o"
+        assert main(["coverage", str(dataset_dir), "--image-size", "100x60", "--drop-border",
+                     "--scales", "32", "--compare", "128", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no anchor of scales (128.0,)" in err and "100x60" in err
+        assert "(32.0,)" not in err
+
 
 # The integer keys of each layer kind.
 ARCH_KEYS = {"input": ("channels",), "conv": ("k", "s", "p", "c"), "pool": ("k", "s", "p"),
@@ -404,6 +418,27 @@ class TestRfCommand:
         if size is not None:
             argv += ["--input-size", f"{size[0]}x{size[1]}"]
         assert main(argv) in (0, 2), (text, capsys.readouterr().err)
+
+    @given(text=arch_texts(), size=st.none() | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    @settings(max_examples=100, deadline=None)
+    def test_receptive_field_raises_the_first_undefined_finding(self, text, size):
+        # receptive_field raises the first finding part that leaves a
+        # receptive field undefined, else returns analyze's info, on every layer.
+        try:
+            graph = parse_arch(text)
+            infos, findings = analyze(graph, size)
+        except ParseError:
+            return
+        parts = [part for f in findings for part in f.message.split("; ")
+                 if part.endswith("are not positive") or "strides differ" in part
+                 or "spatial dims differ" in part]
+        for layer in graph.topo_order:
+            if parts:
+                with pytest.raises(IncompatibleMergeError) as excinfo:
+                    receptive_field(graph, layer, size)
+                assert str(excinfo.value) == parts[0]
+            else:
+                assert receptive_field(graph, layer, size) == infos[layer]
 
 
 class TestSimulateAndEval:
@@ -916,6 +951,10 @@ KIND_VALUES = {
 
 
 class TestRunConfigRoundTrip:
+    def test_profile_keys_are_the_profile_fields(self):
+        # A field missing here would be neither read from a profile nor recorded.
+        assert set(_PROFILE) == {f.name for f in dataclasses.fields(DetectorProfile)}
+
     @given(case=st.sampled_from(sorted(_PROFILE)).flatmap(
         lambda key: st.tuples(st.just(_PROFILE[key]), KIND_VALUES[_PROFILE[key]])))
     def test_each_profile_kind_reads_its_record(self, case):
@@ -1068,7 +1107,8 @@ def cli_runs(draw):
 
     Every input is valid by construction, at EXTREMES and at ordinary values, so
     the run exits 0, except that ``coverage --drop-border`` exits 1 when no
-    anchor of a family fits inside an image with ground truth. One draw in 5
+    anchor of a family fits inside an image with ground truth of the counted
+    class (``--class`` Car, Van or Truck, or every class). One draw in 5
     breaks one input, and ``codes`` holds its exit code: 2 for a malformed
     label, detections or folds file, 1 for an out-of-range setting, an empty or
     DontCare class or a malformed profile line; with ``--skip-bad`` a malformed
@@ -1089,7 +1129,7 @@ def cli_runs(draw):
     name = pick(("stats", "coverage", "eval", "simulate"))
     fmt = pick(("kitti", "voc"))
     fields = ("0", "-1", "5e-324", "1.3e154", "-1.7e308")
-    files, labels, sizes = {}, {}, {}  # labels: per image, its boxes other than DontCare
+    files, labels, sizes = {}, {}, {}  # labels: per image, its (class, box) other than DontCare
     for image_id in ("000000", "000001"):
         objects = draw(st.lists(st.tuples(st.sampled_from(("Car", "Van", "DontCare")),
                                           fuzz_boxes()), max_size=3))
@@ -1098,7 +1138,7 @@ def cli_runs(draw):
         files[f"labels/{image_id}.txt"] = "".join(line + "\n" for line in lines)
         sizes[image_id] = (pick((500.0, *EXTREMES)), pick((375.0, *EXTREMES)))
         files[f"labels/{image_id}.xml"] = voc_text(sizes[image_id], objects)
-        labels[image_id] = [box for c, box in objects if c != "DontCare"]
+        labels[image_id] = [(c, box) for c, box in objects if c != "DontCare"]
     argv = [name, "@labels", "--format", fmt]
     if fmt == "kitti":
         size = (pick((1392, 1, *map(int, EXTREMES[1:]))), pick((512, 1, *map(int, EXTREMES[1:]))))
@@ -1141,12 +1181,17 @@ def cli_runs(draw):
         drop_border = draw(st.booleans())
         if drop_border:
             argv.append("--drop-border")
+        class_filter = pick((None, "Car", "Van", "Truck"))
+        if class_filter is not None:
+            argv += ["--class", class_filter]
         half = max(max(w, h) for scales in families for w, h in anchor_sides(scales, ratios)) / 2
         coarse = 64 * math.ulp(side + half) > stride
 
         def predict(kept):
+            counted = [i for i in kept if drop_border and any(
+                class_filter in (None, c) for c, _ in labels[i])]
             fits = {anchor_fit(scales, ratios, stride, sizes[i])
-                    for scales in families for i in kept if labels[i] and drop_border}
+                    for scales in families for i in counted}
             if False in fits:
                 return {1}
             return {0, 1} if coarse or None in fits else {0}
@@ -1191,7 +1236,7 @@ def cli_runs(draw):
 
         def predict(kept):
             if (sigma > 0 and not all(math.isfinite(jittered(x1, x2) * jittered(y1, y2))
-                                      for i in kept for x1, y1, x2, y2 in labels[i])) or (
+                                      for i in kept for _, (x1, y1, x2, y2) in labels[i])) or (
                     rate > 0 and not all(math.isfinite(false_positive(w) * false_positive(h))
                                          for w, h in map(sizes.get, kept))):
                 return {0, 1}
@@ -1214,6 +1259,13 @@ def cli_runs(draw):
             return argv, files, {breaks[-1][0]}
         kept = ("000000",)  # the malformed label file is skipped
     return argv, files, predict(kept)
+
+
+# Only the Van's image is too small for a 32 px anchor: with --drop-border,
+# coverage of Vans exits 1 and coverage of Cars exits 0.
+NO_FIT_FILES = {"labels/000000.xml": voc_text((500.0, 375.0), [("Car", (10.0, 10.0, 60.0, 40.0))]),
+                "labels/000001.xml": voc_text((20.0, 20.0), [("Van", (0.0, 0.0, 10.0, 10.0))])}
+NO_FIT_ARGV = ["coverage", "@labels", "--format", "voc", "--scales", "32", "--drop-border"]
 
 
 class TestExitCodeFuzz:
@@ -1245,6 +1297,8 @@ class TestExitCodeFuzz:
             assert code in (0, 1), (argv, capsys.readouterr().err)
 
     @given(run=cli_runs())
+    @example(run=(NO_FIT_ARGV + ["--class", "Van"], NO_FIT_FILES, {1}))
+    @example(run=(NO_FIT_ARGV + ["--class", "Car"], NO_FIT_FILES, {0}))
     @settings(max_examples=300, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_valid_inputs_exit_as_predicted(self, tmp_path, capsys, run):

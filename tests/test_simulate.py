@@ -152,6 +152,14 @@ class TestSimulate:
         assert len(dets) == 1
         assert dets[0].box == car.box
 
+    @pytest.mark.parametrize("width", [0.0, -10.0, math.inf, math.nan])
+    def test_image_size_not_positive_and_finite_rejected(self, width):
+        car = Annotation(class_name="Car", box=Box(0, 0, 30, 30), source_image="a")
+        dataset = [ImageAnnotations("a", width, 50.0, (car,))]
+        with pytest.raises(ConfigError) as excinfo:
+            simulate(dataset, dataclasses.replace(BLIND, fp_per_image=20.0))
+        assert str(excinfo.value) == f"image 'a': size ({width}, 50.0) must be positive and finite"
+
     def test_fp_boxes_stay_inside_image(self, vehicle_dataset):
         dets = simulate(vehicle_dataset, BLIND)
         for d in dets:
