@@ -18,8 +18,10 @@ from .datasets import (
     Annotation,
     DatasetStats,
     ImageAnnotations,
+    LabelTable,
     compute_stats,
     load_dataset,
+    load_label_table,
     parse_kitti_label,
     parse_voc_xml,
     split_folds,
@@ -27,12 +29,14 @@ from .datasets import (
 from .errors import ConfigError, IncompatibleMergeError, InvalidBoxError, ParseError
 from .evaluation import (
     Detection,
+    DetectionTable,
     EvalReport,
     aggregate_folds,
     average_precision,
     evaluate_detections,
     match_detections,
     nms,
+    read_detection_table,
     scale_bucketed_ap,
 )
 from .geometry import Box, iou
@@ -56,11 +60,13 @@ __all__ = [
     "CoverageReport",
     "DatasetStats",
     "Detection",
+    "DetectionTable",
     "DetectorProfile",
     "EvalReport",
     "ImageAnnotations",
     "IncompatibleMergeError",
     "InvalidBoxError",
+    "LabelTable",
     "NetGraph",
     "ParseError",
     "RFInfo",
@@ -73,11 +79,13 @@ __all__ = [
     "evaluate_detections",
     "iou",
     "load_dataset",
+    "load_label_table",
     "match_detections",
     "nms",
     "parse_arch",
     "parse_kitti_label",
     "parse_voc_xml",
+    "read_detection_table",
     "receptive_field",
     "scale_bucketed_ap",
     "simulate",

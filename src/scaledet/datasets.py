@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .geometry import Box, boxes_to_array, valid_boxes
+from .geometry import Box, Record, boxes_to_array, valid_boxes
 
 __all__ = [
     "Annotation",
@@ -104,17 +104,23 @@ KITTI_IMAGE_W = 1392.0
 KITTI_IMAGE_H = 512.0
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(Record):
     """One labeled object; a label's other fields are checked at parse time but not kept."""
 
+    __slots__ = ("class_name", "box", "source_image")
     class_name: str
     box: Box
-    source_image: str = ""
+    source_image: str
 
-    def __post_init__(self) -> None:
-        if not self.class_name:
+    def __init__(self, class_name: str, box: Box, source_image: str = "") -> None:
+        if not class_name:
             raise ValueError("class_name must be non-empty")
+        if not isinstance(box, Box):
+            raise TypeError(f"annotation box must be a Box, got {box!r}")
+        set_class_name, set_box, set_source_image = self._setters
+        set_class_name(self, class_name)
+        set_box(self, box)
+        set_source_image(self, source_image)
 
     @property
     def is_dontcare(self) -> bool:

@@ -50,7 +50,7 @@ import numpy as np
 from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, bin_index,
                        check_edges, read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
-from .geometry import Box, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
+from .geometry import Box, Record, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
 
 __all__ = [
     "Detection",
@@ -86,18 +86,29 @@ _NMS_CELLS = 1 << 20
 DETECTIONS_CSV_HEADER = ["image_id", "class", "x1", "y1", "x2", "y2", "score"]
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(Record):
     """One scored detection."""
 
+    __slots__ = ("image_id", "class_name", "box", "score")
     image_id: str
     class_name: str
     box: Box
     score: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError(f"detection score must be finite, got {self.score}")
+    def __init__(self, image_id: str, class_name: str, box: Box, score: float) -> None:
+        if not isinstance(box, Box):
+            raise TypeError(f"detection box must be a Box, got {box!r}")
+        try:
+            finite = math.isfinite(score)
+        except TypeError:
+            raise TypeError(f"detection score must be a real number, got {score!r}") from None
+        if not finite:
+            raise ValueError(f"detection score must be finite, got {score}")
+        set_image_id, set_class_name, set_box, set_score = self._setters
+        set_image_id(self, image_id)
+        set_class_name(self, class_name)
+        set_box(self, box)
+        set_score(self, score)
 
     def sort_key(self):
         """Content-based ordering: score desc, then stable identity."""

@@ -13,14 +13,16 @@ safe to use concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import InvalidBoxError
 
 __all__ = [
+    "Record",
     "Box",
     "iou",
     "iou_matrix",
@@ -30,30 +32,71 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
+class Record:
+    """Base of the per-box records: a ``__slots__`` class frozen by hand. ``==``,
+    ``hash``, ``repr``, ``__match_args__`` and pickling go field by field, in
+    ``__slots__`` order, as for a frozen dataclass. A subclass's ``__init__``
+    checks its arguments, then fills the slots through ``_setters`` (the slot
+    descriptors' ``__set__``); ``_values`` reads every field as one tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if Record in cls.__bases__:  # the class that declares the fields; subclasses inherit
+            cls.__match_args__ = cls.__slots__
+            cls._values = attrgetter(*cls.__slots__)
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class Box(Record):
     """Axis-aligned rectangle with strictly positive, finite width and height.
     Four exact ``float`` corners pass with one test; anything else takes the full checks."""
 
+    __slots__ = ("x1", "y1", "x2", "y2")
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        x1, y1, x2, y2 = coords = (self.x1, self.y1, self.x2, self.y2)
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
         # Float corners need one test: a NaN fails a comparison, an infinite corner the area.
-        if (type(x1) is type(y1) is type(x2) is type(y2) is float and x2 > x1 and y2 > y1
+        if not (type(x1) is type(y1) is type(x2) is type(y2) is float and x2 > x1 and y2 > y1
                 and math.isfinite((x2 - x1) * (y2 - y1))):
-            return
-        for c in coords:
-            if not (isinstance(c, (int, float)) and math.isfinite(c)):
-                raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
-        if x2 <= x1 or y2 <= y1:
-            raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
-        # Finite corners can still span an infinite width, height or area.
-        if not math.isfinite((x2 - x1) * (y2 - y1)):
-            raise InvalidBoxError(f"box extent must be finite, got {coords}")
+            coords = (x1, y1, x2, y2)
+            for c in coords:
+                if not (isinstance(c, (int, float)) and math.isfinite(c)):
+                    raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+            if x2 <= x1 or y2 <= y1:
+                raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
+            # Finite corners can still span an infinite width, height or area.
+            if not math.isfinite((x2 - x1) * (y2 - y1)):
+                raise InvalidBoxError(f"box extent must be finite, got {coords}")
+        set_x1, set_y1, set_x2, set_y2 = self._setters
+        set_x1(self, x1)
+        set_y1(self, y1)
+        set_x2(self, x2)
+        set_y2(self, y2)
 
     @property
     def width(self) -> float:
@@ -140,7 +183,7 @@ def _iou_kernel(inter: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np
 
 def boxes_to_array(boxes) -> np.ndarray:
     """Stack Box objects into an (N, 4) float64 array."""
-    return np.fromiter(chain.from_iterable(b.as_tuple() for b in boxes), np.float64,
+    return np.fromiter(chain.from_iterable(map(Box._values, boxes)), np.float64,
                        4 * len(boxes)).reshape(-1, 4)
 
 

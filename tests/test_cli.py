@@ -604,14 +604,14 @@ class TestSimulateAndEval:
             elif command == "simulate":
                 argv.insert(2, str(profile))
             count = 0
-            post_init = Box.__post_init__
+            init = Box.__init__
 
-            def counted(box):
+            def counted(box, *corners):
                 nonlocal count
                 count += 1
-                post_init(box)
+                init(box, *corners)
 
-            monkeypatch.setattr(Box, "__post_init__", counted)
+            monkeypatch.setattr(Box, "__init__", counted)
             assert main(argv) == 0
             monkeypatch.undo()
             built.append(count)
