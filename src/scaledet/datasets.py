@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .geometry import Box, Record, boxes_to_array, valid_boxes
+from .geometry import Box, Record, boxes_to_array, record, valid_boxes
 
 __all__ = [
     "Annotation",
@@ -104,15 +104,19 @@ KITTI_IMAGE_W = 1392.0
 KITTI_IMAGE_H = 512.0
 
 
+@record
 class Annotation(Record):
     """One labeled object; a label's other fields are checked at parse time but not kept."""
 
-    __slots__ = ("class_name", "box", "source_image")
     class_name: str
     box: Box
     source_image: str
 
     def __init__(self, class_name: str, box: Box, source_image: str = "") -> None:
+        if not (isinstance(class_name, str) and isinstance(source_image, str)):
+            name, value = (("source_image", source_image) if isinstance(class_name, str)
+                           else ("class_name", class_name))
+            raise TypeError(f"annotation {name} must be a str, got {value!r}")
         if not class_name:
             raise ValueError("class_name must be non-empty")
         if not isinstance(box, Box):

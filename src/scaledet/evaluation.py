@@ -50,7 +50,8 @@ import numpy as np
 from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, bin_index,
                        check_edges, read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
-from .geometry import Box, Record, boxes_to_array, iou, iou_matrix, paired_iou, valid_boxes
+from .geometry import (Box, Record, boxes_to_array, iou, iou_matrix, paired_iou, record,
+                       valid_boxes)
 
 __all__ = [
     "Detection",
@@ -86,16 +87,20 @@ _NMS_CELLS = 1 << 20
 DETECTIONS_CSV_HEADER = ["image_id", "class", "x1", "y1", "x2", "y2", "score"]
 
 
+@record
 class Detection(Record):
     """One scored detection."""
 
-    __slots__ = ("image_id", "class_name", "box", "score")
     image_id: str
     class_name: str
     box: Box
     score: float
 
     def __init__(self, image_id: str, class_name: str, box: Box, score: float) -> None:
+        if not (isinstance(image_id, str) and isinstance(class_name, str)):
+            name, value = (("class_name", class_name) if isinstance(image_id, str)
+                           else ("image_id", image_id))
+            raise TypeError(f"detection {name} must be a str, got {value!r}")
         if not isinstance(box, Box):
             raise TypeError(f"detection box must be a Box, got {box!r}")
         try:
@@ -491,8 +496,8 @@ def read_detection_table(path) -> DetectionTable:
     With ``\\r\\n`` read as ``\\n``, text with no ``"``, ``\\r`` or NUL (which ``csv``
     rejects before Python 3.11), whose first line is the header and whose other
     lines are blank or hold 7 fields no longer than ``csv`` allows, is split in
-    one go; ``csv`` reads any other text (quoted fields, lone ``\\r`` line ends).
-    The values are checked as columns. On any fault the file is read again one
+    one go and its values are checked as columns. Any other text (quoted fields,
+    lone ``\\r`` line ends), or split text with a fault, is read by ``csv`` one
     ``Detection`` per row, so the first faulty line raises ParseError.
     """
     text = read_input(path).replace("\r\n", "\n")
@@ -503,25 +508,24 @@ def read_detection_table(path) -> DetectionTable:
             and max(map(len, rows), default=0) <= csv.field_size_limit()
             and all(line.count(",") == 6 for line in rows))
     del lines
-    try:
-        if flat:
-            cells = ",".join(rows).split(",") if rows else []
-        else:
-            cells = [cell for _, row in read_csv_rows(path, DETECTIONS_CSV_HEADER) for cell in row]
-        del rows
-        cells = np.array(cells, object).reshape(-1, 7)
-        values = cells[:, 2:].astype(np.float64)
-        if (valid_boxes(values[:, :4]) & np.isfinite(values[:, 4])).all():
-            return DetectionTable(cells[:, 0].tolist(), cells[:, 1].tolist(),
-                                  values[:, :4], values[:, 4])
-    except ValueError:  # ParseError included
-        pass
+    cells = ",".join(rows).split(",") if flat and rows else []
+    del rows
+    if flat:
+        try:
+            cells = np.array(cells, object).reshape(-1, 7)
+            values = cells[:, 2:].astype(np.float64)
+            if (valid_boxes(values[:, :4]) & np.isfinite(values[:, 4])).all():
+                return DetectionTable(cells[:, 0].tolist(), cells[:, 1].tolist(),
+                                      values[:, :4], values[:, 4])
+        except ValueError:
+            pass
+    dets = []
     for lineno, row in read_csv_rows(path, DETECTIONS_CSV_HEADER):
         try:
-            Detection(row[0], row[1], Box(*map(float, row[2:6])), float(row[6]))
+            dets.append(Detection(row[0], row[1], Box(*map(float, row[2:6])), float(row[6])))
         except ValueError as exc:
             raise ParseError(f"{Path(path).name}: line {lineno}: {exc}") from None
-    raise AssertionError(f"{path}: a row fails the column checks but makes a Detection")
+    return _detection_table(dets)
 
 
 def read_detections_csv(path) -> list[Detection]:

@@ -6,14 +6,14 @@ and heights are plain coordinate differences; there is no legacy "+1" pixel
 convention anywhere in the toolkit. Parsers normalize other conventions into
 this one at the boundary.
 
-All values are immutable and all operations are pure, so everything here is
-safe to use concurrently.
+``Box``, like ``Detection`` and ``Annotation``, is an immutable :func:`record`
+and all operations are pure, so everything here is safe to use concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from operator import attrgetter
 
@@ -23,6 +23,7 @@ from .errors import InvalidBoxError
 
 __all__ = [
     "Record",
+    "record",
     "Box",
     "iou",
     "iou_matrix",
@@ -33,19 +34,11 @@ __all__ = [
 
 
 class Record:
-    """Base of the per-box records: a ``__slots__`` class frozen by hand. ``==``,
-    ``hash``, ``repr``, ``__match_args__`` and pickling go field by field, in
-    ``__slots__`` order, as for a frozen dataclass. A subclass's ``__init__``
-    checks its arguments, then fills the slots through ``_setters`` (the slot
-    descriptors' ``__set__``); ``_values`` reads every field as one tuple."""
+    """Base of the per-box records: assigning or deleting an attribute raises
+    ``FrozenInstanceError``, and pickling and ``copy`` rebuild a record through its
+    ``__init__``, which checks the fields, then fills the slots through ``_setters``."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        if Record in cls.__bases__:  # the class that declares the fields; subclasses inherit
-            cls.__match_args__ = cls.__slots__
-            cls._values = attrgetter(*cls.__slots__)
-            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -53,27 +46,23 @@ class Record:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __repr__(self) -> str:
-        fields = zip(self.__match_args__, self._values(self))
-        return f"{self.__class__.__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
-
     def __reduce__(self):
-        return self.__class__, self._values(self)
+        return self.__class__, tuple(map(self.__getattribute__, self.__match_args__))
 
 
+def record(cls):
+    """``cls``, a ``Record`` subclass with its own ``__init__``, as a slotted dataclass
+    with ``==`` and ``hash`` by field; ``_setters`` are its slot descriptors' ``__set__``."""
+    cls = dataclass(init=False, slots=True, unsafe_hash=True)(cls)
+    cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
+    return cls
+
+
+@record
 class Box(Record):
     """Axis-aligned rectangle with strictly positive, finite width and height.
     Four exact ``float`` corners pass with one test; anything else takes the full checks."""
 
-    __slots__ = ("x1", "y1", "x2", "y2")
     x1: float
     y1: float
     x2: float
@@ -109,9 +98,6 @@ class Box(Record):
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -181,9 +167,12 @@ def _iou_kernel(inter: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np
     return np.divide(inter, union, out=np.zeros(np.shape(union)), where=inter > 0.0)
 
 
+_corners = attrgetter("x1", "y1", "x2", "y2")
+
+
 def boxes_to_array(boxes) -> np.ndarray:
     """Stack Box objects into an (N, 4) float64 array."""
-    return np.fromiter(chain.from_iterable(map(Box._values, boxes)), np.float64,
+    return np.fromiter(chain.from_iterable(map(_corners, boxes)), np.float64,
                        4 * len(boxes)).reshape(-1, 4)
 
 

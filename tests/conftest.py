@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def box_from_center(cx: float, cy: float, w: float, h: float) -> Box:
 
 def scale_box(box: Box, e: int) -> Box:
     """``box`` with every coordinate times 2**e, which is exact."""
-    return Box(*(math.ldexp(c, e) for c in box.as_tuple()))
+    return Box(*(math.ldexp(c, e) for c in astuple(box)))
 
 
 def kitti_label_line(annotation: Annotation) -> str:

@@ -840,6 +840,14 @@ class TestDetectionsCsv:
             assert_bit_equal(tables[name].boxes, tables["lf"].boxes)
             assert_bit_equal(tables[name].scores, tables["lf"].scores)
 
+    def test_quoted_file_with_a_faulty_row_takes_one_csv_read(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(f'{HEADER}\n"a",Car,0,0,10,10,0.5\n"b",Car,0,0,10,10,nan\n')
+        with mock.patch("scaledet.evaluation.read_csv_rows", wraps=read_csv_rows) as reader:
+            with pytest.raises(ParseError, match="quoted.csv: line 3: detection score"):
+                read_detection_table(path)
+        assert reader.call_count == 1
+
     def test_bad_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("image_id,class,x1,y1,x2,y2,score\ni0,Car,0,0,ten,10,0.5\n")

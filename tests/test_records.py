@@ -10,6 +10,7 @@ class names, because a dataclass prints ``__qualname__``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 from dataclasses import FrozenInstanceError, dataclass
@@ -211,3 +212,67 @@ class TestFieldChecks:
         for bad in ("0.5", None, [0.5]):
             with pytest.raises(TypeError, match=r"detection score must be a real number, got "):
                 evaluation.Detection("a", "Car", box, bad)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda bad: evaluation.Detection(bad, "Car", geometry.Box(0.0, 0.0, 1.0, 1.0), 0.5),
+         "detection image_id"),
+        (lambda bad: evaluation.Detection("a", bad, geometry.Box(0.0, 0.0, 1.0, 1.0), 0.5),
+         "detection class_name"),
+        (lambda bad: datasets.Annotation(bad, geometry.Box(0.0, 0.0, 1.0, 1.0)),
+         "annotation class_name"),
+        (lambda bad: datasets.Annotation("Car", geometry.Box(0.0, 0.0, 1.0, 1.0), bad),
+         "annotation source_image"),
+    ], ids=["det-image_id", "det-class_name", "ann-class_name", "ann-source_image"])
+    def test_names_must_be_str(self, make, field):
+        for bad in (None, 7, b"a"):
+            with pytest.raises(TypeError, match=f"^{field} must be a str, got {bad!r}$"):
+                make(bad)
+        make("0")  # a non-empty str is accepted
+
+
+def sample_records():
+    box = geometry.Box(1.0, 2.0, 3.5, 4.0)
+    return [box, evaluation.Detection("a", "Car", box, 0.5),
+            datasets.Annotation("Car", box, "000001")]
+
+
+class TestDataclassApi:
+    @pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+    def test_records_are_dataclasses(self, record):
+        assert dataclasses.is_dataclass(record) and not hasattr(record, "__dict__")
+        names = tuple(f.name for f in dataclasses.fields(record))
+        assert names == type(record).__match_args__
+        assert dataclasses.replace(record) == record
+        assert type(dataclasses.replace(record)) is type(record)
+
+    def test_asdict_nests_the_box(self):
+        box, det, ann = sample_records()
+        corners = {"x1": 1.0, "y1": 2.0, "x2": 3.5, "y2": 4.0}
+        assert dataclasses.asdict(box) == corners
+        assert dataclasses.asdict(det) == {"image_id": "a", "class_name": "Car", "box": corners,
+                                           "score": 0.5}
+        assert dataclasses.asdict(ann) == {"class_name": "Car", "box": corners,
+                                           "source_image": "000001"}
+
+    def test_replace_reruns_the_checks(self):
+        box, det, ann = sample_records()
+        assert dataclasses.replace(box, x2=9.0) == geometry.Box(1.0, 2.0, 9.0, 4.0)
+        assert dataclasses.replace(det, score=0.25).score == 0.25
+        with pytest.raises(InvalidBoxError, match="degenerate box"):
+            dataclasses.replace(box, x2=box.x1)
+        with pytest.raises(ValueError, match="detection score must be finite"):
+            dataclasses.replace(det, score=math.nan)
+        with pytest.raises(TypeError, match="detection image_id must be a str"):
+            dataclasses.replace(det, image_id=None)
+        with pytest.raises(ValueError, match="class_name must be non-empty"):
+            dataclasses.replace(ann, class_name="")
+
+    def test_building_never_calls_setattr(self, monkeypatch):
+        # Records fill their slots through the descriptors, not through assignment.
+        calls = []
+        monkeypatch.setattr(geometry.Record, "__setattr__",
+                            lambda self, name, value: calls.append(name))
+        records = sample_records() + [geometry.Box(0, 0, 1, 1)]  # ints take the full checks
+        records += [dataclasses.replace(r) for r in records]
+        records += [copy.copy(r) for r in records] + pickle.loads(pickle.dumps(records))
+        assert calls == []

@@ -105,9 +105,10 @@ class TestSimulate:
     def test_perfect_detector_reproduces_gt(self, vehicle_dataset):
         dets = simulate(vehicle_dataset, PERFECT)
         gt_boxes = sorted(
-            (i.image_id,) + a.box.as_tuple() for i in vehicle_dataset for a in i.annotations
+            (i.image_id, *dataclasses.astuple(a.box))
+            for i in vehicle_dataset for a in i.annotations
         )
-        det_boxes = sorted((d.image_id,) + d.box.as_tuple() for d in dets)
+        det_boxes = sorted((d.image_id, *dataclasses.astuple(d.box)) for d in dets)
         assert det_boxes == gt_boxes
         gts = [a for i in vehicle_dataset for a in i.annotations]
         assert evaluate_detections(dets, gts, class_name="Car").ap == 1.0
@@ -275,7 +276,8 @@ def simulate_oracle(dataset, profile):
 
 def bits(detections):
     """Each detection as strings, with every float in hex: equal means equal to the bit."""
-    return [(d.image_id, d.class_name, *(float(v).hex() for v in (*d.box.as_tuple(), d.score)))
+    return [(d.image_id, d.class_name,
+             *(float(v).hex() for v in (*dataclasses.astuple(d.box), d.score)))
             for d in detections]
 
 
