@@ -50,7 +50,7 @@ import numpy as np
 from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, bin_index,
                        check_edges, read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
-from .geometry import (Box, Record, boxes_to_array, iou, iou_matrix, paired_iou, record,
+from .geometry import (Box, Record, _iou_kernel, boxes_to_array, iou, paired_iou, record,
                        valid_boxes)
 
 __all__ = [
@@ -79,10 +79,10 @@ FP = "fp"
 IGNORED = "ignored"
 _LABELS = (TP, FP, IGNORED)  # indexed by the label codes below
 _TP, _FP, _IGNORED = range(3)
-# Detections per batch when pairing them with ground truth, and IoU cells
-# per block of the NMS overlap matrix: both bound the temporary arrays.
+# Detections per batch when pairing them with ground truth, and box pairs
+# per block of the NMS sweep and of its greedy walk: both bound the temporary arrays.
 _PAIR_BATCH = 1024
-_NMS_CELLS = 1 << 20
+_NMS_CELLS = 1 << 14
 
 DETECTIONS_CSV_HEADER = ["image_id", "class", "x1", "y1", "x2", "y2", "score"]
 
@@ -131,22 +131,66 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     Repeatedly keeps the highest-scoring remaining detection and discards
     every remaining one with IoU strictly above the threshold against it.
     Ties break by (score desc, input index asc); output is score-sorted.
+
+    Only pairs that overlap along one axis get an IoU, and no n x n matrix is
+    formed: a sort-and-sweep along x, or along y when more than half of all
+    pairs overlap along x, finds them (``_suppressing_pairs``). Pairs are
+    taken ``_NMS_CELLS`` at a time and those above the threshold kept as one
+    int64 each, so a crowd where every box overlaps every other holds 8 bytes
+    per suppressing pair plus one block.
     """
     if not 0 < iou_threshold < 1:
         raise ConfigError(f"NMS IoU threshold must lie in (0, 1), got {iou_threshold}")
     scores = [d.score for d in dets]
     # A stable reverse sort compares scores exactly: the order of (-score, index).
     order = sorted(range(len(dets)), key=scores.__getitem__, reverse=True)
+    n = len(order)
     boxes = boxes_to_array([dets[i].box for i in order])
-    alive = [True] * len(order)
-    rows = max(1, _NMS_CELLS // max(len(order), 1))  # rows of the overlap matrix held at once
-    for start in range(0, len(order), rows):
-        # Pairs above the threshold in row order: rows before i are settled when i comes up.
-        over = np.nonzero(iou_matrix(boxes[start : start + rows], boxes) > iou_threshold)
-        for i, j in zip((over[0] + start).tolist(), over[1].tolist()):
-            if i < j and alive[i]:
+    keys = _suppressing_pairs(boxes, iou_threshold)
+    alive = [True] * n
+    for start in range(0, len(keys), _NMS_CELLS):
+        first, second = np.divmod(keys[start : start + _NMS_CELLS], n)
+        for i, j in zip(first.tolist(), second.tolist()):
+            if alive[i]:
                 alive[j] = False
     return [dets[i] for i, keep in zip(order, alive) if keep]
+
+
+def _suppressing_pairs(boxes: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Each pair ``(i, j)``, ``i < j``, of rows of ``boxes`` with IoU above the
+    threshold, as the key ``i * n + j``, sorted: the pairs of ``i`` come before
+    those of any later row, so ``i`` is settled when the walk reaches them.
+
+    The rows are sorted by their near edge on the sweep axis, and each row
+    pairs with the run of later rows whose near edge lies below its far edge;
+    only those pairs get an IoU (``_iou_kernel``), ``_NMS_CELLS`` at a time."""
+    n = len(boxes)
+    for axis in (0, 1):
+        sweep = np.argsort(boxes[:, axis])
+        runs = boxes[sweep, axis].searchsorted(boxes[sweep, axis + 2]) - np.arange(1, n + 1)
+        total = int(runs.sum())
+        if 4 * total <= n * (n - 1):
+            break
+    ends = np.cumsum(runs)
+    skip = np.arange(1, n + 1) - (ends - runs)  # from a flat pair index to its later row
+    x1, y1, x2, y2 = boxes[sweep].T
+    area = (x2 - x1) * (y2 - y1)
+    near, far, lo, hi = (x1, x2, y1, y2) if axis == 0 else (y1, y2, x1, x2)
+    keys = []
+    for start in range(0, total, _NMS_CELLS):
+        t = np.arange(start, min(start + _NMS_CELLS, total))
+        p = ends.searchsorted(t, side="right")
+        q = t + skip[p]
+        # Along the sweep q's near edge is the higher one; across it, clamp as paired_iou does.
+        inter = np.minimum(far[p], far[q]) - near[q]
+        across = np.minimum(hi[p], hi[q])
+        inter *= across - np.minimum(np.maximum(lo[p], lo[q]), across)
+        over = _iou_kernel(inter, area[p], area[q]) > iou_threshold
+        a, b = sweep[p[over]], sweep[q[over]]
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.concatenate(keys) if keys else np.empty(0, np.int64)
+    keys.sort()
+    return keys
 
 
 class DetectionTable(NamedTuple):

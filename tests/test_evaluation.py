@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,7 @@ from scaledet.evaluation import (
 )
 from scaledet.evaluation import _LABELS as LABELS
 from scaledet.evaluation import _detection_table, _order
-from scaledet.geometry import Box, boxes_to_array, iou
+from scaledet.geometry import Box, _iou_kernel, boxes_to_array, iou
 
 
 def det(x1, y1, x2, y2, score, image="i0", cls="Car"):
@@ -144,6 +145,22 @@ ground_truth = st.lists(
               st.sampled_from(GT_IMAGES)),
     max_size=10,
 )
+# One image of up to 150 detections: boxes on a coarse grid, so edges often
+# coincide, a quarter of them scaled so far that two areas can sum past the
+# float64 range, and coarse scores with -0.0 against 0.0.
+_HUGE = 1.3 * 2.0**508
+
+
+@st.composite
+def crowds(draw):
+    n = draw(st.integers(0, 150))
+    return draw(st.lists(st.builds(
+        Detection, st.just("i0"), st.just("Car"),
+        st.one_of(boxes(), boxes(), boxes(),
+                  boxes().map(lambda b: Box(*(c * _HUGE for c in dataclasses.astuple(b))))),
+        st.sampled_from([1.0, 0.5, 0.25, 0.0, -0.0])), min_size=n, max_size=n))
+
+
 # Ties, -0.0 against 0.0, and ids and classes that differ only by a trailing
 # NUL (numpy strings would drop it).
 def tie_prone_detections(scores, max_size):
@@ -269,14 +286,68 @@ class TestNMS:
 
     @pytest.mark.parametrize("cells", [1, 7, 64])
     def test_blocks_carry_suppression(self, monkeypatch, cells):
-        # n * n > _NMS_CELLS: the overlap matrix comes in blocks of rows, and a
-        # detection suppressed in one block stays suppressed in the next.
+        # More pairs than _NMS_CELLS: the sweep's pairs come in blocks, and the
+        # walk takes the suppressing pairs in chunks; a detection suppressed in
+        # one chunk stays suppressed in the next.
         monkeypatch.setattr("scaledet.evaluation._NMS_CELLS", cells)
         rng = np.random.default_rng(cells)
         for n in (*rng.integers(2, 141, 10).tolist(), *rng.integers(2, 33, 10).tolist(), 140):
             dets = random_dets(rng, n)
             threshold = float(rng.uniform(0.2, 0.8))
             assert nms(dets, threshold) == nms_oracle(dets, threshold)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @given(crowds())
+    @settings(max_examples=40, deadline=None)
+    # Abutting edges (IoU 0, no pair), shared near edges, identical boxes, and
+    # -0.0 tied with 0.0.
+    @example([det(0, 0, 4, 4, 0.5), det(4, 0, 8, 4, 0.5), det(0, 0, 2, 4, 0.0),
+              det(0, 0, 4, 4, -0.0), det(0, 4, 4, 8, 1.0), det(0, 0, 4, 4, 0.0)])
+    # Two areas sum past the float64 range: the kernel halves the pair.
+    @example([det(0, 0, 12 * 2.0**508, 12 * 2.0**508, 0.25),
+              det(2.0**508, 0, 13 * 2.0**508, 12 * 2.0**508, 0.5),
+              det(0, 0, 12 * 2.0**508, 12 * 2.0**508, 1.0)])
+    def test_crowd_equals_oracle(self, cells, dets):
+        # Blocks of 1, 7 and 64 pairs split a box's run of pairs in the middle.
+        with mock.patch("scaledet.evaluation._NMS_CELLS", cells):
+            kept = nms(dets, 0.5)
+        assert kept == nms_oracle(dets, 0.5)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["x-crowd", "y-crowd"])
+    def test_crowd_along_one_axis_sweeps_the_other(self, swap):
+        # Every pair overlaps along one axis, and the boxes spread along the other.
+        rng = np.random.default_rng(11)
+        dets = []
+        for _ in range(300):
+            x1, y1 = rng.uniform(0, 10), rng.uniform(0, 3000)
+            w, h = 100 + rng.uniform(0, 10), rng.uniform(10, 60)
+            corners = (y1, x1, y1 + h, x1 + w) if swap else (x1, y1, x1 + w, y1 + h)
+            dets.append(det(*corners, round(float(rng.random()), 2)))
+        with mock.patch("scaledet.evaluation._iou_kernel", wraps=_iou_kernel) as kernel:
+            kept = nms(dets, 0.5)
+        assert kept == nms_oracle(dets, 0.5)
+        assert len(kept) not in (1, len(dets))
+        # Swept along the spread axis, under an eighth of the pairs get an IoU.
+        assert sum(call.args[0].size for call in kernel.call_args_list) < 300 * 299 / 8
+
+    def test_crowd_memory_is_one_block(self, monkeypatch):
+        # Every box overlaps every other, and every pair suppresses: the sweep
+        # holds one block of pairs at a time and the walk one chunk, beside the
+        # int64 key of each suppressing pair (twice while the blocks are joined).
+        # Expanding or walking all pairs at once holds ten 8-byte arrays over them.
+        monkeypatch.setattr("scaledet.evaluation._NMS_CELLS", 256)
+        rng = np.random.default_rng(3)
+        dets = [det(x1, y1, x1 + 100, y1 + 100, float(rng.random()))
+                for x1, y1 in rng.uniform(0, 5, (600, 2)).tolist()]
+        pairs = 600 * 599 // 2
+        tracemalloc.start()
+        try:
+            kept = nms(dets, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == nms_oracle(dets, 0.5) == [max(dets, key=lambda d: d.score)]
+        assert peak < 3 * 8 * pairs
 
     def test_survivors_pairwise_below_threshold(self):
         rng = np.random.default_rng(5)
