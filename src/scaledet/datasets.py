@@ -52,7 +52,6 @@ import math
 import os
 import pickle
 import signal
-import threading
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
@@ -63,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .geometry import Box, Record, boxes_to_array, record, valid_boxes
+from .geometry import Box, Record, _alone, _gc_paused, boxes_to_array, record, valid_boxes
 
 __all__ = [
     "Annotation",
@@ -512,7 +511,7 @@ def _run_chunks(run, chunks) -> list:
     process gives alone. Every child is reaped before this returns or
     raises, and killed first when an exception unwinds.
     """
-    forks = hasattr(os, "fork") and threading.active_count() == 1
+    forks = hasattr(os, "fork") and _alone()
     children = []  # (pid, pipe) of each chunk after the first; None: no child
     try:
         for args in chunks[1:]:
@@ -599,11 +598,13 @@ def load_dataset(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float 
     """``load_label_table`` as objects: ``(images, skipped)``, one ImageAnnotations per file."""
     table, skipped = load_label_table(path, fmt, image_w, image_h, skip_bad)
     sources = [table.image_ids[i] for i in table.image.tolist()]
-    anns = [Annotation(cls, Box(*box), source)
-            for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
     ends = np.cumsum(np.bincount(table.image, minlength=len(table.image_ids))).tolist()
-    return [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
-            in zip(table.image_ids, table.sizes, [0] + ends, ends)], skipped
+    with _gc_paused():
+        anns = [Annotation(cls, Box(*box), source)
+                for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
+        images = [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
+                  in zip(table.image_ids, table.sizes, [0] + ends, ends)]
+    return images, skipped
 
 
 def as_label_table(labels) -> LabelTable:

@@ -50,8 +50,8 @@ import numpy as np
 from .datasets import (DONTCARE_CLASS, Annotation, LabelTable, as_label_table, bin_index,
                        check_edges, read_csv_rows, read_input, write_output)
 from .errors import ConfigError, ParseError
-from .geometry import (Box, Record, _iou_kernel, boxes_to_array, iou, paired_iou, record,
-                       valid_boxes)
+from .geometry import (Box, Record, _gc_paused, _iou_kernel, boxes_to_array, iou, paired_iou,
+                       record, valid_boxes)
 
 __all__ = [
     "Detection",
@@ -234,8 +234,9 @@ def _detection_table(dets: list[Detection]) -> DetectionTable:
 def _detections(t: DetectionTable) -> list[Detection]:
     """The rows of ``t`` as Detection objects; a list per column, not per row,
     keeps the temporaries small."""
-    return list(map(Detection, t.image_ids, t.classes, starmap(Box, zip(*t.boxes.T.tolist())),
-                    t.scores.tolist()))
+    with _gc_paused():
+        return list(map(Detection, t.image_ids, t.classes, starmap(Box, zip(*t.boxes.T.tolist())),
+                        t.scores.tolist()))
 
 
 class _Matching(list):
@@ -327,8 +328,9 @@ def match_detections(
     image only.
     """
     matching = _Matching(_detection_table(dets), as_label_table(gts), iou_threshold)
-    matching.extend(zip([dets[i] for i in matching.order.tolist()],
-                        [_LABELS[c] for c in matching.code.tolist()]))
+    with _gc_paused():
+        matching.extend(zip([dets[i] for i in matching.order.tolist()],
+                            [_LABELS[c] for c in matching.code.tolist()]))
     return matching
 
 
@@ -485,7 +487,8 @@ def _report(matching: _Matching, iou_threshold, mode, bucket_edges, folds):
     def report(det_mask, gt_mask, per_bucket=(), per_fold=()) -> EvalReport:
         total_gt = int(np.count_nonzero(gt_mask & counted))
         recall, precision, ap, tp, fp = _score(matching.code[det_mask], total_gt, mode)
-        points = tuple(zip(recall.tolist(), precision.tolist()))
+        with _gc_paused():
+            points = tuple(zip(recall.tolist(), precision.tolist()))
         return EvalReport(iou_threshold, points, ap, per_bucket, tp, fp, total_gt, per_fold)
 
     per_bucket = () if bucket_edges is None else tuple(_bucket_aps(matching, bucket_edges, mode))

@@ -8,11 +8,17 @@ this one at the boundary.
 
 ``Box``, like ``Detection`` and ``Annotation``, is an immutable :func:`record`
 and all operations are pure, so everything here is safe to use concurrently.
+The one exception is :func:`_gc_paused`, which touches the process-wide
+garbage collector and so does nothing while another thread runs.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain
 from operator import attrgetter
@@ -31,6 +37,31 @@ __all__ = [
     "boxes_to_array",
     "valid_boxes",
 ]
+
+
+def _alone() -> bool:
+    """Whether no other thread runs: the condition for the process-wide tricks
+    (forking, pausing the garbage collector), which another thread could see half done."""
+    return threading.active_count() == 1
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector around a bulk build of acyclic objects.
+
+    Reference counting alone frees such objects, at the same moment, so the
+    collector's passes over them find nothing. Nothing happens when the
+    collector is already off (a caller's own ``gc.disable()`` stays as it
+    was, and a nested pause is free) or when another thread runs.
+    """
+    paused = gc.isenabled() and _alone()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
 
 
 class Record:
@@ -61,7 +92,8 @@ def record(cls):
 @record
 class Box(Record):
     """Axis-aligned rectangle with strictly positive, finite width and height.
-    Four exact ``float`` corners pass with one test; anything else takes the full checks."""
+    Four exact ``float`` corners pass with one test; anything else takes the full checks,
+    which take any real number and keep a numpy scalar as the Python number it holds."""
 
     x1: float
     y1: float
@@ -74,8 +106,11 @@ class Box(Record):
                 and math.isfinite((x2 - x1) * (y2 - y1))):
             coords = (x1, y1, x2, y2)
             for c in coords:
-                if not (isinstance(c, (int, float)) and math.isfinite(c)):
+                if not (isinstance(c, numbers.Real) and math.isfinite(c)):
                     raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+            # Python arithmetic from here on: numpy integers wrap and float32 overflows early.
+            x1, y1, x2, y2 = (int(c) if isinstance(c, np.integer) else float(c)
+                              if isinstance(c, np.floating) else c for c in coords)
             if x2 <= x1 or y2 <= y1:
                 raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
             # Finite corners can still span an infinite width, height or area.

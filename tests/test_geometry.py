@@ -1,4 +1,7 @@
+import gc
 import math
+import numbers
+import threading
 
 import numpy as np
 import pytest
@@ -6,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_from_center, scale_box
+from scaledet import evaluation
 from scaledet.errors import InvalidBoxError
 from scaledet.geometry import (
     Box,
+    _alone,
+    _gc_paused,
     boxes_to_array,
     iou,
     iou_matrix,
@@ -145,10 +151,12 @@ class TestBox:
 
 
 def _generator_box_check(x1, y1, x2, y2):
-    """The box check as written before, with the generator inside all(...)."""
+    """The box check with the generator inside all(...); numpy corners in Python arithmetic."""
     coords = (x1, y1, x2, y2)
-    if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in coords):
+    if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in coords):
         raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+    x1, y1, x2, y2 = (int(c) if isinstance(c, np.integer) else float(c)
+                      if isinstance(c, np.floating) else c for c in coords)
     if x2 <= x1 or y2 <= y1:
         raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
     if not math.isfinite((x2 - x1) * (y2 - y1)):
@@ -268,3 +276,57 @@ class TestOverflow:
                 == paired_iou(small_rows, small_rows[::-1]).tobytes())
         assert iou_matrix(big_rows, big_rows).tobytes() == iou_matrix(small_rows,
                                                                       small_rows).tobytes()
+
+
+class TestGcPaused:
+    def test_pauses_and_resumes(self):
+        assert gc.isenabled()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_resumes_after_a_failed_build(self, monkeypatch):
+        # The second row's image id is not a str, so Detection raises mid-build.
+        seen, detection = [], evaluation.Detection
+
+        def spy(*fields):
+            seen.append(gc.isenabled())
+            return detection(*fields)
+
+        monkeypatch.setattr(evaluation, "Detection", spy)
+        table = evaluation.DetectionTable(["a", None], ["Car", "Car"],
+                                          np.array([[0.0, 0.0, 1.0, 1.0]] * 2), np.ones(2))
+        with pytest.raises(TypeError, match="detection image_id must be a str"):
+            evaluation._detections(table)
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_leaves_a_callers_disable_alone(self):
+        gc.disable()
+        try:
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nests(self):
+        with _gc_paused():
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the inner pause leaves the outer one in force
+        assert gc.isenabled()
+
+    def test_no_pause_while_another_thread_runs(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert not _alone()
+            with _gc_paused():
+                assert gc.isenabled()
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and _alone()
+        with _gc_paused():
+            assert not gc.isenabled()

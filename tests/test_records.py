@@ -12,9 +12,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import numbers
 import pickle
 from dataclasses import FrozenInstanceError, dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,8 +39,13 @@ class Box:
                 and math.isfinite((x2 - x1) * (y2 - y1))):
             return
         for c in coords:
-            if not (isinstance(c, (int, float)) and math.isfinite(c)):
+            if not (isinstance(c, numbers.Real) and math.isfinite(c)):
                 raise InvalidBoxError(f"box coordinates must be finite numbers, got {coords}")
+        # A numpy scalar is kept, and checked, as the Python number it holds.
+        for name, c in zip(("x1", "y1", "x2", "y2"), coords):
+            if isinstance(c, (np.integer, np.floating)):
+                object.__setattr__(self, name, float(c) if isinstance(c, np.floating) else int(c))
+        x1, y1, x2, y2 = (self.x1, self.y1, self.x2, self.y2)
         if x2 <= x1 or y2 <= y1:
             raise InvalidBoxError(f"degenerate box: need x2 > x1 and y2 > y1, got {coords}")
         if not math.isfinite((x2 - x1) * (y2 - y1)):
@@ -81,11 +88,15 @@ class ReferenceSubBox(Box):
 
 
 # Corner values that reach every branch of the checks: exact floats, ints and
-# bools, NaN and the infinities, ints past the float range, and magnitudes
-# whose width or area overflows.
+# bools, NaN and the infinities, ints past the float range, magnitudes whose
+# width or area overflows, and numpy scalars, whose own arithmetic would wrap
+# (int64) or overflow (float32) where Python's does not.
 EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e154, 1e200, 1.7e308, -1.7e308, math.nan, math.inf,
-         -math.inf, True, False, 0, 1, 2**53 + 1, 10**400]
-corners = st.one_of(st.sampled_from(EDGES), st.floats(-1e3, 1e3), st.integers(-1000, 1000))
+         -math.inf, True, False, 0, 1, 2**53 + 1, 10**400, np.float32(3e38), np.float32(-3e38),
+         np.float32(math.nan), np.int64(2**62), np.int64(-2**62), np.float64(1.5), np.bool_(True)]
+corners = st.one_of(st.sampled_from(EDGES), st.floats(-1e3, 1e3), st.integers(-1000, 1000),
+                    st.builds(np.float32, st.floats(-1e3, 1e3, width=32)),
+                    st.builds(np.int64, st.integers(-1000, 1000)))
 valid_corners = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(0.5, 1e3),
                           st.floats(0.5, 1e3)).map(lambda c: (c[0], c[1], c[0] + c[2], c[1] + c[3]))
 scores = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 5),
@@ -160,6 +171,26 @@ class TestBoxOracle:
             assert (pairs[0][0] != pairs[0][1]) == (pairs[1][0] != pairs[1][1])
             assert pairs[0][0] != pairs[1][0] and pairs[0][0] != tuple(a)
             assert pairs[0][0] != SubBox(*a) and pairs[1][0] != ReferenceSubBox(*a)
+
+
+class TestNumpyCorners:
+    @pytest.mark.parametrize("scalar, kind", [(np.float32, float), (np.int64, int),
+                                              (np.float64, float), (np.longdouble, float)])
+    def test_numpy_scalars_are_real_numbers(self, scalar, kind):
+        box = geometry.Box(*map(scalar, (1, 2, 3, 4)))
+        assert box == geometry.Box(1.0, 2.0, 3.0, 4.0)
+        assert [type(c) for c in dataclasses.astuple(box)] == [kind] * 4
+        assert repr(box) == repr(geometry.Box(*map(kind, (1, 2, 3, 4))))
+
+    def test_numpy_arithmetic_does_not_decide(self):
+        # int64 widths that wrap, and float32 extents that overflow, are fine as Python numbers.
+        wide = geometry.Box(np.int64(-2**62), np.int64(0), np.int64(2**62), np.int64(1))
+        assert wide.width == 2**63 and wide.area == 2**63
+        assert geometry.Box(*map(np.float32, (-3e38, 0, 3e38, 1))).width > 6e38
+        with pytest.raises(InvalidBoxError, match="degenerate box"):
+            geometry.Box(*map(np.int64, (0, 0, 0, 1)))
+        with pytest.raises(InvalidBoxError, match="finite numbers"):
+            geometry.Box(np.float32(math.inf), 0, 1, 1)
 
 
 class TestDetectionOracle:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import sys
@@ -175,6 +176,30 @@ class TestSimulate:
         assert small.total_gt > 20 and large.total_gt > 20
         assert small.ap == 0.0
         assert large.ap == 1.0
+
+    def test_bulk_build_skips_the_garbage_collector(self):
+        # Building 20k detections with the collector on runs about 55 generation-0
+        # collections; paused, none but those of the few objects around the build.
+        dataset = synthetic_vehicle_dataset(seed=11, n_images=100)
+        profile = DetectorProfile(fp_per_image=200.0, seed=3)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 0:
+                starts.append(info)
+
+        gc.callbacks.append(count)
+        try:
+            dets = simulate(dataset, profile)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(dets) >= 20_000
+        assert len(starts) <= 5
+        gc.disable()
+        try:
+            assert simulate(dataset, profile) == dets
+        finally:
+            gc.enable()
 
     def test_detection_rate_matches_binomial_expectation(self):
         # detect_prob 0.7 everywhere, no FPs: over 30 seeds the pooled hit
