@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidBoxError, ParseError
-from .geometry import Box, Record, _alone, _gc_paused, boxes_to_array, record, valid_boxes
+from .geometry import Box, Record, _alone, boxes_to_array, record, valid_boxes
 
 __all__ = [
     "Annotation",
@@ -598,13 +598,11 @@ def load_dataset(path, fmt: str, image_w: float = KITTI_IMAGE_W, image_h: float 
     """``load_label_table`` as objects: ``(images, skipped)``, one ImageAnnotations per file."""
     table, skipped = load_label_table(path, fmt, image_w, image_h, skip_bad)
     sources = [table.image_ids[i] for i in table.image.tolist()]
+    anns = [Annotation(cls, Box(*box), source)
+            for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
     ends = np.cumsum(np.bincount(table.image, minlength=len(table.image_ids))).tolist()
-    with _gc_paused():
-        anns = [Annotation(cls, Box(*box), source)
-                for cls, box, source in zip(table.classes, table.boxes.tolist(), sources)]
-        images = [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
-                  in zip(table.image_ids, table.sizes, [0] + ends, ends)]
-    return images, skipped
+    return [ImageAnnotations(image_id, w, h, tuple(anns[lo:hi])) for image_id, (w, h), lo, hi
+            in zip(table.image_ids, table.sizes, [0] + ends, ends)], skipped
 
 
 def as_label_table(labels) -> LabelTable:

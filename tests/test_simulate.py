@@ -177,29 +177,38 @@ class TestSimulate:
         assert small.ap == 0.0
         assert large.ap == 1.0
 
-    def test_bulk_build_skips_the_garbage_collector(self):
-        # Building 20k detections with the collector on runs about 55 generation-0
-        # collections; paused, none but those of the few objects around the build.
+    def test_bulk_builds_skip_the_garbage_collector(self):
+        # Each build of 20k records below runs 23-53 generation-0 collections with the
+        # collector on; paused, none but those of the few objects around the build.
+        def paused(build):
+            starts = []
+
+            def count(phase, info):
+                if phase == "start" and info["generation"] == 0:
+                    starts.append(info)
+
+            gc.callbacks.append(count)
+            try:
+                got = build()
+            finally:
+                gc.callbacks.remove(count)
+            assert len(starts) <= 5
+            gc.disable()
+            try:
+                assert build() == got
+            finally:
+                gc.enable()
+            return got
+
         dataset = synthetic_vehicle_dataset(seed=11, n_images=100)
         profile = DetectorProfile(fp_per_image=200.0, seed=3)
-        starts = []
-
-        def count(phase, info):
-            if phase == "start" and info["generation"] == 0:
-                starts.append(info)
-
-        gc.callbacks.append(count)
-        try:
-            dets = simulate(dataset, profile)
-        finally:
-            gc.callbacks.remove(count)
+        dets = paused(lambda: simulate(dataset, profile))
         assert len(dets) >= 20_000
-        assert len(starts) <= 5
-        gc.disable()
-        try:
-            assert simulate(dataset, profile) == dets
-        finally:
-            gc.enable()
+        # match_detections' (detection, label) pairs.
+        paused(lambda: match_detections(dets, [a for im in dataset for a in im.annotations], 0.7))
+        # The report's PR points: a label table does not go through match_detections.
+        table = as_label_table(dataset)
+        assert len(paused(lambda: evaluate_detections(dets, table)).pr_points) >= 20_000
 
     def test_detection_rate_matches_binomial_expectation(self):
         # detect_prob 0.7 everywhere, no FPs: over 30 seeds the pooled hit
